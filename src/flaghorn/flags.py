@@ -16,7 +16,7 @@ is the unit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .perm import (
@@ -47,6 +47,9 @@ __all__ = [
     "fiber_flag",
     "restrict_to_fiber",
     "fiber_reduction",
+    "ClassEntry",
+    "FlagTable",
+    "flag_table",
 ]
 
 
@@ -193,13 +196,7 @@ def check_class_tuple(classes, flag: FlagType) -> tuple[Perm, ...]:
     """Validate a tuple of class indices whose codimensions sum to the
     dimension of the manifold, the precondition shared by all the
     intersection and movability routines.  ValueError otherwise."""
-    out = tuple(check_minimal_rep(w, flag) for w in classes)
-    total = sum(codim(w, flag) for w in out)
-    if total != flag.dimension:
-        raise ValueError(
-            f"codimensions sum to {total}, expected {flag.dimension} on {flag}"
-        )
-    return out
+    return tuple(e.w for e in flag_table(flag).class_tuple(classes))
 
 
 @lru_cache(maxsize=None)
@@ -283,8 +280,18 @@ def projected_codim(w: Perm, flag: FlagType, i: int) -> int:
     w = check_minimal_rep(w, flag)
     if not 1 <= i <= flag.r:
         raise ValueError(f"step index {i} outside 1..{flag.r}")
-    a = flag.steps[i - 1]
-    return sum(flag.n - a + j - w[j - 1] for j in range(1, a + 1))
+    return _projected_codim(w, flag.steps[i - 1], flag.n)
+
+
+def _projected_codim(w: Perm, a: int, n: int) -> int:
+    return sum(n - a + j - w[j - 1] for j in range(1, a + 1))
+
+
+def _grassmannian_partition(w: Perm, r: int, n: int) -> tuple[int, ...]:
+    """Partition of the class indexed by w on the Grassmannian of r-planes
+    in C^n, w unchecked: the parts n - r + j - w(j) for j = 1 .. r, which
+    weakly decrease, with the zero parts dropped."""
+    return tuple(p for p in (n - r + j - w[j - 1] for j in range(1, r + 1)) if p)
 
 
 def flatten_pair(w: Perm, flag: FlagType, i: int, j: int) -> Perm:
@@ -350,3 +357,110 @@ def fiber_reduction(w: Perm, flag: FlagType) -> tuple[Perm, Perm, FlagType]:
         restrict_to_fiber(w, flag),
         fiber_flag(flag),
     )
+
+
+class ClassEntry:
+    """Per-class data of one Schubert class on a flag type.
+
+    Built by FlagTable.entry, which validates the index once; the fields
+    below are computed the first time a route reads them and kept.  The
+    pair fields follow the order of FlagTable.pairs.
+    """
+
+    def __init__(self, table: "FlagTable", w: Perm) -> None:
+        self.table = table
+        self.w = w
+        self.codim = table.dimension - length(w)
+
+    @cached_property
+    def projected_codims(self) -> tuple[int, ...]:
+        """Codimension of the projection to each step a_1, ..., a_r."""
+        flag = self.table.flag
+        return tuple(_projected_codim(self.w, a, flag.n) for a in flag.steps)
+
+    @cached_property
+    def flats(self) -> tuple[Perm, ...]:
+        """The pair flattening for every pair of blocks i < j."""
+        block = self.table.flag.block
+        return tuple(flatten(self.w, block(i) + block(j)) for i, j in self.table.pairs)
+
+    @cached_property
+    def pair_partitions(self) -> tuple[tuple[int, ...], ...]:
+        """Partition of each pair flattening on its pair Grassmannian."""
+        return tuple(
+            _grassmannian_partition(f, bi, bi + bj)
+            for f, (bi, bj) in zip(self.flats, self.table.pair_sizes)
+        )
+
+    @cached_property
+    def pair_codims(self) -> tuple[int, ...]:
+        """Codimension of each pair flattening: the size of its partition."""
+        return tuple(sum(p) for p in self.pair_partitions)
+
+
+class FlagTable:
+    """The classes of one flag type and their per-class data, shared by
+    every route that reads them.  Use flag_table(flag), which keeps one
+    table per flag type.
+
+    Nothing is computed up front.  ``reps`` and ``codims`` list every
+    class in lexicographic order the first time an enumeration asks.  A
+    single class gets its ClassEntry the first time a route asks for it;
+    that is where its index is validated, once, so a one-off request pays
+    only for its own classes and later reads skip the check.
+    """
+
+    def __init__(self, flag: FlagType) -> None:
+        self.flag = flag
+        self.dimension = flag.dimension
+        blocks = range(1, flag.r + 2)
+        self.pairs = tuple((i, j) for i in blocks for j in blocks if i < j)
+        b = flag.block_sizes
+        self.pair_sizes = tuple((b[i - 1], b[j - 1]) for i, j in self.pairs)
+        self._entries: dict[Perm, ClassEntry] = {}
+
+    @cached_property
+    def reps(self) -> tuple[Perm, ...]:
+        """Every class index, in lexicographic order."""
+        return enumerate_minimal_reps(self.flag)
+
+    @cached_property
+    def codims(self) -> tuple[int, ...]:
+        """The codimension of each class of ``reps``."""
+        return tuple(self.dimension - length(w) for w in self.reps)
+
+    def entry(self, w) -> ClassEntry:
+        """The entry of the class indexed by w; ValueError if w does not
+        index a class of the flag type."""
+        try:
+            return self._entries[w]
+        except (KeyError, TypeError):  # a class not seen yet, or an unhashable index
+            pass
+        # every later caller gets this tuple back, so it holds plain ints
+        # even when the first caller passed equal floats or bools
+        w = tuple(map(int, check_minimal_rep(w, self.flag)))
+        return self._entries.setdefault(w, ClassEntry(self, w))
+
+    def class_tuple(self, classes) -> tuple[ClassEntry, ...]:
+        """Entries of a tuple of class indices whose codimensions sum to
+        the dimension of the manifold; ValueError otherwise."""
+        entries = tuple(self.entry(w) for w in classes)
+        total = sum(e.codim for e in entries)
+        if total != self.dimension:
+            raise ValueError(
+                f"codimensions sum to {total}, expected {self.dimension} on {self.flag}"
+            )
+        return entries
+
+
+@lru_cache(maxsize=None)
+def flag_table(flag: FlagType) -> FlagTable:
+    """The shared class table of the flag type.
+
+    >>> table = flag_table(FlagType((1,), 3))
+    >>> table.reps, table.codims
+    (((1, 2, 3), (2, 1, 3), (3, 1, 2)), (2, 1, 0))
+    >>> table.entry((2, 1, 3)).pair_partitions
+    ((1,),)
+    """
+    return FlagTable(flag)

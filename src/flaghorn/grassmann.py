@@ -16,11 +16,13 @@ from functools import lru_cache
 from itertools import product as iter_product
 
 from .flags import (
+    ClassEntry,
+    FlagTable,
     FlagType,
-    check_class_tuple,
+    _grassmannian_partition,
     check_minimal_rep,
     enumerate_minimal_reps,
-    flatten_pair,
+    flag_table,
     grassmannian_flag,
     pair_grassmannian,
 )
@@ -113,8 +115,7 @@ def partition_from_perm(w: Perm, r: int, n: int) -> Partition:
     >>> partition_from_perm((2, 4, 1, 3), 2, 4)
     (1,)
     """
-    w = check_minimal_rep(w, grassmannian_flag(r, n))
-    return check_partition(tuple(n - r + j - w[j - 1] for j in range(1, r + 1)))
+    return _grassmannian_partition(check_minimal_rep(w, grassmannian_flag(r, n)), r, n)
 
 
 def perm_from_partition(p: Partition, r: int, n: int) -> Perm:
@@ -254,21 +255,20 @@ def horn_inequality_holds(
         raise ValueError(f"need 1 <= d < {b_i}, got {d}")
     big = grassmannian_flag(b_i, b_i + b_j)
     small = grassmannian_flag(d, b_i)
-    lhs = 0
     for w, u in zip(tuple_w, tuple_u):
-        w = check_minimal_rep(w, big)
-        u = check_minimal_rep(u, small)
-        lhs += sum(b_j + u[l] - w[u[l] - 1] for l in range(d))
+        check_minimal_rep(w, big)
+        check_minimal_rep(u, small)
+    return _horn_holds(tuple_w, tuple_u, d, b_j)
+
+
+def _horn_holds(
+    tuple_w: tuple[Perm, ...], tuple_u: tuple[Perm, ...], d: int, b_j: int
+) -> bool:
+    """horn_inequality_holds on class indices already checked."""
+    lhs = sum(
+        b_j + u[l] - w[u[l] - 1] for w, u in zip(tuple_w, tuple_u) for l in range(d)
+    )
     return lhs <= d * b_j
-
-
-def _flattened_partitions(
-    classes: tuple[Perm, ...], flag: FlagType, i: int, j: int
-) -> tuple[FlagType, tuple[Perm, ...], tuple[Partition, ...]]:
-    gr = pair_grassmannian(flag, i, j)
-    flats = tuple(flatten_pair(w, flag, i, j) for w in classes)
-    parts = tuple(partition_from_perm(f, gr.steps[0], gr.n) for f in flats)
-    return gr, flats, parts
 
 
 def condition_iii_failure(classes: tuple[Perm, ...], flag: FlagType) -> str | None:
@@ -276,15 +276,24 @@ def condition_iii_failure(classes: tuple[Perm, ...], flag: FlagType) -> str | No
     product of the flattened classes must be a nonzero multiple of the
     point class of the pair Grassmannian.  Returns None if every pair
     passes, else a description of the first failing pair."""
-    classes = check_class_tuple(classes, flag)
-    for i in range(1, flag.r + 2):
-        for j in range(i + 1, flag.r + 2):
-            gr, _, parts = _flattened_partitions(classes, flag, i, j)
-            if product_to_point(parts, gr.steps[0], gr.n) == 0:
-                return (
-                    f"blocks ({i},{j}): flattened product misses the point class "
-                    f"of {gr}"
-                )
+    table = flag_table(flag)
+    return _condition_iii(table.class_tuple(classes), table)
+
+
+def _condition_iii(entries: tuple[ClassEntry, ...], table: FlagTable) -> str | None:
+    """condition_iii_failure on the checked entries of an exact-degree
+    tuple, read from the pair partitions of the table."""
+    for k, (bi, bj) in enumerate(table.pair_sizes):
+        # a product of the wrong degree misses the point class without
+        # any Littlewood-Richardson arithmetic
+        degree_ok = sum(e.pair_codims[k] for e in entries) == bi * bj
+        parts = tuple(e.pair_partitions[k] for e in entries)
+        if not degree_ok or product_to_point(parts, bi, bi + bj) == 0:
+            i, j = table.pairs[k]
+            return (
+                f"blocks ({i},{j}): flattened product misses the point class "
+                f"of {pair_grassmannian(table.flag, i, j)}"
+            )
     return None
 
 
@@ -337,26 +346,32 @@ def condition_iv_failure(
     1 <= d < b_i every tuple of classes on the d-plane Grassmannian in
     C^b_i with point-positive product must satisfy the pairing
     inequality.  Returns None if all hold, else the first failure."""
-    classes = check_class_tuple(classes, flag)
-    s = len(classes)
-    b = flag.block_sizes
-    for i in range(1, flag.r + 2):
-        for j in range(i + 1, flag.r + 2):
-            gr, flats, _ = _flattened_partitions(classes, flag, i, j)
-            bi, bj = b[i - 1], b[j - 1]
-            total = sum(bi * bj - length(f) for f in flats)
-            if total != bi * bj:
-                return (
-                    f"blocks ({i},{j}): flattened codimensions sum to {total}, "
-                    f"expected {bi * bj}"
-                )
-            for d in range(1, bi):
-                for combo in _point_positive_tuples(d, bi, s, nonzero_via):
-                    if not horn_inequality_holds(flats, combo, d, bi, bj):
-                        return (
-                            f"blocks ({i},{j}), d={d}: inequality fails for "
-                            f"u-tuple {combo!r}"
-                        )
+    table = flag_table(flag)
+    return _condition_iv(table.class_tuple(classes), table, nonzero_via)
+
+
+def _condition_iv(
+    entries: tuple[ClassEntry, ...], table: FlagTable, nonzero_via: str = "lr"
+) -> str | None:
+    """condition_iv_failure on the checked entries of an exact-degree
+    tuple, read from the pair flattenings of the table."""
+    s = len(entries)
+    for k, (bi, bj) in enumerate(table.pair_sizes):
+        i, j = table.pairs[k]
+        total = sum(e.pair_codims[k] for e in entries)
+        if total != bi * bj:
+            return (
+                f"blocks ({i},{j}): flattened codimensions sum to {total}, "
+                f"expected {bi * bj}"
+            )
+        flats = tuple(e.flats[k] for e in entries)
+        for d in range(1, bi):
+            for combo in _point_positive_tuples(d, bi, s, nonzero_via):
+                if not _horn_holds(flats, combo, d, bj):
+                    return (
+                        f"blocks ({i},{j}), d={d}: inequality fails for "
+                        f"u-tuple {combo!r}"
+                    )
     return None
 
 

@@ -18,19 +18,19 @@ the associated triple is Levi-movable and zeroes it otherwise.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import accumulate
 
 from .flags import (
+    ClassEntry,
     FlagType,
-    check_class_tuple,
     check_minimal_rep,
     codim,
     dual,
-    enumerate_minimal_reps,
-    projected_codim,
+    flag_table,
 )
-from .grassmann import condition_iii_failure, condition_iv_failure
+from .grassmann import _condition_iii, _condition_iv
 from .oracle import intersection_number, structure_constants_pair
 from .perm import Perm
 
@@ -79,24 +79,56 @@ def condition_i_detail(
 
     The tuple passes when its intersection number is nonzero and, for
     every step a_i, the projected codimensions sum to a_i * (n - a_i),
-    the dimension of the one-step manifold.
+    the dimension of the one-step manifold.  The intersection number is
+    computed even when the grading fails.
     """
-    classes = check_class_tuple(classes, flag)
-    coefficient = intersection_number(classes, flag)
+    return _condition_i(flag_table(flag).class_tuple(classes), flag)
+
+
+def _condition_i(
+    entries: tuple[ClassEntry, ...], flag: FlagType
+) -> tuple[bool, int, str | None]:
+    coefficient = intersection_number(tuple(e.w for e in entries), flag)
     if coefficient == 0:
         return False, 0, "intersection number is zero"
-    for i in range(1, flag.r + 1):
-        a = flag.steps[i - 1]
+    witness = _grading_failure(entries, flag)
+    return witness is None, coefficient, witness
+
+
+def _grading_failure(entries: tuple[ClassEntry, ...], flag: FlagType) -> str | None:
+    """The first step a_i whose projected codimensions do not sum to
+    a_i * (n - a_i), or None."""
+    for i, a in enumerate(flag.steps, start=1):
         expected = a * (flag.n - a)
-        total = sum(projected_codim(w, flag, i) for w in classes)
+        total = sum(e.projected_codims[i - 1] for e in entries)
         if total != expected:
             return (
-                False,
-                coefficient,
                 f"step {i}: projected codimensions sum to {total}, "
-                f"expected {expected}",
+                f"expected {expected}"
             )
-    return True, coefficient, None
+    return None
+
+
+def _graded_verdict(
+    entries: tuple[ClassEntry, ...], flag: FlagType
+) -> tuple[bool, int | None]:
+    """The verdict of the oracle route with the cheap grading test first:
+    the oracle only runs on tuples that pass it.  Returns the verdict and
+    the intersection number, None when the oracle did not run."""
+    if _grading_failure(entries, flag) is not None:
+        return False, None
+    coefficient = intersection_number(tuple(e.w for e in entries), flag)
+    return coefficient != 0, coefficient
+
+
+def _check_agreement(
+    classes: tuple[Perm, ...], flag: FlagType, ok_i: bool, ok_iii: bool, ok_iv: bool
+) -> None:
+    if not ok_i == ok_iii == ok_iv:
+        raise RuntimeError(
+            f"movability conditions disagree on {classes!r} over {flag}: "
+            f"i={ok_i}, iii={ok_iii}, iv={ok_iv}"
+        )
 
 
 def check_condition_i(classes: tuple[Perm, ...], flag: FlagType) -> bool:
@@ -123,37 +155,35 @@ def is_levi_movable(
     >>> is_levi_movable(((2, 3, 1), (2, 1, 3)), FlagType((1, 2), 3)).movable
     True
     """
-    classes = check_class_tuple(classes, flag)
+    table = flag_table(flag)
+    entries = table.class_tuple(classes)
+    classes = tuple(e.w for e in entries)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     if method == "via_i":
-        ok, coefficient, witness = condition_i_detail(classes, flag)
+        ok, coefficient, witness = _condition_i(entries, flag)
         return MovabilityReport(
             classes, flag, method,
             condition_i=ok, coefficient=coefficient, failing_witness=witness,
         )
     if method == "via_iii":
-        witness = condition_iii_failure(classes, flag)
+        witness = _condition_iii(entries, table)
         return MovabilityReport(
             classes, flag, method,
             condition_iii=witness is None, failing_witness=witness,
         )
     if method == "via_iv":
-        witness = condition_iv_failure(classes, flag)
+        witness = _condition_iv(entries, table)
         return MovabilityReport(
             classes, flag, method,
             condition_iv=witness is None, failing_witness=witness,
         )
-    ok_i, coefficient, witness_i = condition_i_detail(classes, flag)
-    witness_iii = condition_iii_failure(classes, flag)
-    witness_iv = condition_iv_failure(classes, flag)
+    ok_i, coefficient, witness_i = _condition_i(entries, flag)
+    witness_iii = _condition_iii(entries, table)
+    witness_iv = _condition_iv(entries, table)
     ok_iii = witness_iii is None
     ok_iv = witness_iv is None
-    if not ok_i == ok_iii == ok_iv:
-        raise RuntimeError(
-            f"movability conditions disagree on {classes!r} over {flag}: "
-            f"i={ok_i}, iii={ok_iii}, iv={ok_iv}"
-        )
+    _check_agreement(classes, flag, ok_i, ok_iii, ok_iv)
     return MovabilityReport(
         classes, flag, method,
         condition_i=ok_i, condition_iii=ok_iii, condition_iv=ok_iv,
@@ -164,16 +194,50 @@ def is_levi_movable(
 
 def exact_degree_tuples(flag: FlagType, s: int) -> tuple[tuple[Perm, ...], ...]:
     """All unordered s-tuples of class indices whose codimensions sum to
-    the dimension of the manifold, in lexicographic order."""
+    the dimension of the manifold, in lexicographic order.
+
+    A depth-first walk on an explicit stack picks nondecreasing classes
+    from the flag table in lexicographic order, so no sort is needed.
+    It cuts a branch as soon as the codimension left exceeds what the
+    open slots can hold, and looks the last slot up by codimension.
+    Once nothing is left, every open slot takes the fundamental class,
+    the only class of codimension 0 and the last one: at most dimension
+    many classes are ever chosen, whatever s.  Table classes are valid
+    by construction and are not checked again.
+
+    >>> from .flags import FlagType
+    >>> exact_degree_tuples(FlagType((1,), 2), 3)
+    (((1, 2), (2, 1), (2, 1)),)
+    """
     if s < 2:
         raise ValueError(f"need at least two classes, got s={s}")
-    reps = enumerate_minimal_reps(flag)
-    dim = flag.dimension
-    return tuple(
-        combo
-        for combo in combinations_with_replacement(reps, s)
-        if sum(codim(w, flag) for w in combo) == dim
-    )
+    table = flag_table(flag)
+    reps, codims = table.reps, table.codims
+    # ceiling[j]: the largest codimension among the classes j, j+1, ...
+    ceiling = list(accumulate(reversed(codims), max))[::-1]
+    by_codim: dict[int, list[int]] = {}
+    for j, c in enumerate(codims):
+        by_codim.setdefault(c, []).append(j)
+    fundamental = reps[-1:]
+    out: list[tuple[Perm, ...]] = []
+    # (classes so far, first class allowed next, codimension left, open slots)
+    stack = [((), 0, table.dimension, s)]
+    while stack:
+        prefix, start, left, slots = stack.pop()
+        if left == 0:
+            out.append(prefix + fundamental * slots)
+        elif slots == 1:
+            last = by_codim.get(left, [])
+            out.extend(prefix + (reps[j],) for j in last[bisect_left(last, start):])
+        else:
+            # pushed in reverse, so popped in lexicographic order
+            stack.extend(
+                (prefix + (reps[j],), j, left - codims[j], slots - 1)
+                for j in reversed(range(start, len(reps)))
+                if 0 < codims[j] <= left
+                and left - codims[j] <= (slots - 1) * ceiling[j]
+            )
+    return tuple(out)
 
 
 def enumerate_levi_movable(
@@ -184,14 +248,39 @@ def enumerate_levi_movable(
     reordering are listed once; every movability condition and the
     coefficient are invariant under reordering.
 
+    Each tuple of exact_degree_tuples is decided from the entries of the
+    flag table, validated once when built, with the verdicts of
+    is_levi_movable: via_iii reads the pair partitions, via_iv the pair
+    flattenings, and via_i runs the grading test before the oracle.
+    cross_check evaluates all three routes on every tuple.  The oracle
+    computes the coefficient of each movable tuple once.
+
     >>> from .flags import FlagType
     >>> [(t, c) for t, c in enumerate_levi_movable(FlagType((1,), 2), 2)]
     [(((1, 2), (2, 1)), 1)]
     """
+    tuples = exact_degree_tuples(flag, s)
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
+    table = flag_table(flag)
     out = []
-    for combo in exact_degree_tuples(flag, s):
-        if is_levi_movable(combo, flag, method).movable:
-            out.append((combo, intersection_number(combo, flag)))
+    for classes in tuples:
+        entries = tuple(map(table.entry, classes))
+        coefficient = None
+        if method == "via_iii":
+            movable = _condition_iii(entries, table) is None
+        elif method == "via_iv":
+            movable = _condition_iv(entries, table) is None
+        else:
+            movable, coefficient = _graded_verdict(entries, flag)
+            if method == "cross_check":
+                ok_iii = _condition_iii(entries, table) is None
+                ok_iv = _condition_iv(entries, table) is None
+                _check_agreement(classes, flag, movable, ok_iii, ok_iv)
+        if movable:
+            if coefficient is None:
+                coefficient = intersection_number(classes, flag)
+            out.append((classes, coefficient))
     return out
 
 

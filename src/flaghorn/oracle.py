@@ -19,7 +19,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .flags import FlagType, check_minimal_rep, codim, dual, is_minimal_rep, parabolic_longest
+from .flags import (
+    FlagType,
+    check_class_tuple,
+    check_minimal_rep,
+    dual,
+    is_minimal_rep,
+    parabolic_longest,
+)
 from .perm import Perm, compose, length, longest_element, pad, perm_from_lehmer, trim
 from .poly import SparsePolynomial, _order_key, divided_difference
 
@@ -165,12 +172,7 @@ def intersection_number(classes: tuple[Perm, ...], flag: FlagType) -> int:
     >>> intersection_number(((3, 1, 2), (3, 1, 2), (2, 3, 1)), flag)
     1
     """
-    classes = tuple(check_minimal_rep(w, flag) for w in classes)
-    total = sum(codim(w, flag) for w in classes)
-    if total != flag.dimension:
-        raise ValueError(
-            f"codimensions sum to {total}, expected {flag.dimension} on {flag}"
-        )
+    classes = check_class_tuple(classes, flag)
     expansion: dict[Perm, int] = {(): 1}
     for w in classes:
         product = _assemble(expansion) * schubert_polynomial(dual(w, flag))

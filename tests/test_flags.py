@@ -15,6 +15,7 @@ from flaghorn.flags import (
     enumerate_minimal_reps,
     fiber_flag,
     fiber_reduction,
+    flag_table,
     flatten_pair,
     grassmannian_flag,
     is_minimal_rep,
@@ -24,6 +25,7 @@ from flaghorn.flags import (
     projected_codim,
     restrict_to_fiber,
 )
+from flaghorn.grassmann import partition_from_perm
 from flaghorn.perm import identity, length, longest_element
 
 
@@ -156,6 +158,39 @@ def test_check_class_tuple():
         check_class_tuple(((2, 3, 1), (2, 3, 1)), f3)
     with pytest.raises(ValueError):
         check_class_tuple(((3, 2, 1), (1, 2, 3)), grassmannian_flag(1, 3))
+    # lists are accepted as indices, and a cached class still rejects bad company
+    assert check_class_tuple([[2, 3, 1], [2, 1, 3]], f3) == ((2, 3, 1), (2, 1, 3))
+    with pytest.raises(ValueError):
+        check_class_tuple(((2, 3, 1), (2, 3, 4)), f3)
+    with pytest.raises(ValueError):
+        check_class_tuple(((2, 3, 1), "21"), f3)
+    # the cached tuples go to every later caller: equal floats do not leak
+    check_class_tuple(((3.0, 1.0, 2.0), (1, 3, 2)), f3)
+    classes = check_class_tuple(((3, 1, 2), (1, 3, 2)), f3)
+    assert all(type(v) is int for w in classes for v in w)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_flag_table_matches_the_public_functions(n):
+    for flag in enumerate_flag_types(n):
+        table = flag_table(flag)
+        assert table is flag_table(FlagType(flag.steps, flag.n))
+        assert table.reps == enumerate_minimal_reps(flag)
+        assert table.codims == tuple(codim(w, flag) for w in table.reps)
+        for w in table.reps:
+            entry = table.entry(w)
+            assert table.entry(list(w)) is entry
+            assert entry.codim == codim(w, flag)
+            assert entry.projected_codims == tuple(
+                projected_codim(w, flag, i) for i in range(1, flag.r + 1)
+            )
+            for k, (i, j) in enumerate(table.pairs):
+                gr = pair_grassmannian(flag, i, j)
+                flat = flatten_pair(w, flag, i, j)
+                partition = partition_from_perm(flat, gr.steps[0], gr.n)
+                assert entry.flats[k] == flat
+                assert entry.pair_partitions[k] == partition
+                assert entry.pair_codims[k] == gr.dimension - length(flat)
 
 
 def test_project_to_step_pinned():

@@ -10,6 +10,7 @@ from flaghorn.flags import (
     codim,
     complete_flag,
     dual,
+    enumerate_flag_types,
     enumerate_minimal_reps,
     grassmannian_flag,
 )
@@ -104,15 +105,51 @@ def test_exact_degree_tuples():
         exact_degree_tuples(F3, 1)
 
 
-def test_exact_degree_tuples_cover_all_sorted_multisets():
-    flag = FlagType((1, 2), 4)
+def _brute_force_tuples(flag, s):
+    """The reference: filter every sorted multiset of classes by degree."""
     reps = enumerate_minimal_reps(flag)
-    expected = [
+    codims = {w: codim(w, flag) for w in reps}
+    return tuple(
         classes
-        for classes in combinations_with_replacement(reps, 2)
-        if sum(codim(w, flag) for w in classes) == flag.dimension
+        for classes in combinations_with_replacement(reps, s)
+        if sum(codims[w] for w in classes) == flag.dimension
+    )
+
+
+def test_exact_degree_tuples_cover_all_sorted_multisets():
+    cases = [
+        (flag, s) for n in range(1, 6) for flag in enumerate_flag_types(n) for s in (2, 3)
     ]
-    assert list(exact_degree_tuples(flag, 2)) == sorted(expected)
+    cases += [(flag, 2) for flag in enumerate_flag_types(6)]
+    for flag, s in cases:
+        expected = _brute_force_tuples(flag, s)
+        assert exact_degree_tuples(flag, s) == expected, (str(flag), s)
+
+
+def test_exact_degree_tuples_large_s():
+    # beyond s = dim + 1 every tuple is a shorter one padded with the
+    # fundamental class, so the count stops growing
+    flag = grassmannian_flag(2, 4)
+    fundamental = enumerate_minimal_reps(flag)[-1]
+    short = _brute_force_tuples(flag, 5)
+    assert len(short) == 8
+    tuples = exact_degree_tuples(flag, 1500)
+    assert tuples == tuple(t + (fundamental,) * 1495 for t in short)
+
+
+@pytest.mark.parametrize(
+    "text, s", [("1,2,3,4/5", 2), ("1,2/5", 3), ("2,4/6", 2), ("3/6", 3)]
+)
+def test_enumerate_matches_the_per_tuple_decision(text, s):
+    flag = FlagType.parse(text)
+    tuples = exact_degree_tuples(flag, s)
+    for method in METHODS:
+        expected = [
+            (classes, intersection_number(classes, flag))
+            for classes in tuples
+            if is_levi_movable(classes, flag, method).movable
+        ]
+        assert enumerate_levi_movable(flag, s, method) == expected, method
 
 
 def test_enumerate_frozen_complete_three():
