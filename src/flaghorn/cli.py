@@ -19,12 +19,17 @@ import sys
 
 from .factor import factor_full
 from .flags import FlagType, check_class_tuple, codim
+from .grassmann import format_partition
 from .levi import METHODS, enumerate_levi_movable, is_levi_movable
 from .oracle import intersection_number
 from .perm import Perm, format_permutation, parse_permutation
 from .suites import SUITES, run_all, run_suite
 
 __all__ = ["main", "build_parser"]
+
+# What every command builds, once: the exit code, the JSON document, the
+# CSV rows and the text lines.  main prints the format that was asked for.
+Output = tuple[int, object, list[dict], list[str]]
 
 
 def _parse_tuple(text: str) -> tuple[Perm, ...]:
@@ -56,191 +61,117 @@ def _document(
     }
 
 
-def _print_csv(rows: list[dict], stream) -> None:
-    if not rows:
-        return
-    writer = csv.DictWriter(stream, fieldnames=list(rows[0]))
-    writer.writeheader()
-    writer.writerows(rows)
-
-
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> Output:
     flag = FlagType.parse(args.flag)
     results = enumerate_levi_movable(flag, args.s, args.method)
-    if args.format == "json":
-        doc = {
-            "flag": str(flag),
-            "n": flag.n,
-            "s": args.s,
-            "results": [
-                {"tuple": [list(w) for w in classes], "coefficient": c}
-                for classes, c in results
-            ],
-        }
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        _print_csv(
-            [
-                {"tuple": _format_tuple(classes), "coefficient": c}
-                for classes, c in results
-            ],
-            sys.stdout,
-        )
-    else:
-        for classes, c in results:
-            print(f"{_format_tuple(classes)} -> {c}")
-        print(f"{len(results)} movable tuples on {flag} with s={args.s}")
-    return 0
+    doc = {
+        "flag": str(flag),
+        "n": flag.n,
+        "s": args.s,
+        "results": [
+            {"tuple": [list(w) for w in classes], "coefficient": c}
+            for classes, c in results
+        ],
+    }
+    rows = [
+        {"tuple": _format_tuple(classes), "coefficient": c}
+        for classes, c in results
+    ]
+    lines = [f"{row['tuple']} -> {row['coefficient']}" for row in rows]
+    lines.append(f"{len(results)} movable tuples on {flag} with s={args.s}")
+    return 0, doc, rows, lines
 
 
-def _conditions_dict(report) -> dict:
-    return {
+def _cmd_check(args) -> Output:
+    flag = FlagType.parse(args.flag)
+    classes = _parse_tuple(args.tuple)
+    report = is_levi_movable(classes, flag, args.method)
+    conditions = {
         "i": report.condition_i,
         "iii": report.condition_iii,
         "iv": report.condition_iv,
     }
+    doc = _document(
+        flag, report.classes, conditions=conditions, coefficient=report.coefficient
+    )
+    row = {
+        "flag": str(flag),
+        "n": flag.n,
+        "tuple": _format_tuple(report.classes),
+        **{f"condition_{label}": value for label, value in conditions.items()},
+        "coefficient": report.coefficient,
+    }
+    verdict = "movable" if report.movable else "not movable"
+    lines = [f"{_format_tuple(report.classes)} on {flag}: {verdict}"]
+    for label, value in conditions.items():
+        if value is not None:
+            lines.append(f"  condition ({label}): {value}")
+    if report.coefficient is not None:
+        lines.append(f"  coefficient: {report.coefficient}")
+    if report.failing_witness:
+        lines.append(f"  witness: {report.failing_witness}")
+    return (0 if report.movable else 1), doc, [row], lines
 
 
-def _cmd_check(args) -> int:
-    flag = FlagType.parse(args.flag)
-    classes = _parse_tuple(args.tuple)
-    report = is_levi_movable(classes, flag, args.method)
-    if args.format == "json":
-        doc = _document(
-            flag,
-            report.classes,
-            conditions=_conditions_dict(report),
-            coefficient=report.coefficient,
-        )
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        row = {
-            "flag": str(flag),
-            "n": flag.n,
-            "tuple": _format_tuple(report.classes),
-            "condition_i": report.condition_i,
-            "condition_iii": report.condition_iii,
-            "condition_iv": report.condition_iv,
-            "coefficient": report.coefficient,
-        }
-        _print_csv([row], sys.stdout)
-    else:
-        verdict = "movable" if report.movable else "not movable"
-        print(f"{_format_tuple(report.classes)} on {flag}: {verdict}")
-        for label, value in _conditions_dict(report).items():
-            if value is not None:
-                print(f"  condition ({label}): {value}")
-        if report.coefficient is not None:
-            print(f"  coefficient: {report.coefficient}")
-        if report.failing_witness:
-            print(f"  witness: {report.failing_witness}")
-    return 0 if report.movable else 1
-
-
-def _cmd_coeff(args) -> int:
+def _cmd_coeff(args) -> Output:
     flag = FlagType.parse(args.flag)
     classes = check_class_tuple(_parse_tuple(args.tuple), flag)
     coefficient = intersection_number(classes, flag)
-    if args.format == "json":
-        print(json.dumps(_document(flag, classes, coefficient=coefficient), indent=2))
-    elif args.format == "csv":
-        row = {
-            "flag": str(flag),
-            "n": flag.n,
-            "tuple": _format_tuple(classes),
-            "coefficient": coefficient,
-        }
-        _print_csv([row], sys.stdout)
-    else:
-        print(coefficient)
-    return 0
+    doc = _document(flag, classes, coefficient=coefficient)
+    row = {
+        "flag": str(flag),
+        "n": flag.n,
+        "tuple": _format_tuple(classes),
+        "coefficient": coefficient,
+    }
+    return 0, doc, [row], [str(coefficient)]
 
 
-def _render_tree_text(tree, indent: str = "  ") -> list[str]:
-    lines = []
-    for depth, level in enumerate(tree.levels()):
-        base = level.base
-        parts = ",".join(
-            ("(" + ",".join(map(str, p)) + ")") if p else "()"
-            for p in base.partitions
-        )
-        lines.append(
-            f"{indent * (depth + 1)}{base.space}: partitions {parts} -> "
-            f"coefficient {base.coefficient}"
-        )
-    return lines
-
-
-def _cmd_factor(args) -> int:
+def _cmd_factor(args) -> Output:
     flag = FlagType.parse(args.flag)
     classes = _parse_tuple(args.tuple)
     tree = factor_full(classes, flag)
-    if args.format == "json":
-        doc = _document(
-            flag,
-            tree.classes,
-            coefficient=tree.coefficient,
-            factorization=tree.to_dict(),
+    doc = _document(
+        flag, tree.classes, coefficient=tree.coefficient, factorization=tree.to_dict()
+    )
+    rows = []
+    lines = [f"{_format_tuple(tree.classes)} on {flag}: coefficient {tree.coefficient}"]
+    for depth, leaf in enumerate(tree.leaf_factors(), start=1):
+        rows.append(
+            {
+                "level": depth,
+                "grassmannian": str(leaf.space),
+                "partitions": ";".join(format_partition(p) for p in leaf.partitions),
+                "coefficient": leaf.coefficient,
+            }
         )
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        rows = []
-        for depth, leaf in enumerate(tree.leaf_factors(), start=1):
-            rows.append(
-                {
-                    "level": depth,
-                    "grassmannian": str(leaf.space),
-                    "partitions": ";".join(
-                        ",".join(map(str, p)) if p else "0" for p in leaf.partitions
-                    ),
-                    "coefficient": leaf.coefficient,
-                }
-            )
-        _print_csv(rows, sys.stdout)
-    else:
-        print(
-            f"{_format_tuple(tree.classes)} on {flag}: coefficient "
-            f"{tree.coefficient}"
+        parts = ",".join("(" + ",".join(map(str, p)) + ")" for p in leaf.partitions)
+        lines.append(
+            f"{'  ' * depth}{leaf.space}: partitions {parts} -> "
+            f"coefficient {leaf.coefficient}"
         )
-        for line in _render_tree_text(tree):
-            print(line)
-    return 0
+    return 0, doc, rows, lines
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Output:
     if args.suite == "all":
         results = run_all(args.max_n)
     else:
         results = [run_suite(args.suite, args.max_n)]
-    if args.format == "json":
-        doc = [
-            {
-                "suite": r.name,
-                "passed": r.passed,
-                "lines": r.lines,
-                "failures": r.failures,
-            }
-            for r in results
-        ]
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        rows = [
-            {
-                "suite": r.name,
-                "passed": r.passed,
-                "failures": " | ".join(r.failures),
-            }
-            for r in results
-        ]
-        _print_csv(rows, sys.stdout)
-    else:
-        for r in results:
-            print(f"{r.name}: {'PASS' if r.passed else 'FAIL'}")
-            for line in r.lines:
-                print(f"  {line}")
-            for failure in r.failures:
-                print(f"  FAILURE: {failure}")
-    return 0 if all(r.passed for r in results) else 1
+    doc = [
+        {"suite": r.name, "passed": r.passed, "lines": r.lines, "failures": r.failures}
+        for r in results
+    ]
+    rows = [
+        {"suite": r.name, "passed": r.passed, "failures": " | ".join(r.failures)}
+        for r in results
+    ]
+    lines = []
+    for r in results:
+        lines.append(f"{r.name}: {'PASS' if r.passed else 'FAIL'}")
+        lines.extend(f"  {line}" for line in r.lines)
+        lines.extend(f"  FAILURE: {failure}" for failure in r.failures)
+    return (0 if all(r.passed for r in results) else 1), doc, rows, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,10 +233,21 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code, doc, rows, lines = args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.format == "json":
+        print(json.dumps(doc, indent=2))
+    elif args.format == "csv":
+        if rows:
+            writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 if __name__ == "__main__":

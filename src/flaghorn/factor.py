@@ -6,6 +6,12 @@ coefficient on the fiber manifold of the remaining steps.  Recursing on
 the fiber writes the coefficient as a product of r Littlewood-Richardson
 numbers, one for each Grassmannian of a block inside what remains of the
 ambient space.
+
+One guard checks the input of every entry point and makes the only
+movability decision on it (ValueError when the tuple is not movable).
+One split step returns the base leaf, the fiber tuple and the fiber flag
+type; the tree is the split applied recursively, and the other entry
+points are the guard plus one split.
 """
 
 from __future__ import annotations
@@ -21,7 +27,12 @@ from .flags import (
     project_to_step,
     restrict_to_fiber,
 )
-from .grassmann import Partition, format_partition, partition_from_perm, product_to_point
+from .grassmann import (
+    Partition,
+    _product_to_point,
+    format_partition,
+    partition_from_perm,
+)
 from .levi import is_levi_movable
 from .oracle import intersection_number
 from .perm import Perm
@@ -83,13 +94,46 @@ class FactorizationTree:
         }
 
 
-def _base_factor(classes: tuple[Perm, ...], flag: FlagType) -> GrassmannianFactor:
+def _movable(classes, flag: FlagType) -> tuple[Perm, ...]:
+    """The guard of every entry point: the checked tuple, or ValueError
+    when it is malformed, the flag is a point, or the tuple is not
+    Levi-movable."""
+    classes = check_class_tuple(classes, flag)
+    if flag.r < 1:
+        raise ValueError("a point manifold has nothing to factor")
+    report = is_levi_movable(classes, flag)
+    if not report.movable:
+        raise ValueError(
+            f"tuple is not Levi-movable on {flag}: {report.failing_witness}"
+        )
+    return classes
+
+
+def _split(
+    classes: tuple[Perm, ...], flag: FlagType
+) -> tuple[GrassmannianFactor, tuple[Perm, ...], FlagType]:
+    """The split across the first step: the base leaf on the Grassmannian
+    of a_1-planes, the fiber tuple and the fiber flag type."""
     a1 = flag.steps[0]
-    space = grassmannian_flag(a1, flag.n)
     projected = tuple(project_to_step(w, flag, 1) for w in classes)
+    # partition_from_perm returns partitions inside the a_1 x (n - a_1) box
     partitions = tuple(partition_from_perm(w, a1, flag.n) for w in projected)
-    coefficient = product_to_point(partitions, a1, flag.n)
-    return GrassmannianFactor(space, projected, partitions, coefficient)
+    base = GrassmannianFactor(
+        grassmannian_flag(a1, flag.n),
+        projected,
+        partitions,
+        _product_to_point(partitions, a1, flag.n),
+    )
+    fclasses = tuple(restrict_to_fiber(w, flag) for w in classes)
+    return base, fclasses, fiber_flag(flag)
+
+
+def _fiber_failure(fclasses: tuple[Perm, ...], fflag: FlagType) -> str | None:
+    """None when the fiber tuple is movable (a point fiber is, vacuously),
+    else the witness of the failure."""
+    if fflag.r == 0:
+        return None
+    return is_levi_movable(fclasses, fflag).failing_witness
 
 
 def factor_once(
@@ -105,21 +149,8 @@ def factor_once(
     >>> factor_once(((2, 3, 1), (2, 1, 3)), FlagType((1, 2), 3))
     (1, ((2, 1, 3), (2, 1, 3)), 1, ((2, 1), (1, 2)), FlagType(steps=(1,), n=2))
     """
-    classes = check_class_tuple(classes, flag)
-    if flag.r < 1:
-        raise ValueError("a point manifold has nothing to factor")
-    report = is_levi_movable(classes, flag)
-    if not report.movable:
-        raise ValueError(
-            f"tuple is not Levi-movable on {flag}: {report.failing_witness}"
-        )
-    base = _base_factor(classes, flag)
-    fflag = fiber_flag(flag)
-    fclasses = tuple(restrict_to_fiber(w, flag) for w in classes)
-    if fflag.r == 0:
-        c_fiber = 1
-    else:
-        c_fiber = intersection_number(fclasses, fflag)
+    base, fclasses, fflag = _split(_movable(classes, flag), flag)
+    c_fiber = intersection_number(fclasses, fflag)
     return base.coefficient, base.classes, c_fiber, fclasses, fflag
 
 
@@ -131,39 +162,28 @@ def factor_full(
     leaf coefficients and equals the intersection number of the input.
     With verify_with_oracle every node is cross-checked against the
     polynomial oracle (RuntimeError on mismatch)."""
-    classes = check_class_tuple(classes, flag)
-    if flag.r < 1:
-        raise ValueError("a point manifold has nothing to factor")
-    report = is_levi_movable(classes, flag)
-    if not report.movable:
-        raise ValueError(
-            f"tuple is not Levi-movable on {flag}: {report.failing_witness}"
-        )
-    return _factor_tree(classes, flag, verify_with_oracle)
+    return _factor_tree(_movable(classes, flag), flag, verify_with_oracle)
 
 
 def _factor_tree(
     classes: tuple[Perm, ...], flag: FlagType, verify: bool
 ) -> FactorizationTree:
-    """Recursive worker; assumes the tuple is movable on flag (the root
-    is validated by factor_full, fibers inherit movability from the
-    root, re-checked here as an internal invariant)."""
-    base = _base_factor(classes, flag)
-    if flag.r == 1:
-        tree = FactorizationTree(flag, classes, base.coefficient, base, None)
-    else:
-        fflag = fiber_flag(flag)
-        fclasses = tuple(restrict_to_fiber(w, flag) for w in classes)
-        freport = is_levi_movable(fclasses, fflag)
-        if not freport.movable:
+    """The split applied recursively; assumes the tuple is movable on
+    flag (the root is validated by factor_full, fibers inherit
+    movability from the root, re-checked here as an internal
+    invariant)."""
+    base, fclasses, fflag = _split(classes, flag)
+    fiber = None
+    coefficient = base.coefficient
+    if fflag.r:
+        failure = _fiber_failure(fclasses, fflag)
+        if failure is not None:
             raise RuntimeError(
-                f"fiber tuple {fclasses!r} lost movability on {fflag}: "
-                f"{freport.failing_witness}"
+                f"fiber tuple {fclasses!r} lost movability on {fflag}: {failure}"
             )
         fiber = _factor_tree(fclasses, fflag, verify)
-        tree = FactorizationTree(
-            flag, classes, base.coefficient * fiber.coefficient, base, fiber
-        )
+        coefficient *= fiber.coefficient
+    tree = FactorizationTree(flag, classes, coefficient, base, fiber)
     if verify and tree.coefficient != intersection_number(classes, flag):
         raise RuntimeError(
             f"factored coefficient {tree.coefficient} disagrees with the "
@@ -180,21 +200,9 @@ def check_induced_movability(
     manifold.  Both are guaranteed for movable input; a one-step flag
     has a point fiber, movable vacuously.  ValueError when the input
     tuple is not movable itself."""
-    classes = check_class_tuple(classes, flag)
-    if flag.r < 1:
-        raise ValueError("a point manifold has nothing to factor")
-    if not is_levi_movable(classes, flag).movable:
-        raise ValueError(f"tuple is not Levi-movable on {flag}")
-    a1 = flag.steps[0]
-    projected = tuple(project_to_step(w, flag, 1) for w in classes)
-    projected_ok = is_levi_movable(projected, grassmannian_flag(a1, flag.n)).movable
-    fflag = fiber_flag(flag)
-    if fflag.r == 0:
-        fiber_ok = True
-    else:
-        fclasses = tuple(restrict_to_fiber(w, flag) for w in classes)
-        fiber_ok = is_levi_movable(fclasses, fflag).movable
-    return projected_ok, fiber_ok
+    base, fclasses, fflag = _split(_movable(classes, flag), flag)
+    # on a Grassmannian, movable means a nonzero point product
+    return base.coefficient != 0, _fiber_failure(fclasses, fflag) is None
 
 
 def pairwise_factor(
@@ -206,23 +214,10 @@ def pairwise_factor(
     the reduced classes against the reductions of the dual of v, which
     are the duals of the reductions.  ValueError when (w, u, dual of v)
     is not Levi-movable."""
-    triple = (w, u, dual(v, flag))
-    classes = check_class_tuple(triple, flag)
-    if flag.r < 1:
-        raise ValueError("a point manifold has nothing to factor")
-    report = is_levi_movable(classes, flag)
-    if not report.movable:
-        raise ValueError(
-            f"triple {classes!r} is not Levi-movable on {flag}: "
-            f"{report.failing_witness}"
-        )
-    c = intersection_number(classes, flag)
-    base = _base_factor(classes, flag)
-    c1 = base.coefficient
-    fflag = fiber_flag(flag)
-    if fflag.r == 0:
-        c_fiber = 1
-    else:
-        fclasses = tuple(restrict_to_fiber(x, flag) for x in classes)
-        c_fiber = intersection_number(fclasses, fflag)
-    return c, c1, c_fiber
+    classes = _movable((w, u, dual(v, flag)), flag)
+    base, fclasses, fflag = _split(classes, flag)
+    return (
+        intersection_number(classes, flag),
+        base.coefficient,
+        intersection_number(fclasses, fflag),
+    )

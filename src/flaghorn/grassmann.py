@@ -164,34 +164,39 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
         inner = lam[q - 1] if q - 1 < len(lam) else 0
         for col in range(nu[q - 1], inner, -1):
             cells.append((q, col))
+    # neighbours to the right and above come earlier in this order
+    index = {cell: i for i, cell in enumerate(cells)}
+    right = [index.get((q, col + 1)) for q, col in cells]
+    above = [index.get((q - 1, col)) for q, col in cells]
     values = len(mu)
-    filled: dict[tuple[int, int], int] = {}
+    filling = [0] * len(cells)  # 0 marks a cell not yet filled
     counts = [0] * (values + 1)
-
-    def count_from(idx: int) -> int:
+    # depth-first search on an explicit stack of cells, so that the depth
+    # of the Python stack does not grow with the shape
+    total, idx = 0, 0
+    while idx >= 0:
         if idx == len(cells):
-            return 1
-        q, col = cells[idx]
-        right = filled.get((q, col + 1))
-        above = filled.get((q - 1, col))
-        total = 0
-        for t in range(1, values + 1):
-            if counts[t] >= mu[t - 1]:
-                continue
-            if t > 1 and counts[t - 1] <= counts[t]:
-                continue
-            if right is not None and t > right:
-                continue
-            if above is not None and t <= above:
-                continue
-            filled[(q, col)] = t
-            counts[t] += 1
-            total += count_from(idx + 1)
+            total += 1
+            idx -= 1
+            continue
+        t = filling[idx]
+        if t:
             counts[t] -= 1
-            del filled[(q, col)]
-        return total
-
-    return count_from(0)
+        hi = values if right[idx] is None else filling[right[idx]]
+        lo = 1 if above[idx] is None else filling[above[idx]] + 1
+        t = max(t + 1, lo)
+        while t <= hi and (
+            counts[t] >= mu[t - 1] or (t > 1 and counts[t - 1] <= counts[t])
+        ):
+            t += 1
+        if t <= hi:
+            filling[idx] = t
+            counts[t] += 1
+            idx += 1
+        else:
+            filling[idx] = 0
+            idx -= 1
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -220,6 +225,13 @@ def product_to_point(partitions: tuple[Partition, ...], r: int, n: int) -> int:
     for p in parts:
         if not fits_rectangle(p, r, cols):
             raise ValueError(f"{p!r} does not fit inside {r} x {cols}")
+    return _product_to_point(parts, r, n)
+
+
+def _product_to_point(parts: tuple[Partition, ...], r: int, n: int) -> int:
+    """product_to_point on partitions already normalized and inside the
+    r x (n - r) rectangle."""
+    cols = n - r
     if sum(sum(p) for p in parts) != r * cols:
         return 0
     acc: dict[Partition, int] = {(): 1}
@@ -288,7 +300,7 @@ def _condition_iii(entries: tuple[ClassEntry, ...], table: FlagTable) -> str | N
         # any Littlewood-Richardson arithmetic
         degree_ok = sum(e.pair_codims[k] for e in entries) == bi * bj
         parts = tuple(e.pair_partitions[k] for e in entries)
-        if not degree_ok or product_to_point(parts, bi, bi + bj) == 0:
+        if not degree_ok or _product_to_point(parts, bi, bi + bj) == 0:
             i, j = table.pairs[k]
             return (
                 f"blocks ({i},{j}): flattened product misses the point class "

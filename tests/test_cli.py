@@ -216,11 +216,43 @@ def test_verify_json(capsys):
 
 def test_verify_all(capsys):
     code, out, _ = run_cli(
-        capsys, "verify", "--suite", "all", "--max-n", "3"
+        capsys, "verify", "--suite", "all", "--max-n", "4"
     )
     assert code == 0
     for name in ("thm1", "thm2", "cor13", "lengths", "lr-oracle", "duality"):
         assert f"{name}: PASS" in out
+
+
+@pytest.mark.parametrize(
+    "max_n,empty",
+    [
+        ("-1", {"thm1", "thm2", "cor13", "lengths", "lr-oracle", "duality"}),
+        ("2", {"thm1", "thm2", "cor13", "lr-oracle"}),
+    ],
+)
+def test_verify_fails_a_bound_that_leaves_nothing_to_check(capsys, max_n, empty):
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "all", "--max-n", max_n, "--format", "json"
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert {r["suite"] for r in doc if not r["passed"]} == empty
+    for r in doc:
+        if r["suite"] in empty:
+            [failure] = r["failures"]
+            assert failure.startswith(f"bound max_n={max_n} leaves no ")
+
+
+def test_check_huge_grassmannian_does_not_recurse(capsys):
+    # the point class of Gr(2,600) times the fundamental class: the
+    # Littlewood-Richardson count walks 1,196 cells
+    point = ",".join(map(str, range(1, 601)))
+    fundamental = ",".join(map(str, [599, 600, *range(1, 599)]))
+    code, out, err = run_cli(
+        capsys, "check", "--flag", "2/600", "--tuple", f"{point};{fundamental}"
+    )
+    assert (code, err) == (0, "")
+    assert ": movable" in out.splitlines()[0]
 
 
 def test_bad_usage_exits_two():

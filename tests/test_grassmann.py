@@ -164,8 +164,11 @@ def test_product_to_point_pinned():
     assert product_to_point(((1,),) * 6, 2, 5) == 5
     assert product_to_point(((2, 1), (2, 1)), 2, 4) == 0
     assert product_to_point(((1,), (1,)), 2, 4) == 0  # degree mismatch
-    with pytest.raises(ValueError):
-        product_to_point(((3,),), 2, 4)
+    # a skew shape of 1,196 cells, deeper than the default recursion limit
+    assert product_to_point(((598, 598), ()), 2, 600) == 1
+    for bad in ((3,), (1, 2), (-1,)):
+        with pytest.raises(ValueError):
+            product_to_point((bad, (1,)), 2, 4)
 
 
 def test_horn_inequality_fixture():

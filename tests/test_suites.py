@@ -44,7 +44,7 @@ def test_run_suite_rejects_unknown_name():
 
 
 def test_run_all_order():
-    results = run_all(3)
+    results = run_all(4)
     assert [r.name for r in results] == list(SUITES)
     assert len(results) == 6
     for r in results:
