@@ -5,7 +5,8 @@ The exact polynomial oracle
 Every intersection number in this package can be recomputed from sparse
 integer polynomials: each class has a polynomial representative, products
 of representatives expand back into the basis, and the coefficient of the
-point class is read off the expansion.  The oracle is deliberately
+point class is the signed sum of the staircase rearrangements in one
+pruned product of representatives.  The oracle is deliberately
 independent of the tableau combinatorics used elsewhere, so the two
 routes check each other.
 """

@@ -94,18 +94,35 @@ def partitions_in_rectangle(rows: int, cols: int, size: int | None = None) -> li
 
     >>> partitions_in_rectangle(2, 2)
     [(), (1,), (1, 1), (2,), (2, 1), (2, 2)]
+    >>> partitions_in_rectangle(3, 3, size=4)
+    [(2, 1, 1), (2, 2), (3, 1)]
     """
+    if size is None:
+        return sorted(
+            p for k in range(rows * cols + 1) for p in _partitions_of_size(k, rows, cols)
+        )
+    return _partitions_of_size(size, rows, cols)
 
-    def gen(maxpart: int, slots: int):
-        yield ()
-        if slots == 0:
-            return
-        for first in range(1, maxpart + 1):
-            for rest in gen(first, slots - 1):
-                yield (first,) + rest
 
-    out = [p for p in gen(cols, rows) if size is None or sum(p) == size]
-    return sorted(out)
+def _partitions_of_size(size: int, rows: int, cols: int) -> list[Partition]:
+    """The partitions of one size inside the rectangle, in lexicographic
+    order.  A depth-first walk on an explicit stack that only takes a
+    part when the parts after it, none larger, can still make up the
+    size, so it never visits a partition of another size."""
+    if not 0 <= size <= rows * cols:
+        return []
+    out: list[Partition] = []
+    stack: list[tuple[Partition, int, int, int]] = [((), size, cols, rows)]
+    while stack:
+        prefix, left, top, slots = stack.pop()
+        if not left:
+            out.append(prefix)
+            continue
+        # smallest part with left <= slots * part; pushed largest first,
+        # so the smallest is taken next
+        for part in range(min(top, left), -(-left // slots) - 1, -1):
+            stack.append((prefix + (part,), left - part, part, slots - 1))
+    return out
 
 
 def partition_from_perm(w: Perm, r: int, n: int) -> Partition:
@@ -204,6 +221,8 @@ def lr_expand(lam: Partition, mu: Partition, rows: int, cols: int) -> dict[Parti
     """Product of the classes of lam and mu truncated to the rectangle."""
     out: dict[Partition, int] = {}
     for nu in partitions_in_rectangle(rows, cols, sum(lam) + sum(mu)):
+        if not (_contains(nu, lam) and _contains(nu, mu)):
+            continue
         c = lr_coefficient(lam, mu, nu)
         if c:
             out[nu] = c

@@ -9,15 +9,24 @@ same way.  This is the only place the two conventions meet.
 
 The representative of the codimension index v is the classic polynomial
 obtained from the staircase monomial x1^(m-1) * x2^(m-2) * ... of the
-longest permutation by divided differences.  Products of representatives
-expand uniquely in the basis of all such polynomials; expansion terms
-whose index moves a point beyond the ambient n lie in the defining ideal
-of the cohomology ring and are discarded after each pairwise product.
+longest permutation by divided differences.
+
+Intersection numbers come from one product of representatives, pruned as
+it grows, and the antisymmetrizer formula for the top divided difference
+(see intersection_number); no product is expanded in the basis, and no
+representative of a permutation outside S_n is built.
+
+Structure constants of a pair (structure_constants_pair) come from the
+basis expansion: products of representatives expand uniquely in the basis
+of all such polynomials, and expansion terms whose index moves a point
+beyond the ambient n lie in the defining ideal of the cohomology ring and
+are discarded.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add, le
 
 from .flags import (
     FlagType,
@@ -25,10 +34,9 @@ from .flags import (
     check_minimal_rep,
     dual,
     is_minimal_rep,
-    parabolic_longest,
 )
-from .perm import Perm, compose, length, longest_element, pad, perm_from_lehmer, trim
-from .poly import SparsePolynomial, _order_key, divided_difference
+from .perm import Perm, length, pad, perm_from_lehmer, trim
+from .poly import Monomial, SparsePolynomial, _order_key, divided_difference
 
 __all__ = [
     "schubert_polynomial",
@@ -135,13 +143,6 @@ def _discard_outside(expansion: dict[Perm, int], flag: FlagType) -> dict[Perm, i
     return out
 
 
-def _assemble(expansion: dict[Perm, int]) -> SparsePolynomial:
-    total = SparsePolynomial.zero()
-    for v, c in expansion.items():
-        total = total + schubert_polynomial(v) * c
-    return total
-
-
 def structure_constants_pair(w: Perm, u: Perm, flag: FlagType) -> dict[Perm, int]:
     """All structure constants of the product of the classes indexed by w
     and u on the given flag manifold.  Keys are class indices (dimension
@@ -160,6 +161,22 @@ def structure_constants_pair(w: Perm, u: Perm, flag: FlagType) -> dict[Perm, int
     return {dual(pad(v, flag.n), flag): c for v, c in expansion.items()}
 
 
+def _reaches_staircase(mono: Monomial) -> bool:
+    """True if raising some exponents of mono can give a rearrangement of
+    the staircase (n-1, ..., 1, 0), n = len(mono): sorted ascending, the
+    k-th exponent (from 0) is at most k."""
+    n = len(mono)
+    return max(mono) < n and all(map(le, sorted(mono), range(n)))
+
+
+def _sign(mono: Monomial) -> int:
+    """(-1) to the number of pairs i < j with mono[i] < mono[j]: the sign
+    of the permutation that sorts a rearrangement of the staircase back
+    into decreasing order."""
+    ascents = sum(1 for j, e in enumerate(mono) for d in mono[:j] if d < e)
+    return -1 if ascents % 2 else 1
+
+
 def intersection_number(classes: tuple[Perm, ...], flag: FlagType) -> int:
     """Coefficient of the point class in the product of the given classes.
 
@@ -168,14 +185,61 @@ def intersection_number(classes: tuple[Perm, ...], flag: FlagType) -> int:
     generic intersection of the corresponding varieties, counted with
     multiplicity.
 
+    No product is expanded in the Schubert basis.  Write u_i = dual(w_i)
+    for the codimension indices, p for the product of their
+    representatives, n for the ambient size, w0 for the longest element
+    of S_n and w_P for the longest element that fixes every block.
+
+    * Each u_i ascends inside every block, so its representative, and
+      with it p, is symmetric in the variables of each block.  With
+      delta_P the block staircase, (b-1, ..., 1, 0) on each block of
+      size b, the divided difference of w_P therefore sends
+      x^delta_P * p to p.
+    * The divided difference of w0 is that of w0 w_P after that of w_P,
+      and the divided difference of w0 w_P takes p, of degree
+      length(w0 w_P), to its coefficient on the representative of
+      w0 w_P.  That coefficient is the point coefficient: every
+      representative of a permutation outside S_n lies in the ideal that
+      defines the cohomology ring, and the classes of S_n that survive
+      are those of the flag manifold.
+    * On a polynomial of degree n(n-1)/2, the divided difference of w0 is
+      the antisymmetrizer, the sum of sgn(w) w over S_n, divided by the
+      Vandermonde product of (x_i - x_j), i < j.  A monomial x^a
+      antisymmetrizes to zero unless its exponents are distinct, and at
+      this degree that means a rearranges delta = (n-1, ..., 1, 0); then
+      it gives sgn(a) times the Vandermonde, where sgn(a) is -1 to the
+      number of pairs i < j with a_i < a_j.
+
+    So the answer is the sum of sgn(a) coeff(a) over the rearrangements a
+    of delta in the product x^delta_P * p.  It is built one factor at a
+    time on raw exponent tuples of width n.  After each factor every
+    monomial that no longer lies below a rearrangement of delta is
+    dropped: later factors only raise exponents, so it cannot reach one.
+    At full degree only the rearrangements survive.  Structure constants
+    are nonnegative, so a negative sum raises RuntimeError.
+
     >>> flag = FlagType((1, 2), 3)
     >>> intersection_number(((3, 1, 2), (3, 1, 2), (2, 3, 1)), flag)
     1
     """
     classes = check_class_tuple(classes, flag)
-    expansion: dict[Perm, int] = {(): 1}
+    n = flag.n
+    terms: dict[Monomial, int] = {
+        tuple(e for b in flag.block_sizes for e in range(b - 1, -1, -1)): 1
+    }
     for w in classes:
-        product = _assemble(expansion) * schubert_polynomial(dual(w, flag))
-        expansion = _discard_outside(expand_in_schubert_basis(product), flag)
-    point = trim(compose(longest_element(flag.n), parabolic_longest(flag)))
-    return expansion.get(point, 0)
+        factor = [
+            (mono + (0,) * (n - len(mono)), c)
+            for mono, c in schubert_polynomial(dual(w, flag)).terms.items()
+        ]
+        product: dict[Monomial, int] = {}
+        get = product.get
+        for a, c in terms.items():
+            for b, d in factor:
+                mono = tuple(map(add, a, b))
+                product[mono] = get(mono, 0) + c * d
+        terms = {m: c for m, c in product.items() if _reaches_staircase(m)}
+    total = sum(_sign(m) * c for m, c in terms.items())
+    if total < 0:
+        raise RuntimeError(f"negative intersection number {total} for {classes!r} on {flag}")
+    return total

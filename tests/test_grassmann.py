@@ -53,6 +53,28 @@ def test_partitions_in_rectangle():
     assert partitions_in_rectangle(2, 2, size=9) == []
 
 
+def _all_partitions_in_rectangle(rows, cols):
+    """Brute force: every weakly decreasing sequence of at most rows parts
+    in 1..cols."""
+    out = [()]
+    for length in range(1, rows + 1):
+        out += [
+            tuple(sorted(parts, reverse=True))
+            for parts in combinations_with_replacement(range(1, cols + 1), length)
+        ]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("rows", range(7))
+def test_partitions_in_rectangle_by_size_matches_the_filter(rows):
+    for cols in range(7):
+        everything = _all_partitions_in_rectangle(rows, cols)
+        assert partitions_in_rectangle(rows, cols) == everything
+        for size in range(-1, rows * cols + 2):
+            expected = [p for p in everything if sum(p) == size]
+            assert partitions_in_rectangle(rows, cols, size) == expected
+
+
 def test_partition_perm_roundtrip():
     for r, n in [(1, 3), (2, 4), (2, 5), (3, 5)]:
         for p in partitions_in_rectangle(r, n - r):

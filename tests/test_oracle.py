@@ -1,5 +1,7 @@
-"""The polynomial intersection oracle, cross-validated two independent ways:
-the basis-expansion roundtrip and the transposition expansion rule."""
+"""The polynomial intersection oracle, cross-validated independent ways: the
+basis-expansion roundtrip, the transposition expansion rule, and the
+antisymmetrizer route of intersection_number against the expansion route
+of structure_constants_pair."""
 
 from itertools import permutations
 
@@ -14,6 +16,8 @@ from flaghorn.flags import (
     grassmannian_flag,
     parabolic_longest,
 )
+from flaghorn import oracle
+from flaghorn.levi import exact_degree_tuples
 from flaghorn.oracle import (
     expand_in_schubert_basis,
     intersection_number,
@@ -21,7 +25,7 @@ from flaghorn.oracle import (
     schubert_polynomial,
     structure_constants_pair,
 )
-from flaghorn.perm import compose, length, lehmer_code, longest_element, pad, trim
+from flaghorn.perm import compose, identity, length, lehmer_code, longest_element, pad, trim
 from flaghorn.poly import SparsePolynomial
 
 x1 = SparsePolynomial.variable(1)
@@ -164,3 +168,37 @@ def test_pair_products_match_duality(n):
     for flag in enumerate_flag_types(n):
         for w in enumerate_minimal_reps(flag):
             assert intersection_number((w, dual(w, flag)), flag) == 1
+
+
+def test_intersection_number_matches_the_expansion_route():
+    # structure_constants_pair expands a product in the Schubert basis and
+    # discards the terms outside S_n; intersection_number expands nothing.
+    # The point coefficient of a pair is the coefficient of the identity,
+    # that of a triple the coefficient of the dual of its third class.
+    checked = 0
+    for n in range(2, 6):
+        for flag in enumerate_flag_types(n):
+            for s in (2, 3) if n <= 4 else (2,):
+                for classes in exact_degree_tuples(flag, s):
+                    w1, w2, *rest = classes
+                    target = dual(rest[0], flag) if rest else identity(n)
+                    expected = structure_constants_pair(w1, w2, flag).get(target, 0)
+                    assert intersection_number(classes, flag) == expected, (flag, classes)
+                    checked += 1
+    assert checked == 2743
+
+
+def test_negative_representative_raises(monkeypatch):
+    # a representative with the wrong sign must not come back as a count
+    flag = complete_flag(3)
+    w = (2, 1, 3)
+    broken = dual(w, flag)
+    schubert = oracle.schubert_polynomial
+
+    def negated(v):
+        p = schubert(v)
+        return -p if trim(v) == trim(broken) else p
+
+    monkeypatch.setattr(oracle, "schubert_polynomial", negated)
+    with pytest.raises(RuntimeError, match="negative intersection number"):
+        intersection_number((w, dual(w, flag)), flag)
