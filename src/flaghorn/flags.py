@@ -21,6 +21,7 @@ from itertools import combinations
 
 from .perm import (
     Perm,
+    _standardize,
     check_permutation,
     compose,
     flatten,
@@ -266,7 +267,12 @@ def project_to_step(w: Perm, flag: FlagType, i: int) -> Perm:
     w = check_minimal_rep(w, flag)
     if not 1 <= i <= flag.r:
         raise ValueError(f"step index {i} outside 1..{flag.r}")
-    a = flag.steps[i - 1]
+    return _project_to_step(w, flag.steps[i - 1])
+
+
+def _project_to_step(w: Perm, a: int) -> Perm:
+    """project_to_step with the step value a in place of its index,
+    w unchecked."""
     return tuple(sorted(w[:a])) + tuple(sorted(w[a:]))
 
 
@@ -341,8 +347,12 @@ def restrict_to_fiber(w: Perm, flag: FlagType) -> Perm:
     w = check_minimal_rep(w, flag)
     if flag.r < 1:
         raise ValueError("a point has no fiber reduction")
-    a1 = flag.steps[0]
-    return flatten(w, range(a1 + 1, flag.n + 1))
+    return _restrict_to_fiber(w, flag.steps[0])
+
+
+def _restrict_to_fiber(w: Perm, a1: int) -> Perm:
+    """restrict_to_fiber with the first step a1 given, w unchecked."""
+    return _standardize(w[a1:])
 
 
 def fiber_reduction(w: Perm, flag: FlagType) -> tuple[Perm, Perm, FlagType]:
@@ -381,8 +391,11 @@ class ClassEntry:
     @cached_property
     def flats(self) -> tuple[Perm, ...]:
         """The pair flattening for every pair of blocks i < j."""
-        block = self.table.flag.block
-        return tuple(flatten(self.w, block(i) + block(j)) for i, j in self.table.pairs)
+        w, b = self.w, self.table.flag.bounds
+        return tuple(
+            _standardize(w[b[i - 1] : b[i]] + w[b[j - 1] : b[j]])
+            for i, j in self.table.pairs
+        )
 
     @cached_property
     def pair_partitions(self) -> tuple[tuple[int, ...], ...]:

@@ -13,6 +13,7 @@ used across the package; nothing here mutates its input.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import combinations
 
 Perm = tuple[int, ...]
 
@@ -88,7 +89,7 @@ def length(w: Perm) -> int:
     >>> length(longest_element(4))
     6
     """
-    return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
+    return sum(a > b for a, b in combinations(w, 2))
 
 
 def descent_set(w: Perm) -> set[int]:
@@ -142,7 +143,13 @@ def flatten(w: Perm, positions: Iterable[int]) -> Perm:
         raise ValueError(f"duplicate positions: {pos!r}")
     if pos[0] < 1 or pos[-1] > len(w):
         raise ValueError(f"positions {pos!r} outside 1..{len(w)}")
-    values = [w[p - 1] for p in pos]
+    return _standardize([w[p - 1] for p in pos])
+
+
+def _standardize(values: Sequence[int]) -> Perm:
+    """The permutation of [len(values)] whose entries compare the same way
+    as ``values``, which must be distinct; unchecked, for callers whose
+    values are distinct by construction."""
     rank = {v: i for i, v in enumerate(sorted(values), start=1)}
     return tuple(rank[v] for v in values)
 

@@ -29,15 +29,15 @@ from itertools import combinations_with_replacement
 from .factor import factor_full
 from .flags import (
     FlagType,
+    _project_to_step,
+    _restrict_to_fiber,
     complete_flag,
     dual,
     enumerate_flag_types,
     enumerate_minimal_reps,
     fiber_flag,
-    flatten_pair,
+    flag_table,
     grassmannian_flag,
-    project_to_step,
-    restrict_to_fiber,
 )
 from .grassmann import (
     condition_iii_failure,
@@ -47,7 +47,7 @@ from .grassmann import (
 )
 from .levi import condition_i_detail, exact_degree_tuples
 from .oracle import intersection_number
-from .perm import Perm, flatten, length
+from .perm import Perm, _standardize, flatten, length
 
 __all__ = [
     "SuiteResult",
@@ -239,26 +239,54 @@ def run_thm2(max_n: int | None = None) -> SuiteResult:
     return _finish(result, sum(per_flag.values()), "movable tuples", max_n)
 
 
-def _projected_fiber_length(w: Perm, flag: FlagType, i: int) -> int:
-    wf = restrict_to_fiber(w, flag)
-    return length(project_to_step(wf, fiber_flag(flag), i))
+def _fiber_length_sides(flag: FlagType):
+    """The two sides of the fiber length identities for classes of the
+    flag type, with the first step, the fiber steps and the blocks read
+    once per flag.
 
+    Returns sides(w, top) for a valid class index w (not checked again).
+    It gives the fiber length identity as (length of the fiber
+    restriction, length(w) minus the length of the projection to the
+    first step), and for each step i = 1 .. r-1 the projected form as
+    (length of the fiber restriction projected to fiber step i, length
+    of the projection of w to step i+1 minus that to the first step plus
+    the lengths of the pair flattenings of block 1 against blocks
+    2 .. i+top).  The validated reading has top = 1, the rejected one
+    top = 0."""
+    a1 = flag.steps[0]
+    fiber_steps = fiber_flag(flag).steps
+    later_steps = flag.steps[1:]
+    # blocks 2 .. r, the ones the pair sums of both readings reach
+    blocks = tuple(zip(flag.bounds[1:-2], flag.bounds[2:-1]))
 
-def _projected_fiber_length_formula(w: Perm, flag: FlagType, i: int, top: int) -> int:
-    """Candidate right side: the length of the projection to step i+1
-    minus the length of the projection to the first step, plus the
-    lengths of the pair flattenings of block 1 against blocks 2 .. top."""
-    head = length(project_to_step(w, flag, i + 1)) - length(
-        project_to_step(w, flag, 1)
-    )
-    return head + sum(
-        length(flatten_pair(w, flag, 1, k)) for k in range(2, top + 1)
-    )
+    def sides(w: Perm, top: int):
+        fiber = _restrict_to_fiber(w, a1)
+        first = length(_project_to_step(w, a1))
+        head = w[:a1]
+        pair_sums = [0]
+        for lo, hi in blocks:
+            pair_sums.append(pair_sums[-1] + length(_standardize(head + w[lo:hi])))
+        projected = [
+            (
+                length(_project_to_step(fiber, f)),
+                length(_project_to_step(w, a)) - first + pair_sums[i + top - 1],
+            )
+            for i, (f, a) in enumerate(zip(fiber_steps, later_steps), start=1)
+        ]
+        return (length(fiber), length(w) - first), projected
+
+    return sides
 
 
 def run_lengths(max_n: int | None = None) -> SuiteResult:
     """Length identities for the fiber reduction, over every class of
     every flag type up to the ambient bound (default 6).
+
+    The classes come from enumerate_minimal_reps, so they are valid by
+    construction and the maps run unchecked.  Each identity compares two
+    computations through distinct maps: the fiber restriction (then
+    projected on the fiber) against projections of the class and its
+    pair flattenings.
 
     The projected form needs an index convention for how far the pair
     flattening sum runs; the validated reading sums blocks 2 .. i+1.
@@ -270,18 +298,16 @@ def run_lengths(max_n: int | None = None) -> SuiteResult:
     projected_checked = 0
     for n in range(2, bound + 1):
         for flag in enumerate_flag_types(n):
+            sides = _fiber_length_sides(flag)
             for w in enumerate_minimal_reps(flag):
                 checked += 1
-                lhs = length(restrict_to_fiber(w, flag))
-                rhs = length(w) - length(project_to_step(w, flag, 1))
+                (lhs, rhs), projected = sides(w, 1)
                 if lhs != rhs:
                     result.failures.append(
                         f"{flag}, w={w!r}: fiber length {lhs} != {rhs}"
                     )
-                for i in range(1, flag.r):
-                    projected_checked += 1
-                    got = _projected_fiber_length(w, flag, i)
-                    want = _projected_fiber_length_formula(w, flag, i, i + 1)
+                projected_checked += len(projected)
+                for i, (got, want) in enumerate(projected, start=1):
                     if got != want:
                         result.failures.append(
                             f"{flag}, w={w!r}, step {i}: projected fiber "
@@ -296,8 +322,7 @@ def run_lengths(max_n: int | None = None) -> SuiteResult:
     )
     if bound >= 3:
         w, flag = (3, 2, 1), FlagType((1, 2), 3)
-        literal = _projected_fiber_length_formula(w, flag, 1, 1)
-        actual = _projected_fiber_length(w, flag, 1)
+        _, [(actual, literal)] = _fiber_length_sides(flag)(w, 0)
         if literal == actual:
             result.failures.append(
                 "the rejected index reading (blocks 2..i) unexpectedly "
@@ -364,10 +389,11 @@ def run_duality(max_n: int | None = None) -> SuiteResult:
         pairs = 0
         for flag in enumerate_flag_types(n):
             dim = flag.dimension
-            reps = enumerate_minimal_reps(flag)
-            duals = {w: dual(w, flag) for w in reps}
-            for w, v in combinations_with_replacement(reps, 2):
-                if length(w) + length(v) != dim:
+            table = flag_table(flag)
+            duals = {w: dual(w, flag) for w in table.reps}
+            classes = zip(table.reps, table.codims)
+            for (w, cw), (v, cv) in combinations_with_replacement(classes, 2):
+                if cw + cv != dim:
                     continue
                 pairs += 1
                 expected = 1 if duals[w] == v else 0

@@ -6,6 +6,8 @@ import pytest
 
 from flaghorn.flags import (
     FlagType,
+    _project_to_step,
+    _restrict_to_fiber,
     check_class_tuple,
     check_minimal_rep,
     codim,
@@ -26,7 +28,7 @@ from flaghorn.flags import (
     restrict_to_fiber,
 )
 from flaghorn.grassmann import partition_from_perm
-from flaghorn.perm import identity, length, longest_element
+from flaghorn.perm import _standardize, identity, length, longest_element
 
 
 def test_flag_type_validation():
@@ -191,6 +193,19 @@ def test_flag_table_matches_the_public_functions(n):
                 assert entry.flats[k] == flat
                 assert entry.pair_partitions[k] == partition
                 assert entry.pair_codims[k] == gr.dimension - length(flat)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_unchecked_cores_match_the_public_functions(n):
+    for flag in enumerate_flag_types(n):
+        b = flag.bounds
+        for w in enumerate_minimal_reps(flag):
+            assert _restrict_to_fiber(w, flag.steps[0]) == restrict_to_fiber(w, flag)
+            for i, a in enumerate(flag.steps, start=1):
+                assert _project_to_step(w, a) == project_to_step(w, flag, i)
+            for i, j in flag_table(flag).pairs:
+                pair = w[b[i - 1] : b[i]] + w[b[j - 1] : b[j]]
+                assert _standardize(pair) == flatten_pair(w, flag, i, j)
 
 
 def test_project_to_step_pinned():

@@ -3,6 +3,7 @@ runs them at full bounds)."""
 
 import pytest
 
+from flaghorn import suites
 from flaghorn.flags import FlagType
 from flaghorn.suites import (
     SUITES,
@@ -11,6 +12,7 @@ from flaghorn.suites import (
     equivalence_rows,
     movable_rows,
     run_all,
+    run_lengths,
     run_suite,
 )
 
@@ -79,3 +81,20 @@ def test_movable_rows_reduced():
     assert [(flag, classes) for flag, classes, _ in rows]
     assert all(flag.n <= 3 for flag, _, _ in rows)
     assert len(rows) == 6  # three pairs and three triples on the one flag with n = 3
+
+
+@pytest.mark.parametrize(
+    "core,failure",
+    [
+        ("_restrict_to_fiber", "2/4, w=(2, 4, 1, 3): fiber length 1 != 0"),
+        ("_standardize", "1,2/3, w=(3, 2, 1), step 1: projected fiber length 1 != 0"),
+    ],
+)
+def test_lengths_catches_a_wrong_map(monkeypatch, core, failure):
+    """The suite runs unchecked maps; a map that returns a wrong
+    permutation must make it fail on the class it got wrong."""
+    right = getattr(suites, core)
+    monkeypatch.setattr(suites, core, lambda *args: right(*args)[::-1])
+    result = run_lengths(4)
+    assert not result.passed
+    assert failure in result.failures
