@@ -20,19 +20,15 @@ from dataclasses import dataclass
 
 from .flags import (
     FlagType,
+    _project_to_step,
+    _restrict_to_fiber,
     check_class_tuple,
     dual,
     fiber_flag,
+    flag_table,
     grassmannian_flag,
-    project_to_step,
-    restrict_to_fiber,
 )
-from .grassmann import (
-    Partition,
-    _product_to_point,
-    format_partition,
-    partition_from_perm,
-)
+from .grassmann import Partition, _product_to_point, format_partition
 from .levi import is_levi_movable
 from .oracle import intersection_number
 from .perm import Perm
@@ -113,18 +109,21 @@ def _split(
     classes: tuple[Perm, ...], flag: FlagType
 ) -> tuple[GrassmannianFactor, tuple[Perm, ...], FlagType]:
     """The split across the first step: the base leaf on the Grassmannian
-    of a_1-planes, the fiber tuple and the fiber flag type."""
+    of a_1-planes, the fiber tuple and the fiber flag type.  The classes
+    passed the guard (or are the fiber of a tuple that did), so the
+    unchecked maps are used; the base partitions are the first leaf
+    partitions of the class table."""
     a1 = flag.steps[0]
-    projected = tuple(project_to_step(w, flag, 1) for w in classes)
-    # partition_from_perm returns partitions inside the a_1 x (n - a_1) box
-    partitions = tuple(partition_from_perm(w, a1, flag.n) for w in projected)
+    projected = tuple(_project_to_step(w, a1) for w in classes)
+    table = flag_table(flag)
+    partitions = tuple(table._entry(w).leaf_partitions[0] for w in classes)
     base = GrassmannianFactor(
         grassmannian_flag(a1, flag.n),
         projected,
         partitions,
         _product_to_point(partitions, a1, flag.n),
     )
-    fclasses = tuple(restrict_to_fiber(w, flag) for w in classes)
+    fclasses = tuple(_restrict_to_fiber(w, a1) for w in classes)
     return base, fclasses, fiber_flag(flag)
 
 

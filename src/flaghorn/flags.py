@@ -23,10 +23,8 @@ from .perm import (
     Perm,
     _standardize,
     check_permutation,
-    compose,
     flatten,
     length,
-    longest_element,
 )
 
 __all__ = [
@@ -223,6 +221,7 @@ def enumerate_minimal_reps(flag: FlagType) -> tuple[Perm, ...]:
     return tuple(fill(tuple(range(1, flag.n + 1)), sizes))
 
 
+@lru_cache(maxsize=None)
 def parabolic_longest(flag: FlagType) -> Perm:
     """The longest permutation that fixes every block, i.e. the one that
     reverses the values inside each block.
@@ -245,8 +244,14 @@ def dual(w: Perm, flag: FlagType) -> Perm:
     >>> dual((2, 4, 1, 3), FlagType((2,), 4))
     (1, 3, 2, 4)
     """
-    w = check_minimal_rep(w, flag)
-    return compose(longest_element(flag.n), compose(w, parabolic_longest(flag)))
+    return _dual(check_minimal_rep(w, flag), flag)
+
+
+def _dual(w: Perm, flag: FlagType) -> Perm:
+    """dual with w unchecked: (w0 * w * w_P)(i) = n + 1 - w(w_P(i)), with
+    the block reversal w_P computed once per flag type."""
+    top = flag.n + 1
+    return tuple(top - w[p - 1] for p in parabolic_longest(flag))
 
 
 def codim(w: Perm, flag: FlagType) -> int:
@@ -410,6 +415,18 @@ class ClassEntry:
         """Codimension of each pair flattening: the size of its partition."""
         return tuple(sum(p) for p in self.pair_partitions)
 
+    @cached_property
+    def leaf_partitions(self) -> tuple[tuple[int, ...], ...]:
+        """For each step a_k, the partition on the Grassmannian of
+        b_k-planes in C^(n - a_(k-1)) of w(a_(k-1)+1 .. n), standardized:
+        the class that the k-th leaf of the factorization reads.  The
+        spaces follow FlagTable.leaf_spaces."""
+        w, b = self.w, self.table.flag.bounds
+        return tuple(
+            _grassmannian_partition(_standardize(w[a:]), r, m)
+            for a, (r, m) in zip(b, self.table.leaf_spaces)
+        )
+
 
 class FlagTable:
     """The classes of one flag type and their per-class data, shared by
@@ -430,6 +447,10 @@ class FlagTable:
         self.pairs = tuple((i, j) for i in blocks for j in blocks if i < j)
         b = flag.block_sizes
         self.pair_sizes = tuple((b[i - 1], b[j - 1]) for i, j in self.pairs)
+        # (b_k, n - a_(k-1)) for each step: the Grassmannian of leaf k
+        self.leaf_spaces = tuple(
+            (b[k], flag.n - a) for k, a in enumerate(flag.bounds[:-2])
+        )
         self._entries: dict[Perm, ClassEntry] = {}
 
     @cached_property
@@ -442,6 +463,19 @@ class FlagTable:
         """The codimension of each class of ``reps``."""
         return tuple(self.dimension - length(w) for w in self.reps)
 
+    @cached_property
+    def entries(self) -> tuple[ClassEntry, ...]:
+        """The entry of each class of ``reps``; these indices are valid by
+        construction and are not checked."""
+        return tuple(map(self._entry, self.reps))
+
+    def _entry(self, w: Perm) -> ClassEntry:
+        """entry with w unchecked, for indices valid by construction."""
+        entry = self._entries.get(w)
+        if entry is None:
+            entry = self._entries[w] = ClassEntry(self, w)
+        return entry
+
     def entry(self, w) -> ClassEntry:
         """The entry of the class indexed by w; ValueError if w does not
         index a class of the flag type."""
@@ -451,8 +485,7 @@ class FlagTable:
             pass
         # every later caller gets this tuple back, so it holds plain ints
         # even when the first caller passed equal floats or bools
-        w = tuple(map(int, check_minimal_rep(w, self.flag)))
-        return self._entries.setdefault(w, ClassEntry(self, w))
+        return self._entry(tuple(map(int, check_minimal_rep(w, self.flag))))
 
     def class_tuple(self, classes) -> tuple[ClassEntry, ...]:
         """Entries of a tuple of class indices whose codimensions sum to

@@ -12,6 +12,13 @@ are implemented:
            pair Grassmannian (Littlewood-Richardson arithmetic only);
   via_iv   flattened degree equalities plus the full inequality system.
 
+enumerate_levi_movable lists the movable tuples of a flag type.  One
+walker builds the candidate tuples of each route against a vector target
+(exact_degree_tuples is its one-coordinate case), and the coefficient of
+a movable tuple is the product of its Littlewood-Richardson leaves, one
+point coefficient on the Grassmannian of each step; cross_check also
+runs the oracle and requires the two to agree.
+
 The deformed product keeps a classical structure constant exactly when
 the associated triple is Levi-movable and zeroes it otherwise.
 """
@@ -19,18 +26,21 @@ the associated triple is Levi-movable and zeroes it otherwise.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import le
 
 from .flags import (
     ClassEntry,
+    FlagTable,
     FlagType,
+    _dual,
     check_minimal_rep,
     codim,
-    dual,
     flag_table,
 )
-from .grassmann import _condition_iii, _condition_iv
+from .grassmann import _condition_iii, _condition_iv, _product_to_point
 from .oracle import intersection_number, structure_constants_pair
 from .perm import Perm
 
@@ -196,14 +206,8 @@ def exact_degree_tuples(flag: FlagType, s: int) -> tuple[tuple[Perm, ...], ...]:
     """All unordered s-tuples of class indices whose codimensions sum to
     the dimension of the manifold, in lexicographic order.
 
-    A depth-first walk on an explicit stack picks nondecreasing classes
-    from the flag table in lexicographic order, so no sort is needed.
-    It cuts a branch as soon as the codimension left exceeds what the
-    open slots can hold, and looks the last slot up by codimension.
-    Once nothing is left, every open slot takes the fundamental class,
-    the only class of codimension 0 and the last one: at most dimension
-    many classes are ever chosen, whatever s.  Table classes are valid
-    by construction and are not checked again.
+    The one-coordinate case of the tuple walker (_walk): the walk has no
+    coordinate beyond the codimension itself.
 
     >>> from .flags import FlagType
     >>> exact_degree_tuples(FlagType((1,), 2), 3)
@@ -212,32 +216,88 @@ def exact_degree_tuples(flag: FlagType, s: int) -> tuple[tuple[Perm, ...], ...]:
     if s < 2:
         raise ValueError(f"need at least two classes, got s={s}")
     table = flag_table(flag)
-    reps, codims = table.reps, table.codims
-    # ceiling[j]: the largest codimension among the classes j, j+1, ...
-    ceiling = list(accumulate(reversed(codims), max))[::-1]
-    by_codim: dict[int, list[int]] = {}
-    for j, c in enumerate(codims):
-        by_codim.setdefault(c, []).append(j)
-    fundamental = reps[-1:]
+    return tuple(_walk(table, s, [()] * len(table.reps), ()))
+
+
+def _walk(
+    table: FlagTable,
+    s: int,
+    vectors: Sequence[tuple[int, ...]],
+    target: tuple[int, ...],
+) -> list[tuple[Perm, ...]]:
+    """The unordered s-tuples of classes whose codimensions sum to the
+    dimension of the manifold and whose vectors sum to target, in
+    lexicographic order.  vectors[j] is a vector of nonnegative integers
+    for the class table.reps[j], as long as target.
+
+    A depth-first walk on an explicit stack picks nondecreasing classes
+    from the table in lexicographic order, so no sort is needed.  Each
+    class carries its codimension and its vector packed into one integer,
+    a field per coordinate with a guard bit on top of each: subtracting a
+    class from what is left clears a guard bit exactly when some
+    coordinate would go negative, so a single subtraction and mask test
+    every coordinate at once.  A branch is also cut as soon as the
+    codimension left exceeds what the open slots can hold, and the last
+    slot is looked up by the packed vector left.  Once nothing is left,
+    every open slot takes the fundamental class, the only class of
+    codimension 0 (its vector is 0) and the last one: at most dimension
+    many classes are ever chosen, whatever s.  Table classes are valid by
+    construction and are not checked again.
+    """
+    full = (table.dimension, *target)
+    width = max(full).bit_length() + 1
+    guard = sum(1 << (k * width + width - 1) for k in range(len(full)))
+
+    def pack(vector: tuple[int, ...]) -> int:
+        return sum(x << (k * width) for k, x in enumerate(vector))
+
+    # the classes that can fill a slot: codimension > 0, vector within target
+    ws, cs, ks = [], [], []
+    for w, c, vector in zip(table.reps, table.codims, vectors):
+        if c and all(map(le, vector, target)):
+            ws.append(w)
+            cs.append(c)
+            ks.append(pack((c, *vector)))
+    # ceiling[p]: the largest codimension among the classes p, p+1, ...
+    ceiling = list(accumulate(reversed(cs), max))[::-1]
+    by_key: dict[int, list[int]] = {}
+    for p, key in enumerate(ks):
+        by_key.setdefault(key, []).append(p)
+    fundamental = table.reps[-1:]
     out: list[tuple[Perm, ...]] = []
-    # (classes so far, first class allowed next, codimension left, open slots)
-    stack = [((), 0, table.dimension, s)]
+    # (classes so far, first class allowed next, codimension left,
+    #  packed vector left, open slots)
+    stack = [((), 0, table.dimension, pack(full), s)]
     while stack:
-        prefix, start, left, slots = stack.pop()
-        if left == 0:
+        prefix, start, left, rest, slots = stack.pop()
+        if rest == 0:
             out.append(prefix + fundamental * slots)
         elif slots == 1:
-            last = by_codim.get(left, [])
-            out.extend(prefix + (reps[j],) for j in last[bisect_left(last, start):])
+            last = by_key.get(rest, [])
+            out.extend(prefix + (ws[p],) for p in last[bisect_left(last, start):])
         else:
+            room, open_rest = slots - 1, rest | guard
             # pushed in reverse, so popped in lexicographic order
             stack.extend(
-                (prefix + (reps[j],), j, left - codims[j], slots - 1)
-                for j in reversed(range(start, len(reps)))
-                if 0 < codims[j] <= left
-                and left - codims[j] <= (slots - 1) * ceiling[j]
+                (prefix + (ws[p],), p, left - cs[p], rest - ks[p], room)
+                for p in reversed(range(start, len(ws)))
+                if left - cs[p] <= room * ceiling[p]
+                and (open_rest - ks[p]) & guard == guard
             )
-    return tuple(out)
+    return out
+
+
+def _leaf_product(entries: tuple[ClassEntry, ...], table: FlagTable) -> int:
+    """The product of the Littlewood-Richardson leaves of the tuple, one
+    point coefficient on the Grassmannian of each step; 0 at the first
+    leaf that vanishes.  For a movable tuple this is its intersection
+    number (the factorization of factor_full)."""
+    coefficient = 1
+    for k, (r, m) in enumerate(table.leaf_spaces):
+        coefficient *= _product_to_point(tuple(e.leaf_partitions[k] for e in entries), r, m)
+        if not coefficient:
+            break
+    return coefficient
 
 
 def enumerate_levi_movable(
@@ -248,40 +308,84 @@ def enumerate_levi_movable(
     reordering are listed once; every movability condition and the
     coefficient are invariant under reordering.
 
-    Each tuple of exact_degree_tuples is decided from the entries of the
-    flag table, validated once when built, with the verdicts of
-    is_levi_movable: via_iii reads the pair partitions, via_iv the pair
-    flattenings, and via_i runs the grading test before the oracle.
-    cross_check evaluates all three routes on every tuple.  The oracle
-    computes the coefficient of each movable tuple once.
+    The walk (_walk) only builds the candidates of the chosen route.
+    via_iii and via_iv walk the pair codimensions against (b_i * b_j):
+    a movable tuple's flattened codimensions sum to the dimension of each
+    pair Grassmannian, which is part of condition (iv) and the degree of
+    each pair product of condition (iii).  via_i walks the projected
+    codimensions against (a_i * (n - a_i)), its own grading test.
+    cross_check walks every exact-degree tuple and evaluates all three
+    routes on each.  Every candidate is then decided from the entries of
+    the flag table with the verdicts of is_levi_movable.
+
+    A movable tuple's coefficient is the product of its
+    Littlewood-Richardson leaves (_leaf_product); via_i keeps the oracle
+    number it decided by, and cross_check raises RuntimeError unless the
+    leaf product equals it.
 
     >>> from .flags import FlagType
     >>> [(t, c) for t, c in enumerate_levi_movable(FlagType((1,), 2), 2)]
     [(((1, 2), (2, 1)), 1)]
     """
-    tuples = exact_degree_tuples(flag, s)
+    if s < 2:
+        raise ValueError(f"need at least two classes, got s={s}")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     table = flag_table(flag)
+    if method == "cross_check":
+        candidates = exact_degree_tuples(flag, s)
+    elif method == "via_i":
+        candidates = _walk(
+            table, s,
+            [e.projected_codims for e in table.entries],
+            tuple(a * (flag.n - a) for a in flag.steps),
+        )
+    else:
+        candidates = _walk(
+            table, s,
+            [e.pair_codims for e in table.entries],
+            tuple(bi * bj for bi, bj in table.pair_sizes),
+        )
+    decide = _condition_iii if method == "via_iii" else _condition_iv
     out = []
-    for classes in tuples:
+    for classes in candidates:
         entries = tuple(map(table.entry, classes))
-        coefficient = None
-        if method == "via_iii":
-            movable = _condition_iii(entries, table) is None
-        elif method == "via_iv":
-            movable = _condition_iv(entries, table) is None
+        if method == "via_i":
+            coefficient = intersection_number(classes, flag)
+        elif method == "cross_check":
+            coefficient = _cross_checked_coefficient(entries, table)
+        elif decide(entries, table) is None:
+            coefficient = _leaf_product(entries, table)
+            if not coefficient:
+                raise RuntimeError(
+                    f"movable tuple {classes!r} over {flag} has a vanishing leaf"
+                )
         else:
-            movable, coefficient = _graded_verdict(entries, flag)
-            if method == "cross_check":
-                ok_iii = _condition_iii(entries, table) is None
-                ok_iv = _condition_iv(entries, table) is None
-                _check_agreement(classes, flag, movable, ok_iii, ok_iv)
-        if movable:
-            if coefficient is None:
-                coefficient = intersection_number(classes, flag)
+            continue
+        if coefficient:
             out.append((classes, coefficient))
     return out
+
+
+def _cross_checked_coefficient(entries: tuple[ClassEntry, ...], table: FlagTable) -> int:
+    """The coefficient of an exact-degree tuple by all three routes, 0
+    when it is not movable: RuntimeError if the verdicts disagree or a
+    movable tuple's leaf product differs from its oracle number."""
+    flag = table.flag
+    classes = tuple(e.w for e in entries)
+    movable, coefficient = _graded_verdict(entries, flag)
+    ok_iii = _condition_iii(entries, table) is None
+    ok_iv = _condition_iv(entries, table) is None
+    _check_agreement(classes, flag, movable, ok_iii, ok_iv)
+    if not movable:
+        return 0
+    leaves = _leaf_product(entries, table)
+    if leaves != coefficient:
+        raise RuntimeError(
+            f"leaf product {leaves} disagrees with the oracle {coefficient} "
+            f"on {classes!r} over {flag}"
+        )
+    return coefficient
 
 
 def bk_structure_constant(w: Perm, u: Perm, v: Perm, flag: FlagType) -> int:
@@ -299,7 +403,7 @@ def bk_structure_constant(w: Perm, u: Perm, v: Perm, flag: FlagType) -> int:
     v = check_minimal_rep(v, flag)
     if codim(w, flag) + codim(u, flag) != codim(v, flag):
         return 0
-    triple = (w, u, dual(v, flag))
+    triple = (w, u, _dual(v, flag))
     classical = intersection_number(triple, flag)
     if classical == 0:
         return 0
@@ -318,6 +422,6 @@ def bk_product(w: Perm, u: Perm, flag: FlagType) -> dict[Perm, int]:
     u = check_minimal_rep(u, flag)
     out = {}
     for v, c in structure_constants_pair(w, u, flag).items():
-        if is_levi_movable((w, u, dual(v, flag)), flag).movable:
+        if is_levi_movable((w, u, _dual(v, flag)), flag).movable:
             out[v] = c
     return out

@@ -30,9 +30,9 @@ from operator import add, le
 
 from .flags import (
     FlagType,
+    _dual,
     check_class_tuple,
     check_minimal_rep,
-    dual,
     is_minimal_rep,
 )
 from .perm import Perm, length, pad, perm_from_lehmer, trim
@@ -156,9 +156,9 @@ def structure_constants_pair(w: Perm, u: Perm, flag: FlagType) -> dict[Perm, int
     """
     w = check_minimal_rep(w, flag)
     u = check_minimal_rep(u, flag)
-    product = schubert_polynomial(dual(w, flag)) * schubert_polynomial(dual(u, flag))
+    product = schubert_polynomial(_dual(w, flag)) * schubert_polynomial(_dual(u, flag))
     expansion = _discard_outside(expand_in_schubert_basis(product), flag)
-    return {dual(pad(v, flag.n), flag): c for v, c in expansion.items()}
+    return {_dual(pad(v, flag.n), flag): c for v, c in expansion.items()}
 
 
 def _reaches_staircase(mono: Monomial) -> bool:
@@ -230,7 +230,7 @@ def intersection_number(classes: tuple[Perm, ...], flag: FlagType) -> int:
     for w in classes:
         factor = [
             (mono + (0,) * (n - len(mono)), c)
-            for mono, c in schubert_polynomial(dual(w, flag)).terms.items()
+            for mono, c in schubert_polynomial(_dual(w, flag)).terms.items()
         ]
         product: dict[Monomial, int] = {}
         get = product.get

@@ -16,8 +16,10 @@ from flaghorn.flags import (
     FlagType,
     complete_flag,
     dual,
+    enumerate_flag_types,
     enumerate_minimal_reps,
     fiber_flag,
+    flag_table,
     grassmannian_flag,
     project_to_step,
     restrict_to_fiber,
@@ -109,6 +111,25 @@ def test_factor_full_leaf_invariants(flag):
             product *= leaf.coefficient
         assert product == tree.coefficient == coefficient
         assert tree.coefficient == intersection_number(classes, flag)
+
+
+def test_leaf_partitions_are_the_factor_full_leaves():
+    # the tree reads the first leaf of each level's fiber table and the
+    # enumerate coefficient reads every leaf off the root table; they must
+    # agree on every movable tuple with n <= 5
+    seen = 0
+    for n in range(2, 6):
+        for flag in enumerate_flag_types(n):
+            table = flag_table(flag)
+            for s in (2, 3):
+                for classes, _ in enumerate_levi_movable(flag, s):
+                    leaves = factor_full(classes, flag).leaf_factors()
+                    entries = [table.entry(w) for w in classes]
+                    for k, leaf in enumerate(leaves):
+                        assert leaf.partitions == tuple(e.leaf_partitions[k] for e in entries)
+                        assert (leaf.space.steps[0], leaf.space.n) == table.leaf_spaces[k]
+                    seen += 1
+    assert seen == 986
 
 
 def test_factor_full_rejects_bad_input():

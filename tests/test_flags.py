@@ -6,6 +6,7 @@ import pytest
 
 from flaghorn.flags import (
     FlagType,
+    _dual,
     _project_to_step,
     _restrict_to_fiber,
     check_class_tuple,
@@ -193,6 +194,15 @@ def test_flag_table_matches_the_public_functions(n):
                 assert entry.flats[k] == flat
                 assert entry.pair_partitions[k] == partition
                 assert entry.pair_codims[k] == gr.dimension - length(flat)
+            # leaf k reads the class left after k - 1 fiber restrictions,
+            # projected to the Grassmannian of its first step
+            sub, subflag = w, flag
+            for k, (r, m) in enumerate(table.leaf_spaces):
+                assert (r, m) == (subflag.steps[0], subflag.n)
+                projected = project_to_step(sub, subflag, 1)
+                assert entry.leaf_partitions[k] == partition_from_perm(projected, r, m)
+                sub, subflag = restrict_to_fiber(sub, subflag), fiber_flag(subflag)
+        assert table.entries == tuple(map(table.entry, table.reps))
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -206,6 +216,7 @@ def test_unchecked_cores_match_the_public_functions(n):
             for i, j in flag_table(flag).pairs:
                 pair = w[b[i - 1] : b[i]] + w[b[j - 1] : b[j]]
                 assert _standardize(pair) == flatten_pair(w, flag, i, j)
+            assert _dual(w, flag) == dual(w, flag)
 
 
 def test_project_to_step_pinned():

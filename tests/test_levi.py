@@ -1,10 +1,13 @@
 """Movability checks, enumeration, and the filtered structure constants."""
 
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import pytest
 
+from flaghorn import levi
 from flaghorn.flags import (
+    ClassEntry,
     FlagType,
     check_minimal_rep,
     codim,
@@ -12,6 +15,7 @@ from flaghorn.flags import (
     dual,
     enumerate_flag_types,
     enumerate_minimal_reps,
+    flag_table,
     grassmannian_flag,
 )
 from flaghorn.levi import (
@@ -150,6 +154,101 @@ def test_enumerate_matches_the_per_tuple_decision(text, s):
             if is_levi_movable(classes, flag, method).movable
         ]
         assert enumerate_levi_movable(flag, s, method) == expected, method
+
+
+SWEEP = [(flag, s) for n in range(2, 6) for flag in enumerate_flag_types(n) for s in (2, 3)]
+ROUTES = ("via_i", "via_iii", "via_iv")
+
+
+def _summed(entries, field):
+    return tuple(map(sum, zip(*(getattr(e, field) for e in entries))))
+
+
+@lru_cache(maxsize=None)
+def _filtered(flag, s):
+    """The filter route for each method: every exact-degree tuple decided
+    one at a time, and the oracle coefficient of each movable one.  The
+    oracle route grades first and runs the oracle only on graded tuples,
+    as the filter did (the grading is part of condition (i))."""
+    table = flag_table(flag)
+    step_target = tuple(a * (flag.n - a) for a in flag.steps)
+    rows = {method: [] for method in ROUTES}
+    for classes in exact_degree_tuples(flag, s):
+        graded = _summed(map(table.entry, classes), "projected_codims") == step_target
+        verdicts = {
+            "via_i": graded and intersection_number(classes, flag) != 0,
+            "via_iii": is_levi_movable(classes, flag, "via_iii").movable,
+            "via_iv": is_levi_movable(classes, flag, "via_iv").movable,
+        }
+        if any(verdicts.values()):
+            coefficient = intersection_number(classes, flag)
+            for method, movable in verdicts.items():
+                if movable:
+                    rows[method].append((classes, coefficient))
+    return rows
+
+
+def _mismatches(cases):
+    return [
+        (str(flag), s, method)
+        for flag, s in cases
+        for method in ROUTES
+        if enumerate_levi_movable(flag, s, method) != _filtered(flag, s)[method]
+    ]
+
+
+def test_enumerate_equals_the_filter_route():
+    # every flag type with n <= 5 at s = 2 and 3
+    assert _mismatches(SWEEP) == []
+    for flag, s in SWEEP:
+        rows = _filtered(flag, s)
+        assert rows["via_i"] == rows["via_iii"] == rows["via_iv"], (str(flag), s)
+    assert sum(len(_filtered(flag, s)["via_iii"]) for flag, s in SWEEP) == 986
+
+
+def test_walker_targets_filter_the_exact_degree_tuples():
+    for flag, s in SWEEP:
+        table = flag_table(flag)
+        pair_target = tuple(bi * bj for bi, bj in table.pair_sizes)
+        step_target = tuple(a * (flag.n - a) for a in flag.steps)
+        exact = exact_degree_tuples(flag, s)
+        by_field = {"pair_codims": [], "projected_codims": []}
+        for classes in exact:
+            entries = tuple(map(table.entry, classes))
+            if _summed(entries, "pair_codims") == pair_target:
+                by_field["pair_codims"].append(classes)
+            if _summed(entries, "projected_codims") == step_target:
+                by_field["projected_codims"].append(classes)
+        for field, target in (("pair_codims", pair_target), ("projected_codims", step_target)):
+            vectors = [getattr(e, field) for e in table.entries]
+            assert levi._walk(table, s, vectors, target) == by_field[field], (str(flag), s, field)
+
+
+def test_a_wrong_leaf_product_is_caught(monkeypatch):
+    leaf_product = levi._leaf_product
+    monkeypatch.setattr(levi, "_leaf_product", lambda *args: leaf_product(*args) + 1)
+    flag = FlagType((1, 2), 4)
+    with pytest.raises(RuntimeError, match="leaf product"):
+        enumerate_levi_movable(flag, 2, "cross_check")
+    assert _mismatches([(flag, 2), (F3, 3)]) == [
+        (str(flag), 2, "via_iii"), (str(flag), 2, "via_iv"),
+        (str(F3), 3, "via_iii"), (str(F3), 3, "via_iv"),
+    ]
+    monkeypatch.setattr(levi, "_leaf_product", lambda *args: 0)
+    with pytest.raises(RuntimeError, match="vanishing leaf"):
+        enumerate_levi_movable(flag, 2)
+
+
+def test_wrong_leaf_partitions_are_caught(monkeypatch):
+    # a property on the class shadows the values cached on the entries
+    monkeypatch.setattr(
+        ClassEntry, "leaf_partitions", property(lambda e: ((1,),) * len(e.table.leaf_spaces))
+    )
+    with pytest.raises(RuntimeError, match="leaf product"):
+        enumerate_levi_movable(F3, 2, "cross_check")
+    # the wrong classes miss the point class of the first leaf
+    with pytest.raises(RuntimeError, match="vanishing leaf"):
+        _mismatches([(F3, 2)])
 
 
 def test_enumerate_frozen_complete_three():
