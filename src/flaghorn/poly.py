@@ -210,33 +210,14 @@ class SparsePolynomial:
         return f"SparsePolynomial({self})"
 
 
-def _shift_variable(terms: dict[Monomial, int], index: int) -> dict[Monomial, int]:
-    """Multiply a raw term dict by the variable with 0-based tuple index."""
-    out: dict[Monomial, int] = {}
-    for mono, coeff in terms.items():
-        e = list(mono) + [0] * (index + 1 - len(mono))
-        e[index] += 1
-        out[tuple(e)] = out.get(tuple(e), 0) + coeff
-    return out
-
-
-def _add_terms(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial, int]:
-    out = dict(a)
-    for mono, coeff in b.items():
-        out[mono] = out.get(mono, 0) + coeff
-        if not out[mono]:
-            del out[mono]
-    return out
-
-
 def divided_difference(p: SparsePolynomial, i: int) -> SparsePolynomial:
-    """The i-th divided difference: (p - p with x_i, x_{i+1} swapped)
-    divided exactly by (x_i - x_{i+1}).
+    """The i-th divided difference (p - p with x_i, x_{i+1} swapped) /
+    (x_i - x_{i+1}), applied to each term by its closed form.
 
-    The division is performed by synthetic division in x_i at the root
-    x_{i+1}; the remainder must vanish (the numerator is antisymmetric in
-    the two variables), and a nonzero remainder raises RuntimeError since
-    it would signal an arithmetic bug.
+    A monomial with exponent a on x_i and b on x_{i+1} maps to
+    sum_{k=b}^{a-1} x_i^k * x_{i+1}^(a+b-1-k) when a > b, to minus the
+    same sum with a and b exchanged when a < b, and to 0 when a = b; the
+    other variables are unchanged.  Terms that cancel are dropped.
 
     >>> x1 = SparsePolynomial.variable(1)
     >>> x2 = SparsePolynomial.variable(2)
@@ -247,35 +228,14 @@ def divided_difference(p: SparsePolynomial, i: int) -> SparsePolynomial:
     """
     if i < 1:
         raise ValueError("divided difference index must be at least 1")
-    numerator = p - p.swap_variables(i, i + 1)
-    if not numerator:
-        return SparsePolynomial.zero()
-    xi = i - 1
-    xj = i
-    by_power: dict[int, dict[Monomial, int]] = {}
-    for mono, coeff in numerator.terms.items():
-        k = mono[xi] if xi < len(mono) else 0
-        e = list(mono) + [0] * (xi + 1 - len(mono))
-        e[xi] = 0
-        rest = _trim(tuple(e))
-        level = by_power.setdefault(k, {})
-        level[rest] = level.get(rest, 0) + coeff
-    top = max(by_power)
-    quotient_levels: dict[int, dict[Monomial, int]] = {}
-    carry: dict[Monomial, int] = {}
-    for k in range(top, 0, -1):
-        carry = _add_terms(by_power.get(k, {}), _shift_variable(carry, xj))
-        quotient_levels[k - 1] = carry
-    remainder = _add_terms(by_power.get(0, {}), _shift_variable(carry, xj))
-    if any(remainder.values()):
-        raise RuntimeError("divided difference left a nonzero remainder")
     out: dict[Monomial, int] = {}
-    for k, level in quotient_levels.items():
-        for mono, coeff in level.items():
-            if not coeff:
-                continue
-            e = list(mono) + [0] * (xi + 1 - len(mono))
-            e[xi] += k
-            key = _trim(tuple(e))
+    for mono, coeff in p.terms.items():
+        e = list(mono) + [0] * (i + 1 - len(mono))
+        a, b = e[i - 1], e[i]
+        if a < b:
+            a, b, coeff = b, a, -coeff
+        for k in range(b, a):
+            e[i - 1], e[i] = k, a + b - 1 - k
+            key = tuple(e)
             out[key] = out.get(key, 0) + coeff
     return SparsePolynomial(out)

@@ -26,7 +26,7 @@ from flaghorn.oracle import (
     structure_constants_pair,
 )
 from flaghorn.perm import compose, identity, length, lehmer_code, longest_element, pad, trim
-from flaghorn.poly import SparsePolynomial
+from flaghorn.poly import SparsePolynomial, divided_difference
 
 x1 = SparsePolynomial.variable(1)
 x2 = SparsePolynomial.variable(2)
@@ -53,6 +53,22 @@ def test_schubert_polynomial_staircase():
 def test_schubert_polynomial_stability():
     for w in all_perms(4):
         assert schubert_polynomial(w) == schubert_polynomial(pad(w, 6))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_divided_difference_steps_down_every_descent(n):
+    # d_i S_w = S_{w s_i} at a descent of w and 0 at an ascent, for every
+    # i, where the recursion itself only uses the first ascent
+    for w in all_perms(n):
+        p = schubert_polynomial(w)
+        for i in range(1, n):
+            got = divided_difference(p, i)
+            if w[i - 1] > w[i]:
+                assert got == schubert_polynomial(
+                    w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
+                )
+            else:
+                assert got.is_zero()
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -1,5 +1,7 @@
 """Exact sparse polynomial arithmetic over the integers."""
 
+import random
+
 import pytest
 
 from flaghorn.poly import SparsePolynomial, divided_difference
@@ -117,3 +119,24 @@ def test_divided_difference_factors_symmetric_multiplier():
     f = x1 * x2 + 5
     p = x1 * x1
     assert divided_difference(f * p, 1) == f * divided_difference(p, 1)
+
+
+def test_divided_difference_rejects_index_below_one():
+    with pytest.raises(ValueError):
+        divided_difference(x1, 0)
+
+
+def test_divided_difference_times_the_root_is_the_antisymmetric_numerator():
+    # the exact division the closed form stands for, checked with the
+    # separate product, subtraction and swap arithmetic
+    rng = random.Random(20240607)
+    for _ in range(400):
+        width = rng.randint(1, 4)
+        terms = {
+            tuple(rng.randint(0, 4) for _ in range(width)): rng.randint(-6, 6)
+            for _ in range(rng.randint(0, 6))
+        }
+        p = SparsePolynomial(terms)
+        for i in range(1, 5):
+            root = SparsePolynomial.variable(i) - SparsePolynomial.variable(i + 1)
+            assert root * divided_difference(p, i) == p - p.swap_variables(i, i + 1)

@@ -12,7 +12,9 @@ from flaghorn.suites import (
     equivalence_rows,
     movable_rows,
     run_all,
+    run_duality,
     run_lengths,
+    run_thm1,
     run_suite,
 )
 
@@ -98,3 +100,25 @@ def test_lengths_catches_a_wrong_map(monkeypatch, core, failure):
     result = run_lengths(4)
     assert not result.passed
     assert failure in result.failures
+
+
+def test_thm1_catches_a_wrong_route(monkeypatch):
+    """The sweep reads the unchecked routes; a pairwise route that passes
+    every tuple must make the conditions disagree."""
+    monkeypatch.setattr(suites, "_condition_iii", lambda entries, table: None)
+    equivalence_rows.cache_clear()
+    try:
+        result = run_thm1(3)
+    finally:
+        equivalence_rows.cache_clear()
+    assert not result.passed
+    assert any("(i=False, iii=True, iv=False)" in f for f in result.failures)
+
+
+def test_duality_catches_a_wrong_dual(monkeypatch):
+    """The suite takes duals unchecked; a dual map that returns the class
+    itself must make a pairing miss its expected value."""
+    monkeypatch.setattr(suites, "_dual", lambda w, flag: w)
+    result = run_duality(3)
+    assert not result.passed
+    assert "1,2/3: pairing of (1, 2, 3) with (3, 2, 1) gives 1, expected 0" in result.failures
