@@ -12,8 +12,9 @@ skew semistandard fillings whose reverse reading word is a lattice word.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
-from itertools import product as iter_product
+from itertools import accumulate
 
 from .flags import (
     ClassEntry,
@@ -338,17 +339,66 @@ def _point_positive_tuples(
     d: int, m: int, s: int, via: str
 ) -> tuple[tuple[Perm, ...], ...]:
     """Ordered s-tuples of class indices on the Grassmannian of d-planes
-    in C^m whose product is a nonzero multiple of the point class."""
+    in C^m whose product is a nonzero multiple of the point class, in
+    lexicographic order.
+
+    The product is commutative, so point-positivity is decided once per
+    exact-degree multiset (_exact_degree_multisets), and each positive
+    multiset is expanded into its distinct orderings (_orderings)."""
+    out = []
+    for multiset in _exact_degree_multisets(d, m, s):
+        if _grassmann_point_positive(multiset, d, m, via):
+            out.extend(_orderings(multiset))
+    return tuple(sorted(out))
+
+
+def _exact_degree_multisets(d: int, m: int, s: int) -> list[tuple[Perm, ...]]:
+    """The nondecreasing s-tuples of class indices on the Grassmannian of
+    d-planes in C^m whose codimensions sum to its dimension.
+
+    The codimension walk of levi._walk (which imports this module): a
+    depth-first walk on an explicit stack that cuts a branch once the
+    codimension left exceeds what the open slots can hold, and fills
+    every open slot with the fundamental class, the last class and the
+    only one of codimension 0, once nothing is left.  So at most
+    dimension many other classes are chosen, whatever s."""
     small = grassmannian_flag(d, m)
     reps = enumerate_minimal_reps(small)
     dim = small.dimension
+    codims = [dim - length(u) for u in reps[:-1]]
+    # ceiling[p]: the largest codimension among the classes p, p+1, ...
+    ceiling = list(accumulate(reversed(codims), max))[::-1]
     out = []
-    for combo in iter_product(reps, repeat=s):
-        if sum(dim - length(u) for u in combo) != dim:
-            continue
-        if _grassmann_point_positive(combo, d, m, via):
-            out.append(combo)
-    return tuple(out)
+    stack: list[tuple[tuple[Perm, ...], int, int, int]] = [((), 0, dim, s)]
+    while stack:
+        prefix, start, left, slots = stack.pop()
+        if not left:
+            out.append(prefix + reps[-1:] * slots)
+        elif start < len(ceiling) and left <= slots * ceiling[start]:
+            stack.extend(
+                (prefix + (reps[p],), p, left - codims[p], slots - 1)
+                for p in range(start, len(codims))
+                if codims[p] <= left
+            )
+    return out
+
+
+def _orderings(multiset: tuple[Perm, ...]) -> Iterator[tuple[Perm, ...]]:
+    """The distinct orderings of a nondecreasing tuple, in lexicographic
+    order: each one is the next permutation of the one before."""
+    a = list(multiset)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = reversed(a[i + 1 :])
 
 
 def _grassmann_point_positive(classes: tuple[Perm, ...], d: int, m: int, via: str) -> bool:

@@ -14,7 +14,16 @@ longest permutation by divided differences.
 Intersection numbers come from one product of representatives, pruned as
 it grows, and the antisymmetrizer formula for the top divided difference
 (see intersection_number); no product is expanded in the basis, and no
-representative of a permutation outside S_n is built.
+representative of a permutation outside S_n is built.  The product runs
+on packed integers: the representatives involve only x1..x_{a_r}, because
+each codimension index ascends inside every block, so the last block's
+exponents stay fixed and drop out.  The exponents of the other variables
+sit in fields of one integer with a guard bit on top of each, wide enough
+that no exponent sum carries, so a monomial product is an integer
+addition.  The prune keeps a monomial while it lies below a rearrangement
+of the staircase; in its Hall form, at most n - v exponents are v or more
+for every threshold v, and each threshold is one addition, one mask and
+one bit count.
 
 Structure constants of a pair (structure_constants_pair) come from the
 basis expansion: products of representatives expand uniquely in the basis
@@ -26,7 +35,7 @@ are discarded.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, le
+from operator import lshift
 
 from .flags import (
     FlagType,
@@ -161,20 +170,37 @@ def structure_constants_pair(w: Perm, u: Perm, flag: FlagType) -> dict[Perm, int
     return {_dual(pad(v, flag.n), flag): c for v, c in expansion.items()}
 
 
-def _reaches_staircase(mono: Monomial) -> bool:
-    """True if raising some exponents of mono can give a rearrangement of
-    the staircase (n-1, ..., 1, 0), n = len(mono): sorted ascending, the
-    k-th exponent (from 0) is at most k."""
-    n = len(mono)
-    return max(mono) < n and all(map(le, sorted(mono), range(n)))
-
-
 def _sign(mono: Monomial) -> int:
     """(-1) to the number of pairs i < j with mono[i] < mono[j]: the sign
     of the permutation that sorts a rearrangement of the staircase back
     into decreasing order."""
     ascents = sum(1 for j, e in enumerate(mono) for d in mono[:j] if d < e)
     return -1 if ascents % 2 else 1
+
+
+@lru_cache(maxsize=None)
+def _packing(flag: FlagType) -> tuple[int, int, tuple[tuple[int, int], ...], int]:
+    """The packed layout of intersection_number on the flag type:
+    (field width, guard mask, thresholds, packed x^delta_P).
+
+    A monomial in x1..x_k, k = a_r, is the integer with the exponent of
+    x_i in the field of bits (i-1)*width .. i*width - 1.  The top bit of
+    each field, top = 2^(width-1) >= 2n, is its guard bit.  There is one
+    threshold (K_v, n - v) for each v from n down to b+1, b the size of
+    the last block, where K_v holds top - v in every field; the large v
+    come first because they cut the most monomials.
+    """
+    n = flag.n
+    k = n - flag.block_sizes[-1]
+    width = (2 * n - 1).bit_length() + 1
+    top = 1 << (width - 1)
+    fields = range(0, k * width, width)
+    guard = sum(top << f for f in fields)
+    thresholds = tuple(
+        (sum((top - v) << f for f in fields), n - v) for v in range(n, n - k, -1)
+    )
+    staircase = (e for b in flag.block_sizes[:-1] for e in range(b - 1, -1, -1))
+    return width, guard, thresholds, sum(e << f for e, f in zip(staircase, fields))
 
 
 def intersection_number(classes: tuple[Perm, ...], flag: FlagType) -> int:
@@ -211,12 +237,37 @@ def intersection_number(classes: tuple[Perm, ...], flag: FlagType) -> int:
       number of pairs i < j with a_i < a_j.
 
     So the answer is the sum of sgn(a) coeff(a) over the rearrangements a
-    of delta in the product x^delta_P * p.  It is built one factor at a
-    time on raw exponent tuples of width n.  After each factor every
-    monomial that no longer lies below a rearrangement of delta is
-    dropped: later factors only raise exponents, so it cannot reach one.
-    At full degree only the rearrangements survive.  Structure constants
-    are nonnegative, so a negative sum raises RuntimeError.
+    of delta in the product x^delta_P * p.
+
+    * Only x1..x_k, k = a_r, are carried.  A u_i that ascends inside
+      every block has its last descent at most a_r, so p does not involve
+      the last block's b variables, and x^delta_P fixes their exponents
+      at (b-1, ..., 1, 0).  Those exponents rearrange 0..b-1 of delta and
+      exceed none of the others, so they add no ascent to the sign, and a
+      is a rearrangement of delta exactly when its first k exponents
+      rearrange (n-1, ..., b).
+    * Each monomial in x1..x_k is packed into one integer (_packing),
+      so multiplying two monomials is adding two integers.  A field of
+      `width` bits holds exponents up to 2^(width-1) - 1 >= 2n - 1 below
+      its guard bit: a kept monomial and a factor term each have
+      exponents at most n - 1, so their sum, at most 2(n-1), never
+      carries into the next field.  A factor term in a variable past x_k,
+      or with an exponent of n or more, cannot be packed and raises
+      RuntimeError.
+    * The product is built one factor at a time, and after each factor
+      every monomial that no longer lies below a rearrangement of
+      (n-1, ..., b) is dropped: later factors only raise exponents.
+      Sorted ascending, its j-th exponent (from 0) must be at most b+j;
+      in Hall form, for every v in b+1 .. n at most n - v exponents are
+      v or more.  Adding K_v, top - v in every field, sets a field's
+      guard bit exactly when its exponent is at least v, and with
+      exponents at most 2(n-1) and top >= 2n the sum stays in the field,
+      so each threshold is one addition, one mask and one bit count.  At
+      full degree only the rearrangements survive; only they are
+      unpacked and signed.
+
+    Structure constants are nonnegative, so a negative sum raises
+    RuntimeError.
 
     >>> flag = FlagType((1, 2), 3)
     >>> intersection_number(((3, 1, 2), (3, 1, 2), (2, 3, 1)), flag)
@@ -224,22 +275,34 @@ def intersection_number(classes: tuple[Perm, ...], flag: FlagType) -> int:
     """
     classes = check_class_tuple(classes, flag)
     n = flag.n
-    terms: dict[Monomial, int] = {
-        tuple(e for b in flag.block_sizes for e in range(b - 1, -1, -1)): 1
-    }
+    k = n - flag.block_sizes[-1]
+    width, guard, thresholds, start = _packing(flag)
+    shifts = range(0, k * width, width)
+    terms: dict[int, int] = {start: 1}
     for w in classes:
-        factor = [
-            (mono + (0,) * (n - len(mono)), c)
-            for mono, c in schubert_polynomial(_dual(w, flag)).terms.items()
-        ]
-        product: dict[Monomial, int] = {}
+        factor = []
+        for mono, c in schubert_polynomial(_dual(w, flag)).terms.items():
+            if any(mono[k:]) or max(mono, default=0) >= n:
+                raise RuntimeError(
+                    f"representative term {mono!r} for {w!r} on {flag} is not "
+                    f"in x1..x{k} with exponents below {n}"
+                )
+            factor.append((sum(map(lshift, mono, shifts)), c))
+        product: dict[int, int] = {}
         get = product.get
         for a, c in terms.items():
             for b, d in factor:
-                mono = tuple(map(add, a, b))
-                product[mono] = get(mono, 0) + c * d
-        terms = {m: c for m, c in product.items() if _reaches_staircase(m)}
-    total = sum(_sign(m) * c for m, c in terms.items())
+                m = a + b
+                product[m] = get(m, 0) + c * d
+        terms = {}
+        for m, c in product.items():
+            for K, cap in thresholds:
+                if ((m + K) & guard).bit_count() > cap:
+                    break
+            else:
+                terms[m] = c
+    mask = (1 << width) - 1
+    total = sum(_sign(tuple((m >> f) & mask for f in shifts)) * c for m, c in terms.items())
     if total < 0:
         raise RuntimeError(f"negative intersection number {total} for {classes!r} on {flag}")
     return total

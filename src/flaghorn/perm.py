@@ -12,8 +12,8 @@ used across the package; nothing here mutates its input.
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections.abc import Iterable, Sequence
-from itertools import combinations
 
 Perm = tuple[int, ...]
 
@@ -82,6 +82,9 @@ def longest_element(n: int) -> Perm:
 def length(w: Perm) -> int:
     """Number of inversions of w, i.e. pairs i < j with w(i) > w(j).
 
+    Counted by inserting the values into a sorted list one at a time:
+    each value is inverted with the earlier values larger than it.
+
     >>> length((2, 3, 1))
     2
     >>> length(identity(5))
@@ -89,7 +92,13 @@ def length(w: Perm) -> int:
     >>> length(longest_element(4))
     6
     """
-    return sum(a > b for a, b in combinations(w, 2))
+    seen: list[int] = []
+    inversions = 0
+    for i, v in enumerate(w):
+        below = bisect(seen, v)
+        inversions += i - below
+        seen.insert(below, v)
+    return inversions
 
 
 def descent_set(w: Perm) -> set[int]:

@@ -1,12 +1,14 @@
 """Partitions, the Littlewood-Richardson rule (cross-validated against an
 independent strip-adding rule), point products, and the inequality tests."""
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
-from flaghorn.flags import FlagType, complete_flag, grassmannian_flag
+from flaghorn.flags import FlagType, complete_flag, enumerate_minimal_reps, grassmannian_flag
 from flaghorn.grassmann import (
+    _grassmann_point_positive,
+    _point_positive_tuples,
     check_condition_iii,
     check_condition_iv,
     check_partition,
@@ -22,6 +24,8 @@ from flaghorn.grassmann import (
     perm_from_partition,
     product_to_point,
 )
+from flaghorn.levi import enumerate_levi_movable
+from flaghorn.perm import length
 
 
 def test_check_partition():
@@ -257,3 +261,31 @@ def test_condition_iv_nonzero_via_routes_agree():
             assert (lr_route is None) == (horn_route is None)
     with pytest.raises(ValueError):
         condition_iv_failure(((2, 4, 1, 3),) * 4, FlagType((2,), 4), "guess")
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_point_positive_tuples_match_the_ordered_filter(m):
+    # every ordered s-tuple of the right degree, decided one by one
+    for d in range(1, m):
+        small = grassmannian_flag(d, m)
+        reps = enumerate_minimal_reps(small)
+        dim = small.dimension
+        for s in (1, 2, 3):
+            for via in ("lr", "horn") if m <= 5 else ("lr",):
+                expected = tuple(
+                    combo
+                    for combo in product(reps, repeat=s)
+                    if sum(dim - length(u) for u in combo) == dim
+                    and _grassmann_point_positive(combo, d, m, via)
+                )
+                assert _point_positive_tuples(d, m, s, via) == expected, (d, m, s, via)
+
+
+def test_condition_iv_answers_at_large_s():
+    # the parameter tuples of route iv on Gr(1, 2) at s = 1500 are the
+    # 1500 placements of the point class, not a filter of 2^1500 tuples
+    flag = FlagType((2,), 4)
+    assert len(_point_positive_tuples(1, 2, 1500, "lr")) == 1500
+    via_iv = enumerate_levi_movable(flag, 1500, "via_iv")
+    assert via_iv == enumerate_levi_movable(flag, 1500, "via_iii")
+    assert len(via_iv) == 7

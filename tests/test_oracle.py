@@ -1,18 +1,24 @@
 """The polynomial intersection oracle, cross-validated independent ways: the
-basis-expansion roundtrip, the transposition expansion rule, and the
+basis-expansion roundtrip, the transposition expansion rule, the
 antisymmetrizer route of intersection_number against the expansion route
-of structure_constants_pair."""
+of structure_constants_pair, and its packed product against a reference
+on raw exponent tuples."""
 
+import random
 from itertools import permutations
+from operator import add, le
 
 import pytest
 
 from flaghorn.flags import (
     FlagType,
+    _dual,
+    check_class_tuple,
     complete_flag,
     dual,
     enumerate_flag_types,
     enumerate_minimal_reps,
+    flag_table,
     grassmannian_flag,
     parabolic_longest,
 )
@@ -217,4 +223,108 @@ def test_negative_representative_raises(monkeypatch):
 
     monkeypatch.setattr(oracle, "schubert_polynomial", negated)
     with pytest.raises(RuntimeError, match="negative intersection number"):
+        intersection_number((w, dual(w, flag)), flag)
+
+
+def _reference_intersection_number(classes, flag):
+    # the antisymmetrizer sum on raw exponent tuples of width n, as
+    # intersection_number computed it before its monomials were packed
+    classes = check_class_tuple(classes, flag)
+    n = flag.n
+    terms = {tuple(e for b in flag.block_sizes for e in range(b - 1, -1, -1)): 1}
+    for w in classes:
+        factor = [
+            (mono + (0,) * (n - len(mono)), c)
+            for mono, c in schubert_polynomial(_dual(w, flag)).terms.items()
+        ]
+        product = {}
+        for a, c in terms.items():
+            for b, d in factor:
+                mono = tuple(map(add, a, b))
+                product[mono] = product.get(mono, 0) + c * d
+        terms = {
+            m: c
+            for m, c in product.items()
+            if max(m) < n and all(map(le, sorted(m), range(n)))
+        }
+    return sum(
+        (-1) ** sum(d < e for j, e in enumerate(m) for d in m[:j]) * c
+        for m, c in terms.items()
+    )
+
+
+def test_packed_product_matches_the_tuple_reference_exhaustively():
+    checked = 0
+    for n in range(2, 6):
+        for flag in enumerate_flag_types(n):
+            for s in (2, 3):
+                for classes in exact_degree_tuples(flag, s):
+                    expected = _reference_intersection_number(classes, flag)
+                    assert intersection_number(classes, flag) == expected, (flag, classes)
+                    checked += 1
+    assert checked == 24457
+
+
+# (flag, tuples at s = 2, tuples at s = 3): last blocks of size 1, 2, 3 and
+# 4, and Grassmannians
+SAMPLED_FLAGS = [
+    ("1,2,3,4,5/6", 8, 8),
+    ("3/6", 8, 8),
+    ("1,3,6/7", 6, 6),
+    ("2,5/7", 6, 6),
+    ("3/7", 6, 6),
+    ("1,2,3,4,5,6,7/8", 3, 2),
+    ("2,5/8", 3, 2),
+    ("4/8", 3, 3),
+    ("4,5/9", 2, 1),
+    ("3,6/9", 1, 1),
+]
+
+
+def _random_exact_degree_tuple(rng, table, s):
+    while True:
+        head = [rng.randrange(len(table.reps)) for _ in range(s - 1)]
+        need = table.dimension - sum(table.codims[p] for p in head)
+        last = [p for p, c in enumerate(table.codims) if c == need]
+        if last:
+            return tuple(table.reps[p] for p in head + [rng.choice(last)])
+
+
+@pytest.mark.parametrize("text, pairs, triples", SAMPLED_FLAGS)
+def test_packed_product_matches_the_tuple_reference_on_samples(text, pairs, triples):
+    flag = FlagType.parse(text)
+    table = flag_table(flag)
+    rng = random.Random(f"oracle {text}")
+    for s, count in ((2, pairs), (3, triples)):
+        for _ in range(count):
+            classes = _random_exact_degree_tuple(rng, table, s)
+            expected = _reference_intersection_number(classes, flag)
+            assert intersection_number(classes, flag) == expected, (flag, classes)
+
+
+def test_grassmannian_powers_of_the_divisor_pinned():
+    # deg Gr(r, n) = (r(n-r))! * prod over i < r of i! / (n-r+i)!
+    sigma1 = {(4, 8): (4, 6, 7, 8, 1, 2, 3, 5), (3, 6): (3, 5, 6, 1, 2, 4)}
+    assert intersection_number((sigma1[4, 8],) * 16, grassmannian_flag(4, 8)) == 24024
+    assert intersection_number((sigma1[3, 6],) * 9, grassmannian_flag(3, 6)) == 42
+
+
+@pytest.mark.parametrize("mutation", ["last variable", "exponent n"])
+def test_unpackable_representative_raises(monkeypatch, mutation):
+    # a representative term in x_n, or with an exponent of n, must break
+    # the packing loudly instead of coming back as a count
+    flag = complete_flag(3)
+    w = (1, 2, 3)  # the point class; its representative is x1^2*x2
+    broken = dual(w, flag)
+    schubert = oracle.schubert_polynomial
+    replacement = {
+        "last variable": schubert(broken).swap_variables(1, 3),
+        "exponent n": SparsePolynomial.monomial((3,)),
+    }[mutation]
+
+    def mutated(v):
+        return replacement if trim(v) == trim(broken) else schubert(v)
+
+    monkeypatch.setattr(oracle, "schubert_polynomial", mutated)
+    with pytest.raises(RuntimeError, match="representative term"):
         intersection_number((w, dual(w, flag)), flag)
