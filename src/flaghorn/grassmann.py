@@ -8,26 +8,30 @@ j = 1 .. r, and its size is the codimension of the class.
 
 Littlewood-Richardson coefficients are computed by direct enumeration of
 skew semistandard fillings whose reverse reading word is a lattice word.
+
+Routes iii and iv of the movability test live here.  The Horn recursion
+is route iv on the Grassmannian's own class table: the tuple walker of
+flags lists the tuples indexing its inequalities, and route iii, or route
+iv again on smaller Grassmannians, decides which are point-positive.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import accumulate
 
 from .flags import (
     ClassEntry,
     FlagTable,
     FlagType,
     _grassmannian_partition,
+    _walk,
     check_minimal_rep,
-    enumerate_minimal_reps,
     flag_table,
     grassmannian_flag,
     pair_grassmannian,
 )
-from .perm import Perm, length
+from .perm import Perm
 
 Partition = tuple[int, ...]
 
@@ -342,45 +346,21 @@ def _point_positive_tuples(
     in C^m whose product is a nonzero multiple of the point class, in
     lexicographic order.
 
-    The product is commutative, so point-positivity is decided once per
-    exact-degree multiset (_exact_degree_multisets), and each positive
-    multiset is expanded into its distinct orderings (_orderings)."""
+    The only pair of blocks of a Grassmannian is the class itself, so
+    via='lr' is route iii and via='horn' is route iv on its table, each
+    deciding every exact-degree multiset of the walk once; the product
+    is commutative, so a positive multiset gives all its orderings."""
+    table = flag_table(grassmannian_flag(d, m))
     out = []
-    for multiset in _exact_degree_multisets(d, m, s):
-        if _grassmann_point_positive(multiset, d, m, via):
+    for multiset in _walk(table, s, [()] * len(table.reps), ()):
+        entries = tuple(map(table._entry, multiset))
+        if via == "lr":
+            witness = _condition_iii(entries, table)
+        else:
+            witness = _condition_iv(entries, table, "horn")
+        if witness is None:
             out.extend(_orderings(multiset))
     return tuple(sorted(out))
-
-
-def _exact_degree_multisets(d: int, m: int, s: int) -> list[tuple[Perm, ...]]:
-    """The nondecreasing s-tuples of class indices on the Grassmannian of
-    d-planes in C^m whose codimensions sum to its dimension.
-
-    The codimension walk of levi._walk (which imports this module): a
-    depth-first walk on an explicit stack that cuts a branch once the
-    codimension left exceeds what the open slots can hold, and fills
-    every open slot with the fundamental class, the last class and the
-    only one of codimension 0, once nothing is left.  So at most
-    dimension many other classes are chosen, whatever s."""
-    small = grassmannian_flag(d, m)
-    reps = enumerate_minimal_reps(small)
-    dim = small.dimension
-    codims = [dim - length(u) for u in reps[:-1]]
-    # ceiling[p]: the largest codimension among the classes p, p+1, ...
-    ceiling = list(accumulate(reversed(codims), max))[::-1]
-    out = []
-    stack: list[tuple[tuple[Perm, ...], int, int, int]] = [((), 0, dim, s)]
-    while stack:
-        prefix, start, left, slots = stack.pop()
-        if not left:
-            out.append(prefix + reps[-1:] * slots)
-        elif start < len(ceiling) and left <= slots * ceiling[start]:
-            stack.extend(
-                (prefix + (reps[p],), p, left - codims[p], slots - 1)
-                for p in range(start, len(codims))
-                if codims[p] <= left
-            )
-    return out
 
 
 def _orderings(multiset: tuple[Perm, ...]) -> Iterator[tuple[Perm, ...]]:
@@ -401,24 +381,6 @@ def _orderings(multiset: tuple[Perm, ...]) -> Iterator[tuple[Perm, ...]]:
         a[i + 1 :] = reversed(a[i + 1 :])
 
 
-def _grassmann_point_positive(classes: tuple[Perm, ...], d: int, m: int, via: str) -> bool:
-    """Is the product of the classes a nonzero multiple of the point class
-    of the Grassmannian of d-planes in C^m?  Degree is assumed exact.
-    via='lr' decides by the Littlewood-Richardson rule; via='horn'
-    decides recursively through the inequality system."""
-    if via == "lr":
-        parts = tuple(partition_from_perm(u, d, m) for u in classes)
-        return product_to_point(parts, d, m) > 0
-    if via == "horn":
-        s = len(classes)
-        for dp in range(1, d):
-            for combo in _point_positive_tuples(dp, d, s, "horn"):
-                if not horn_inequality_holds(classes, combo, dp, d, m - d):
-                    return False
-        return True
-    raise ValueError(f"unknown nonvanishing route: {via!r}")
-
-
 def condition_iv_failure(
     classes: tuple[Perm, ...], flag: FlagType, nonzero_via: str = "lr"
 ) -> str | None:
@@ -426,7 +388,10 @@ def condition_iv_failure(
     flattened codimensions must sum to b_i * b_j, and for every
     1 <= d < b_i every tuple of classes on the d-plane Grassmannian in
     C^b_i with point-positive product must satisfy the pairing
-    inequality.  Returns None if all hold, else the first failure."""
+    inequality, point-positivity decided by nonzero_via: 'lr' (route iii)
+    or 'horn' (route iv).  Returns None if all hold, else the first failure."""
+    if nonzero_via not in ("lr", "horn"):
+        raise ValueError(f"unknown nonvanishing route: {nonzero_via!r}")
     table = flag_table(flag)
     return _condition_iv(table.class_tuple(classes), table, nonzero_via)
 

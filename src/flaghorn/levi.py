@@ -12,9 +12,10 @@ are implemented:
            pair Grassmannian (Littlewood-Richardson arithmetic only);
   via_iv   flattened degree equalities plus the full inequality system.
 
-enumerate_levi_movable lists the movable tuples of a flag type.  One
-walker builds the candidate tuples of each route against a vector target
-(exact_degree_tuples is its one-coordinate case), and the coefficient of
+enumerate_levi_movable lists the movable tuples of a flag type.  The
+tuple walker of flags (_walk) builds the candidate tuples of each route
+against a vector target (exact_degree_tuples is its one-coordinate
+case), and the coefficient of
 a movable tuple is the product of its Littlewood-Richardson leaves, one
 point coefficient on the Grassmannian of each step; cross_check also
 runs the oracle and requires the two to agree.
@@ -25,17 +26,14 @@ the associated triple is Levi-movable and zeroes it otherwise.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import le
 
 from .flags import (
     ClassEntry,
     FlagTable,
     FlagType,
     _dual,
+    _walk,
     check_minimal_rep,
     codim,
     flag_table,
@@ -217,74 +215,6 @@ def exact_degree_tuples(flag: FlagType, s: int) -> tuple[tuple[Perm, ...], ...]:
         raise ValueError(f"need at least two classes, got s={s}")
     table = flag_table(flag)
     return tuple(_walk(table, s, [()] * len(table.reps), ()))
-
-
-def _walk(
-    table: FlagTable,
-    s: int,
-    vectors: Sequence[tuple[int, ...]],
-    target: tuple[int, ...],
-) -> list[tuple[Perm, ...]]:
-    """The unordered s-tuples of classes whose codimensions sum to the
-    dimension of the manifold and whose vectors sum to target, in
-    lexicographic order.  vectors[j] is a vector of nonnegative integers
-    for the class table.reps[j], as long as target.
-
-    A depth-first walk on an explicit stack picks nondecreasing classes
-    from the table in lexicographic order, so no sort is needed.  Each
-    class carries its codimension and its vector packed into one integer,
-    a field per coordinate with a guard bit on top of each: subtracting a
-    class from what is left clears a guard bit exactly when some
-    coordinate would go negative, so a single subtraction and mask test
-    every coordinate at once.  A branch is also cut as soon as the
-    codimension left exceeds what the open slots can hold, and the last
-    slot is looked up by the packed vector left.  Once nothing is left,
-    every open slot takes the fundamental class, the only class of
-    codimension 0 (its vector is 0) and the last one: at most dimension
-    many classes are ever chosen, whatever s.  Table classes are valid by
-    construction and are not checked again.
-    """
-    full = (table.dimension, *target)
-    width = max(full).bit_length() + 1
-    guard = sum(1 << (k * width + width - 1) for k in range(len(full)))
-
-    def pack(vector: tuple[int, ...]) -> int:
-        return sum(x << (k * width) for k, x in enumerate(vector))
-
-    # the classes that can fill a slot: codimension > 0, vector within target
-    ws, cs, ks = [], [], []
-    for w, c, vector in zip(table.reps, table.codims, vectors):
-        if c and all(map(le, vector, target)):
-            ws.append(w)
-            cs.append(c)
-            ks.append(pack((c, *vector)))
-    # ceiling[p]: the largest codimension among the classes p, p+1, ...
-    ceiling = list(accumulate(reversed(cs), max))[::-1]
-    by_key: dict[int, list[int]] = {}
-    for p, key in enumerate(ks):
-        by_key.setdefault(key, []).append(p)
-    fundamental = table.reps[-1:]
-    out: list[tuple[Perm, ...]] = []
-    # (classes so far, first class allowed next, codimension left,
-    #  packed vector left, open slots)
-    stack = [((), 0, table.dimension, pack(full), s)]
-    while stack:
-        prefix, start, left, rest, slots = stack.pop()
-        if rest == 0:
-            out.append(prefix + fundamental * slots)
-        elif slots == 1:
-            last = by_key.get(rest, [])
-            out.extend(prefix + (ws[p],) for p in last[bisect_left(last, start):])
-        else:
-            room, open_rest = slots - 1, rest | guard
-            # pushed in reverse, so popped in lexicographic order
-            stack.extend(
-                (prefix + (ws[p],), p, left - cs[p], rest - ks[p], room)
-                for p in reversed(range(start, len(ws)))
-                if left - cs[p] <= room * ceiling[p]
-                and (open_rest - ks[p]) & guard == guard
-            )
-    return out
 
 
 def _leaf_product(entries: tuple[ClassEntry, ...], table: FlagTable) -> int:

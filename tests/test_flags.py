@@ -41,6 +41,10 @@ def test_flag_type_validation():
         FlagType((3,), 3)
     with pytest.raises(ValueError):
         FlagType((1,), 0)
+    with pytest.raises(ValueError):
+        FlagType((1,), 3.0)
+    with pytest.raises(ValueError):
+        FlagType((1,), "3")
     assert FlagType((), 4).r == 0
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from flaghorn.flags import FlagType, complete_flag, enumerate_minimal_reps, grassmannian_flag
 from flaghorn.grassmann import (
-    _grassmann_point_positive,
     _point_positive_tuples,
     check_condition_iii,
     check_condition_iv,
@@ -188,6 +187,7 @@ def test_product_to_point_pinned():
     assert product_to_point(((1,), (1,), (1, 1)), 2, 4) == 1
     assert product_to_point(((1,),) * 4, 2, 4) == 2
     assert product_to_point(((1,),) * 6, 2, 5) == 5
+    assert product_to_point(((2, 1),) * 3, 3, 6) == 2
     assert product_to_point(((2, 1), (2, 1)), 2, 4) == 0
     assert product_to_point(((1,), (1,)), 2, 4) == 0  # degree mismatch
     # a skew shape of 1,196 cells, deeper than the default recursion limit
@@ -261,23 +261,33 @@ def test_condition_iv_nonzero_via_routes_agree():
             assert (lr_route is None) == (horn_route is None)
     with pytest.raises(ValueError):
         condition_iv_failure(((2, 4, 1, 3),) * 4, FlagType((2,), 4), "guess")
+    # every non-last block of the complete flag has size 1, so route iv
+    # never asks a smaller Grassmannian: the route name is checked anyway
+    with pytest.raises(ValueError, match="unknown nonvanishing route"):
+        condition_iv_failure(((2, 1, 3), (2, 3, 1)), complete_flag(3), "guess")
+    with pytest.raises(ValueError, match="unknown nonvanishing route"):
+        check_condition_iv(((2, 1, 3), (2, 3, 1)), complete_flag(3), "guess")
 
 
-@pytest.mark.parametrize("m", range(2, 7))
+@pytest.mark.parametrize("m", range(2, 8))
 def test_point_positive_tuples_match_the_ordered_filter(m):
-    # every ordered s-tuple of the right degree, decided one by one
+    # every ordered s-tuple of the right degree, decided one by one by
+    # the public Littlewood-Richardson point product; the Horn recursion
+    # (route iv on smaller Grassmannians) must find the same tuples
     for d in range(1, m):
         small = grassmannian_flag(d, m)
         reps = enumerate_minimal_reps(small)
         dim = small.dimension
         for s in (1, 2, 3):
-            for via in ("lr", "horn") if m <= 5 else ("lr",):
-                expected = tuple(
-                    combo
-                    for combo in product(reps, repeat=s)
-                    if sum(dim - length(u) for u in combo) == dim
-                    and _grassmann_point_positive(combo, d, m, via)
+            expected = tuple(
+                combo
+                for combo in product(reps, repeat=s)
+                if sum(dim - length(u) for u in combo) == dim
+                and product_to_point(
+                    tuple(partition_from_perm(u, d, m) for u in combo), d, m
                 )
+            )
+            for via in ("lr", "horn"):
                 assert _point_positive_tuples(d, m, s, via) == expected, (d, m, s, via)
 
 

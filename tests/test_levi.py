@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from flaghorn import levi
+from flaghorn import flags, levi
 from flaghorn.flags import (
     ClassEntry,
     FlagType,
@@ -221,7 +221,7 @@ def test_walker_targets_filter_the_exact_degree_tuples():
                 by_field["projected_codims"].append(classes)
         for field, target in (("pair_codims", pair_target), ("projected_codims", step_target)):
             vectors = [getattr(e, field) for e in table.entries]
-            assert levi._walk(table, s, vectors, target) == by_field[field], (str(flag), s, field)
+            assert flags._walk(table, s, vectors, target) == by_field[field], (str(flag), s, field)
 
 
 def test_a_wrong_leaf_product_is_caught(monkeypatch):
