@@ -76,7 +76,6 @@ class FlagType:
 
     def __post_init__(self) -> None:
         steps = tuple(self.steps)
-        object.__setattr__(self, "steps", steps)
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"ambient dimension must be an integer >= 1: {self.n!r}")
         prev = 0
@@ -86,6 +85,10 @@ class FlagType:
                     f"steps must satisfy 0 < a_1 < ... < a_r < {self.n}: {steps!r}"
                 )
             prev = a
+        # plain ints, so that an equal flag spelled with bools (cached by
+        # equality, as by flag_table) prints the same
+        object.__setattr__(self, "steps", tuple(map(int, steps)))
+        object.__setattr__(self, "n", int(self.n))
 
     @property
     def r(self) -> int:

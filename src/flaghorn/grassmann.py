@@ -254,19 +254,26 @@ def product_to_point(partitions: tuple[Partition, ...], r: int, n: int) -> int:
 
 def _product_to_point(parts: tuple[Partition, ...], r: int, n: int) -> int:
     """product_to_point on partitions already normalized and inside the
-    r x (n - r) rectangle."""
+    r x (n - r) rectangle.
+
+    The first partition starts the product and the last one finishes it
+    by duality: the point coefficient of sigma_nu * sigma_p is 1 when p
+    is the complement of nu in the rectangle and 0 otherwise.
+    """
     cols = n - r
     if sum(sum(p) for p in parts) != r * cols:
         return 0
-    acc: dict[Partition, int] = {(): 1}
-    for p in parts:
+    if len(parts) < 2:
+        return 1  # no parts of an empty rectangle, or the rectangle itself
+    acc: dict[Partition, int] = {parts[0]: 1}
+    for p in parts[1:-1]:
         nxt: dict[Partition, int] = {}
         for nu, c in acc.items():
             for kappa, c2 in lr_expand(nu, p, r, cols).items():
                 nxt[kappa] = nxt.get(kappa, 0) + c * c2
         acc = nxt
-    rectangle = (cols,) * r if cols else ()
-    return acc.get(rectangle, 0)
+    padded = parts[-1] + (0,) * (r - len(parts[-1]))
+    return acc.get(tuple(cols - x for x in reversed(padded) if x < cols), 0)
 
 
 def horn_inequality_holds(

@@ -13,14 +13,15 @@ longest permutation by divided differences.
 
 Intersection numbers come from one product of representatives, pruned as
 it grows, and the antisymmetrizer formula for the top divided difference
-(see intersection_number); no product is expanded in the basis, and no
-representative of a permutation outside S_n is built.  The product runs
-on packed integers: the representatives involve only x1..x_{a_r}, because
-each codimension index ascends inside every block, so the last block's
-exponents stay fixed and drop out.  The exponents of the other variables
-sit in fields of one integer with a guard bit on top of each, wide enough
-that no exponent sum carries, so a monomial product is an integer
-addition.  The prune keeps a monomial while it lies below a rearrangement
+(see intersection_number); no product is expanded in the basis, no
+representative of a permutation outside S_n is built, and the last factor
+goes straight into the signed sum.  The product runs on packed integers:
+the representatives involve only x1..x_{a_r}, because each codimension
+index ascends inside every block, so the last block's exponents stay
+fixed and drop out.  The exponents of the other variables sit in fields
+of one integer with a guard bit on top of each, wide enough that no
+exponent sum carries, so a monomial product is an integer addition.  The
+prune keeps a monomial while it lies below a rearrangement
 of the staircase; in its Hall form, at most n - v exponents are v or more
 for every threshold v, and each threshold is one addition, one mask and
 one bit count.
@@ -203,6 +204,50 @@ def _packing(flag: FlagType) -> tuple[int, int, tuple[tuple[int, int], ...], int
     return width, guard, thresholds, sum(e << f for e, f in zip(staircase, fields))
 
 
+@lru_cache(maxsize=None)
+def _packed_rep(w: Perm, flag: FlagType) -> tuple[tuple[int, int], ...]:
+    """The terms (packed monomial, coefficient) of the representative of
+    dual(w) in the layout of _packing; RuntimeError if a term involves
+    the last block's variables or has an exponent of n or more."""
+    n = flag.n
+    k = n - flag.block_sizes[-1]
+    width = _packing(flag)[0]
+    shifts = range(0, k * width, width)
+    packed = []
+    for mono, c in schubert_polynomial(_dual(w, flag)).terms.items():
+        if any(mono[k:]) or max(mono, default=0) >= n:
+            raise RuntimeError(
+                f"representative term {mono!r} for {w!r} on {flag} is not "
+                f"in x1..x{k} with exponents below {n}"
+            )
+        packed.append((sum(map(lshift, mono, shifts)), c))
+    return tuple(packed)
+
+
+class _SignMemo(dict):
+    """Packed full-degree monomial -> its antisymmetrizer sign, 0 unless
+    it rearranges the staircase; an entry is computed on its first lookup."""
+
+    def __init__(self, flag: FlagType) -> None:
+        super().__init__()
+        width, self.guard, self.thresholds, _ = _packing(flag)
+        self.mask = (1 << width) - 1
+        self.shifts = range(0, (flag.n - flag.block_sizes[-1]) * width, width)
+
+    def __missing__(self, m: int) -> int:
+        sign = 0
+        if all(((m + K) & self.guard).bit_count() <= cap for K, cap in self.thresholds):
+            sign = _sign(tuple((m >> f) & self.mask for f in self.shifts))
+        self[m] = sign
+        return sign
+
+
+@lru_cache(maxsize=None)
+def _signs(flag: FlagType) -> dict[int, int]:
+    """The flag type's memo of antisymmetrizer signs; starts empty."""
+    return _SignMemo(flag)
+
+
 def intersection_number(classes: tuple[Perm, ...], flag: FlagType) -> int:
     """Coefficient of the point class in the product of the given classes.
 
@@ -253,18 +298,28 @@ def intersection_number(classes: tuple[Perm, ...], flag: FlagType) -> int:
       exponents at most n - 1, so their sum, at most 2(n-1), never
       carries into the next field.  A factor term in a variable past x_k,
       or with an exponent of n or more, cannot be packed and raises
-      RuntimeError.
-    * The product is built one factor at a time, and after each factor
-      every monomial that no longer lies below a rearrangement of
-      (n-1, ..., b) is dropped: later factors only raise exponents.
-      Sorted ascending, its j-th exponent (from 0) must be at most b+j;
-      in Hall form, for every v in b+1 .. n at most n - v exponents are
-      v or more.  Adding K_v, top - v in every field, sets a field's
-      guard bit exactly when its exponent is at least v, and with
-      exponents at most 2(n-1) and top >= 2n the sum stays in the field,
-      so each threshold is one addition, one mask and one bit count.  At
-      full degree only the rearrangements survive; only they are
-      unpacked and signed.
+      RuntimeError.  Each class's packed representative is built and
+      checked once per flag type (_packed_rep).
+    * The product of all but the last factor is built one factor at a
+      time, and after each factor every monomial that no longer lies
+      below a rearrangement of (n-1, ..., b) is dropped: later factors
+      only raise exponents.  Sorted ascending, its j-th exponent (from
+      0) must be at most b+j; in Hall form, for every v in b+1 .. n at
+      most n - v exponents are v or more.  Adding K_v, top - v in every
+      field, sets a field's guard bit exactly when its exponent is at
+      least v, and with exponents at most 2(n-1) and top >= 2n the sum
+      stays in the field, so each threshold is one addition, one mask
+      and one bit count.
+    * The last factor is never multiplied out.  Each pair a + b of a
+      kept monomial and a last-factor term has full degree, where only
+      the rearrangements pass the thresholds, so the pair adds
+      sgn(a + b) * c * d, with sgn 0 off the rearrangements.  The signs
+      come from a per-flag memo (_signs) that starts empty and is filled
+      on each first lookup, by the thresholds and then _sign; it holds
+      only the full-degree monomials met, never a table of all the
+      rearrangements.  This is the same antisymmetrizer sum, reordered:
+      no duality is used, so the oracle stays independent of the LR
+      route.
 
     Structure constants are nonnegative, so a negative sum raises
     RuntimeError.
@@ -274,20 +329,13 @@ def intersection_number(classes: tuple[Perm, ...], flag: FlagType) -> int:
     1
     """
     classes = check_class_tuple(classes, flag)
-    n = flag.n
-    k = n - flag.block_sizes[-1]
-    width, guard, thresholds, start = _packing(flag)
-    shifts = range(0, k * width, width)
+    if not classes:
+        return 1  # a flag type without steps: the manifold is a point
+    *head, last = classes
+    _, guard, thresholds, start = _packing(flag)
     terms: dict[int, int] = {start: 1}
-    for w in classes:
-        factor = []
-        for mono, c in schubert_polynomial(_dual(w, flag)).terms.items():
-            if any(mono[k:]) or max(mono, default=0) >= n:
-                raise RuntimeError(
-                    f"representative term {mono!r} for {w!r} on {flag} is not "
-                    f"in x1..x{k} with exponents below {n}"
-                )
-            factor.append((sum(map(lshift, mono, shifts)), c))
+    for w in head:
+        factor = _packed_rep(w, flag)
         product: dict[int, int] = {}
         get = product.get
         for a, c in terms.items():
@@ -301,8 +349,14 @@ def intersection_number(classes: tuple[Perm, ...], flag: FlagType) -> int:
                     break
             else:
                 terms[m] = c
-    mask = (1 << width) - 1
-    total = sum(_sign(tuple((m >> f) & mask for f in shifts)) * c for m, c in terms.items())
+    signs = _signs(flag)
+    factor = _packed_rep(last, flag)
+    total = 0
+    for a, c in terms.items():
+        for b, d in factor:
+            sign = signs[a + b]
+            if sign:
+                total += sign * c * d
     if total < 0:
         raise RuntimeError(f"negative intersection number {total} for {classes!r} on {flag}")
     return total

@@ -57,6 +57,13 @@ class SparsePolynomial:
         self.terms = clean
 
     @classmethod
+    def _wrap(cls, terms: dict[Monomial, int]) -> "SparsePolynomial":
+        """A polynomial on terms already trimmed and nonzero, unchecked."""
+        result = cls.__new__(cls)
+        result.terms = terms
+        return result
+
+    @classmethod
     def zero(cls) -> "SparsePolynomial":
         return cls()
 
@@ -107,16 +114,12 @@ class SparsePolynomial:
             out[mono] = out.get(mono, 0) + coeff
             if not out[mono]:
                 del out[mono]
-        result = SparsePolynomial.__new__(SparsePolynomial)
-        result.terms = out
-        return result
+        return SparsePolynomial._wrap(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SparsePolynomial":
-        result = SparsePolynomial.__new__(SparsePolynomial)
-        result.terms = {m: -c for m, c in self.terms.items()}
-        return result
+        return SparsePolynomial._wrap({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "SparsePolynomial | int") -> "SparsePolynomial":
         if isinstance(other, int):
@@ -128,9 +131,9 @@ class SparsePolynomial:
 
     def __mul__(self, other: "SparsePolynomial | int") -> "SparsePolynomial":
         if isinstance(other, int):
-            result = SparsePolynomial.__new__(SparsePolynomial)
-            result.terms = {m: c * other for m, c in self.terms.items()} if other else {}
-            return result
+            return SparsePolynomial._wrap(
+                {m: c * other for m, c in self.terms.items()} if other else {}
+            )
         out: dict[Monomial, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -144,9 +147,7 @@ class SparsePolynomial:
                 out[mono] = out.get(mono, 0) + c1 * c2
                 if not out[mono]:
                     del out[mono]
-        result = SparsePolynomial.__new__(SparsePolynomial)
-        result.terms = out
-        return result
+        return SparsePolynomial._wrap(out)
 
     __rmul__ = __mul__
 
@@ -162,9 +163,7 @@ class SparsePolynomial:
             e = list(mono) + [0] * (width - len(mono))
             e[i - 1], e[j - 1] = e[j - 1], e[i - 1]
             out[_trim(tuple(e))] = coeff
-        result = SparsePolynomial.__new__(SparsePolynomial)
-        result.terms = out
-        return result
+        return SparsePolynomial._wrap(out)
 
     def leading_term(self) -> tuple[Monomial, int]:
         """The maximal term under the rightmost-position order."""
@@ -230,12 +229,18 @@ def divided_difference(p: SparsePolynomial, i: int) -> SparsePolynomial:
         raise ValueError("divided difference index must be at least 1")
     out: dict[Monomial, int] = {}
     for mono, coeff in p.terms.items():
-        e = list(mono) + [0] * (i + 1 - len(mono))
-        a, b = e[i - 1], e[i]
+        a = mono[i - 1] if len(mono) >= i else 0
+        b = mono[i] if len(mono) > i else 0
+        if a == b:
+            continue
         if a < b:
             a, b, coeff = b, a, -coeff
+        # a > b >= 0, so len(mono) >= i and head has exactly i - 1 entries;
+        # only a key ending in the new x_{i+1} exponent can end in zero
+        head, tail = mono[: i - 1], mono[i + 1 :]
         for k in range(b, a):
-            e[i - 1], e[i] = k, a + b - 1 - k
-            key = tuple(e)
+            key = head + (k, a + b - 1 - k) + tail
+            if not key[-1]:
+                key = _trim(key)
             out[key] = out.get(key, 0) + coeff
-    return SparsePolynomial(out)
+    return SparsePolynomial._wrap({m: c for m, c in out.items() if c})

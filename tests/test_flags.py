@@ -29,6 +29,7 @@ from flaghorn.flags import (
     restrict_to_fiber,
 )
 from flaghorn.grassmann import partition_from_perm
+from flaghorn.levi import is_levi_movable
 from flaghorn.perm import _standardize, identity, length, longest_element
 
 
@@ -46,6 +47,17 @@ def test_flag_type_validation():
     with pytest.raises(ValueError):
         FlagType((1,), "3")
     assert FlagType((), 4).r == 0
+
+
+def test_flag_type_spelled_with_bools_is_plain_int():
+    flag = FlagType((True,), 3)
+    assert type(flag.steps[0]) is int and str(flag) == "1/3"
+    # flag_table is cached by equality, so the first spelling of a flag
+    # type is the one every later message for an equal flag prints
+    flag_table.cache_clear()
+    flag_table(flag)
+    with pytest.raises(ValueError, match="expected 2 on 1/3$"):
+        is_levi_movable(((2, 1, 3),), FlagType((1,), 3))
 
 
 def test_parse_and_str():

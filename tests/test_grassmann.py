@@ -8,6 +8,7 @@ import pytest
 from flaghorn.flags import FlagType, complete_flag, enumerate_minimal_reps, grassmannian_flag
 from flaghorn.grassmann import (
     _point_positive_tuples,
+    _product_to_point,
     check_condition_iii,
     check_condition_iv,
     check_partition,
@@ -195,6 +196,46 @@ def test_product_to_point_pinned():
     for bad in ((3,), (1, 2), (-1,)):
         with pytest.raises(ValueError):
             product_to_point((bad, (1,)), 2, 4)
+
+
+def _exact_degree_partition_tuples(r, cols, s, size):
+    # ordered s-tuples of partitions in the rectangle with sizes summing to size
+    if s == 0:
+        if size == 0:
+            yield ()
+        return
+    for k in range(min(size, r * cols) + 1):
+        for p in partitions_in_rectangle(r, cols, size=k):
+            for rest in _exact_degree_partition_tuples(r, cols, s - 1, size - k):
+                yield (p,) + rest
+
+
+def _expanded_product_to_point(parts, r, cols):
+    # every factor expanded, from the empty partition, then the rectangle read
+    acc = {(): 1}
+    for p in parts:
+        nxt = {}
+        for nu, c in acc.items():
+            for kappa, c2 in lr_expand(nu, p, r, cols).items():
+                nxt[kappa] = nxt.get(kappa, 0) + c * c2
+        acc = nxt
+    return acc.get((cols,) * r if cols else (), 0)
+
+
+def test_product_to_point_finish_by_duality_matches_the_full_expansion():
+    # Gr(d, m) for m <= 7, with the empty rectangles d = 0 and d = m, and
+    # s = 0 .. 4 classes: the last factor read off by its complement must
+    # give what expanding it does
+    checked = 0
+    for m in range(1, 8):
+        for d in range(m + 1):
+            for s in range(5):
+                for parts in _exact_degree_partition_tuples(d, m - d, s, d * (m - d)):
+                    expected = _expanded_product_to_point(parts, d, m - d)
+                    assert _product_to_point(parts, d, m) == expected, (d, m, parts)
+                    checked += 1
+    assert checked == 38711
+    assert _product_to_point(((1,), (1,)), 2, 4) == 0  # sizes below the rectangle
 
 
 def test_horn_inequality_fixture():

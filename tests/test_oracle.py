@@ -210,7 +210,17 @@ def test_intersection_number_matches_the_expansion_route():
     assert checked == 2743
 
 
-def test_negative_representative_raises(monkeypatch):
+@pytest.fixture
+def fresh_packed_reps():
+    # packed representatives are cached per (class, flag): drop them before
+    # a representative is patched, and again afterwards so that no patched
+    # entry reaches a later test
+    oracle._packed_rep.cache_clear()
+    yield
+    oracle._packed_rep.cache_clear()
+
+
+def test_negative_representative_raises(fresh_packed_reps, monkeypatch):
     # a representative with the wrong sign must not come back as a count
     flag = complete_flag(3)
     w = (2, 1, 3)
@@ -310,7 +320,7 @@ def test_grassmannian_powers_of_the_divisor_pinned():
 
 
 @pytest.mark.parametrize("mutation", ["last variable", "exponent n"])
-def test_unpackable_representative_raises(monkeypatch, mutation):
+def test_unpackable_representative_raises(fresh_packed_reps, monkeypatch, mutation):
     # a representative term in x_n, or with an exponent of n, must break
     # the packing loudly instead of coming back as a count
     flag = complete_flag(3)
@@ -328,3 +338,12 @@ def test_unpackable_representative_raises(monkeypatch, mutation):
     monkeypatch.setattr(oracle, "schubert_polynomial", mutated)
     with pytest.raises(RuntimeError, match="representative term"):
         intersection_number((w, dual(w, flag)), flag)
+
+
+def test_point_against_fundamental_signs_one_monomial():
+    # the last factor's signs are filled on demand, never as a table of
+    # all n! rearrangements of the staircase
+    flag = complete_flag(10)
+    oracle._signs.cache_clear()
+    assert intersection_number((identity(10), longest_element(10)), flag) == 1
+    assert len(oracle._signs(flag)) <= 1

@@ -1,9 +1,11 @@
 """Exact sparse polynomial arithmetic over the integers."""
 
 import random
+from itertools import permutations
 
 import pytest
 
+from flaghorn.oracle import schubert_polynomial
 from flaghorn.poly import SparsePolynomial, divided_difference
 
 x1 = SparsePolynomial.variable(1)
@@ -140,3 +142,36 @@ def test_divided_difference_times_the_root_is_the_antisymmetric_numerator():
         for i in range(1, 5):
             root = SparsePolynomial.variable(i) - SparsePolynomial.variable(i + 1)
             assert root * divided_difference(p, i) == p - p.swap_variables(i, i + 1)
+
+
+def _closed_form_through_the_constructor(p, i):
+    # each term's closed-form sum on untrimmed keys, normalized by the
+    # validating public constructor
+    out = {}
+    for mono, coeff in p.terms.items():
+        e = list(mono) + [0] * (i + 1 - len(mono))
+        a, b = e[i - 1], e[i]
+        if a < b:
+            a, b, coeff = b, a, -coeff
+        for k in range(b, a):
+            e[i - 1], e[i] = k, a + b - 1 - k
+            key = tuple(e)
+            out[key] = out.get(key, 0) + coeff
+    return SparsePolynomial(out)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_divided_difference_builds_normalized_terms(n):
+    # divided_difference skips the constructor, so its keys must come out
+    # trimmed and its coefficients nonzero on their own
+    for w in permutations(range(1, n + 1)):
+        p = schubert_polynomial(w)
+        for i in range(1, n + 1):
+            got = divided_difference(p, i)
+            assert got.terms == _closed_form_through_the_constructor(p, i).terms
+            assert all(not mono or mono[-1] for mono in got.terms)
+            assert all(got.terms.values())
+    # terms that cancel, and keys that trim through zeros before x_i
+    p = SparsePolynomial({(0, 1): 1, (1,): 1, (0, 0, 2): 3})
+    assert divided_difference(p, 1).terms == {}
+    assert divided_difference(p, 2).terms == {(0, 1): -3, (0, 0, 1): -3, (): 1}
