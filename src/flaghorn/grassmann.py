@@ -407,7 +407,15 @@ def _condition_iv(
     entries: tuple[ClassEntry, ...], table: FlagTable, nonzero_via: str = "lr"
 ) -> str | None:
     """condition_iv_failure on the checked entries of an exact-degree
-    tuple, read from the pair flattenings of the table."""
+    tuple, read from the pair flattenings of the table.
+
+    A position whose flattening has codimension 0 is the fundamental
+    class, with w(p) = b_j + p for p <= b_i, so it adds
+    b_j + u(l) - w(u(l)) = 0 to every inequality whatever u is.  Each
+    pair finds once the positions of positive codimension and sums the
+    inequalities over those alone: at most b_i * b_j positions count,
+    however large s is.  A failure
+    still names the whole u-tuple."""
     s = len(entries)
     for k, (bi, bj) in enumerate(table.pair_sizes):
         i, j = table.pairs[k]
@@ -417,10 +425,11 @@ def _condition_iv(
                 f"blocks ({i},{j}): flattened codimensions sum to {total}, "
                 f"expected {bi * bj}"
             )
-        flats = tuple(e.flats[k] for e in entries)
+        moving = [t for t, e in enumerate(entries) if e.pair_codims[k]]
+        flats = tuple(entries[t].flats[k] for t in moving)
         for d in range(1, bi):
             for combo in _point_positive_tuples(d, bi, s, nonzero_via):
-                if not _horn_holds(flats, combo, d, bj):
+                if not _horn_holds(flats, tuple(combo[t] for t in moving), d, bj):
                     return (
                         f"blocks ({i},{j}), d={d}: inequality fails for "
                         f"u-tuple {combo!r}"

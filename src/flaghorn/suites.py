@@ -242,7 +242,28 @@ def run_thm2(max_n: int | None = None) -> SuiteResult:
     return _finish(result, sum(per_flag.values()), "movable tuples", max_n)
 
 
-def _fiber_length_sides(flag: FlagType):
+class _Memo(dict):
+    """A dict that computes a missing value from its key on the first
+    lookup and keeps it."""
+
+    def __init__(self, compute) -> None:
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
+def _length_memos() -> tuple[_Memo, _Memo]:
+    """Fresh memos of length(w) by permutation and of the length of the
+    projection of w to the step value a by (w, a).  The projection map
+    is looked up on each miss, so a replaced map is the one applied."""
+    lengths = _Memo(length)
+    return lengths, _Memo(lambda key: lengths[_project_to_step(*key)])
+
+
+def _fiber_length_sides(flag: FlagType, lengths: _Memo, proj_lengths: _Memo):
     """The two sides of the fiber length identities for classes of the
     flag type, with the first step, the fiber steps and the blocks read
     once per flag.
@@ -255,7 +276,15 @@ def _fiber_length_sides(flag: FlagType):
     of the projection of w to step i+1 minus that to the first step plus
     the lengths of the pair flattenings of block 1 against blocks
     2 .. i+top).  The validated reading has top = 1, the rejected one
-    top = 0."""
+    top = 0.
+
+    Lengths are read from the caller's memos (see _length_memos):
+    ``lengths`` by permutation, ``proj_lengths`` by (permutation, step
+    value).  The fiber restriction still runs once per class and the
+    standardization once per pair slice, so every map is applied to
+    every class; only the length of a permutation met before is not
+    counted again.  Both sides stay computations through distinct maps,
+    not readings of one shared inversion table."""
     a1 = flag.steps[0]
     fiber_steps = fiber_flag(flag).steps
     later_steps = flag.steps[1:]
@@ -264,19 +293,19 @@ def _fiber_length_sides(flag: FlagType):
 
     def sides(w: Perm, top: int):
         fiber = _restrict_to_fiber(w, a1)
-        first = length(_project_to_step(w, a1))
+        first = proj_lengths[w, a1]
         head = w[:a1]
         pair_sums = [0]
         for lo, hi in blocks:
-            pair_sums.append(pair_sums[-1] + length(_standardize(head + w[lo:hi])))
+            pair_sums.append(pair_sums[-1] + lengths[_standardize(head + w[lo:hi])])
         projected = [
             (
-                length(_project_to_step(fiber, f)),
-                length(_project_to_step(w, a)) - first + pair_sums[i + top - 1],
+                proj_lengths[fiber, f],
+                proj_lengths[w, a] - first + pair_sums[i + top - 1],
             )
             for i, (f, a) in enumerate(zip(fiber_steps, later_steps), start=1)
         ]
-        return (length(fiber), length(w) - first), projected
+        return (lengths[fiber], lengths[w] - first), projected
 
     return sides
 
@@ -294,14 +323,22 @@ def run_lengths(max_n: int | None = None) -> SuiteResult:
     The projected form needs an index convention for how far the pair
     flattening sum runs; the validated reading sums blocks 2 .. i+1.
     The reading that stops at block i fails already on the complete flag
-    manifold of C^3, which this suite also pins down."""
+    manifold of C^3, which this suite also pins down.
+
+    Each run keeps its own memos of lengths and projected lengths, so a
+    permutation's length is counted once per run however many classes
+    reach it.  Nothing is cached at module level: ``enumerate`` and
+    ``query`` take lengths of far larger permutations, which an
+    unbounded cache would keep alive, and a cache that outlived the run
+    would answer for a map that has since been replaced."""
     bound = 6 if max_n is None else max_n
     result = SuiteResult("lengths", True)
     checked = 0
     projected_checked = 0
+    memos = _length_memos()
     for n in range(2, bound + 1):
         for flag in enumerate_flag_types(n):
-            sides = _fiber_length_sides(flag)
+            sides = _fiber_length_sides(flag, *memos)
             for w in enumerate_minimal_reps(flag):
                 checked += 1
                 (lhs, rhs), projected = sides(w, 1)
@@ -325,7 +362,8 @@ def run_lengths(max_n: int | None = None) -> SuiteResult:
     )
     if bound >= 3:
         w, flag = (3, 2, 1), FlagType((1, 2), 3)
-        _, [(actual, literal)] = _fiber_length_sides(flag)(w, 0)
+        sides = _fiber_length_sides(flag, *_length_memos())
+        _, [(actual, literal)] = sides(w, 0)
         if literal == actual:
             result.failures.append(
                 "the rejected index reading (blocks 2..i) unexpectedly "

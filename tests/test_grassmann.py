@@ -5,8 +5,17 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from flaghorn.flags import FlagType, complete_flag, enumerate_minimal_reps, grassmannian_flag
+from flaghorn.flags import (
+    FlagType,
+    complete_flag,
+    enumerate_flag_types,
+    enumerate_minimal_reps,
+    flag_table,
+    grassmannian_flag,
+)
 from flaghorn.grassmann import (
+    _condition_iv,
+    _horn_holds,
     _point_positive_tuples,
     _product_to_point,
     check_condition_iii,
@@ -24,7 +33,7 @@ from flaghorn.grassmann import (
     perm_from_partition,
     product_to_point,
 )
-from flaghorn.levi import enumerate_levi_movable
+from flaghorn.levi import enumerate_levi_movable, exact_degree_tuples
 from flaghorn.perm import length
 
 
@@ -340,3 +349,45 @@ def test_condition_iv_answers_at_large_s():
     via_iv = enumerate_levi_movable(flag, 1500, "via_iv")
     assert via_iv == enumerate_levi_movable(flag, 1500, "via_iii")
     assert len(via_iv) == 7
+
+
+def _condition_iv_every_position(entries, table, nonzero_via):
+    # route iv summing each inequality over every position of the tuple,
+    # fundamental ones included
+    s = len(entries)
+    for k, (bi, bj) in enumerate(table.pair_sizes):
+        i, j = table.pairs[k]
+        total = sum(e.pair_codims[k] for e in entries)
+        if total != bi * bj:
+            return (
+                f"blocks ({i},{j}): flattened codimensions sum to {total}, "
+                f"expected {bi * bj}"
+            )
+        flats = tuple(e.flats[k] for e in entries)
+        for d in range(1, bi):
+            for combo in _point_positive_tuples(d, bi, s, nonzero_via):
+                if not _horn_holds(flats, combo, d, bj):
+                    return (
+                        f"blocks ({i},{j}), d={d}: inequality fails for "
+                        f"u-tuple {combo!r}"
+                    )
+    return None
+
+
+def test_condition_iv_skips_only_positions_that_add_nothing():
+    # dropping the fundamental positions changes no verdict and no
+    # witness on any exact-degree tuple of any flag type with n <= 5
+    failures = 0
+    for n in range(2, 6):
+        for flag in enumerate_flag_types(n):
+            table = flag_table(flag)
+            for s in (2, 3):
+                for classes in exact_degree_tuples(flag, s):
+                    entries = tuple(map(table._entry, classes))
+                    for via in ("lr", "horn"):
+                        got = _condition_iv(entries, table, via)
+                        assert got == _condition_iv_every_position(
+                            entries, table, via
+                        ), (flag, classes, via)
+                        failures += got is not None
+    assert failures  # the witnesses compared include failing ones

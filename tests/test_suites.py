@@ -102,6 +102,18 @@ def test_lengths_catches_a_wrong_map(monkeypatch, core, failure):
     assert failure in result.failures
 
 
+def test_lengths_memo_lives_for_one_run(monkeypatch):
+    """A run after a warm one must apply the projection map again: a
+    replaced map that reverses its result must make the suite fail on a
+    class it got wrong."""
+    assert run_lengths(4).passed
+    right = suites._project_to_step
+    monkeypatch.setattr(suites, "_project_to_step", lambda *args: right(*args)[::-1])
+    result = run_lengths(4)
+    assert not result.passed
+    assert "1/3, w=(3, 1, 2): fiber length 0 != 1" in result.failures
+
+
 def test_thm1_catches_a_wrong_route(monkeypatch):
     """The sweep reads the unchecked routes; a pairwise route that passes
     every tuple must make the conditions disagree."""
