@@ -308,13 +308,6 @@ def _projected_codim(w: Perm, a: int, n: int) -> int:
     return sum(n - a + j - w[j - 1] for j in range(1, a + 1))
 
 
-def _grassmannian_partition(w: Perm, r: int, n: int) -> tuple[int, ...]:
-    """Partition of the class indexed by w on the Grassmannian of r-planes
-    in C^n, w unchecked: the parts n - r + j - w(j) for j = 1 .. r, which
-    weakly decrease, with the zero parts dropped."""
-    return tuple(p for p in (n - r + j - w[j - 1] for j in range(1, r + 1)) if p)
-
-
 def flatten_pair(w: Perm, flag: FlagType, i: int, j: int) -> Perm:
     """Standardize w on the union of blocks i and j (i < j, both in
     1 .. r+1).  The result indexes a class on the Grassmannian of
@@ -387,15 +380,16 @@ def fiber_reduction(w: Perm, flag: FlagType) -> tuple[Perm, Perm, FlagType]:
 class ClassEntry:
     """Per-class data of one Schubert class on a flag type.
 
-    Built by FlagTable.entry, which validates the index once; the fields
-    below are computed the first time a route reads them and kept.  The
-    pair fields follow the order of FlagTable.pairs.
+    Built by FlagTable, which validates the index once and knows its
+    codimension; the fields below are computed the first time a route
+    reads them and kept.  The pair fields follow the order of
+    FlagTable.pairs.
     """
 
-    def __init__(self, table: "FlagTable", w: Perm) -> None:
+    def __init__(self, table: "FlagTable", w: Perm, codim: int) -> None:
         self.table = table
         self.w = w
-        self.codim = table.dimension - length(w)
+        self.codim = codim
 
     @cached_property
     def projected_codims(self) -> tuple[int, ...]:
@@ -405,7 +399,8 @@ class ClassEntry:
 
     @cached_property
     def flats(self) -> tuple[Perm, ...]:
-        """The pair flattening for every pair of blocks i < j."""
+        """The pair flattening for every pair of blocks i < j; only route
+        iv reads these."""
         w, b = self.w, self.table.flag.bounds
         return tuple(
             _standardize(w[b[i - 1] : b[i]] + w[b[j - 1] : b[j]])
@@ -414,11 +409,24 @@ class ClassEntry:
 
     @cached_property
     def pair_partitions(self) -> tuple[tuple[int, ...], ...]:
-        """Partition of each pair flattening on its pair Grassmannian."""
-        return tuple(
-            _grassmannian_partition(f, bi, bi + bj)
-            for f, (bi, bj) in zip(self.flats, self.table.pair_sizes)
-        )
+        """Partition of each pair flattening on its pair Grassmannian,
+        counted on w itself.
+
+        Both blocks ascend, so the flattening f sends a position p of
+        block i to p plus the number of q in block j with w(q) < w(p).
+        The part b_j + p - f(p) of p is then the number of q in block j
+        with w(q) > w(p), that is b_j - bisect_left(w[block j], w(p)).
+        The parts weakly decrease along block i; the zero parts, those of
+        the values above the last of block j, are left out."""
+        w, b = self.w, self.table.flag.bounds
+        blocks = [w[lo:hi] for lo, hi in zip(b, b[1:])]
+        out = []
+        for i, j in self.table.pairs:
+            left, right = blocks[i - 1], blocks[j - 1]
+            bj = len(right)
+            moving = left[: bisect_left(left, right[-1])]
+            out.append(tuple([bj - bisect_left(right, v) for v in moving]))
+        return tuple(out)
 
     @cached_property
     def pair_codims(self) -> tuple[int, ...]:
@@ -430,12 +438,20 @@ class ClassEntry:
         """For each step a_k, the partition on the Grassmannian of
         b_k-planes in C^(n - a_(k-1)) of w(a_(k-1)+1 .. n), standardized:
         the class that the k-th leaf of the factorization reads.  The
-        spaces follow FlagTable.leaf_spaces."""
+        spaces follow FlagTable.leaf_spaces.
+
+        Block k ascends, so the part of a position p of block k is the
+        number of q past a_k with w(q) > w(p): one bisect_left in the
+        sorted values past a_k.  The zero parts, those of the values above
+        all of these, are left out."""
         w, b = self.w, self.table.flag.bounds
-        return tuple(
-            _grassmannian_partition(_standardize(w[a:]), r, m)
-            for a, (r, m) in zip(b, self.table.leaf_spaces)
-        )
+        out = []
+        for k in range(1, len(b) - 1):
+            left, rest = w[b[k - 1] : b[k]], sorted(w[b[k] :])
+            top = len(rest)
+            moving = left[: bisect_left(left, rest[-1])]
+            out.append(tuple([top - bisect_left(rest, v) for v in moving]))
+        return tuple(out)
 
 
 class FlagTable:
@@ -475,15 +491,20 @@ class FlagTable:
 
     @cached_property
     def entries(self) -> tuple[ClassEntry, ...]:
-        """The entry of each class of ``reps``; these indices are valid by
-        construction and are not checked."""
-        return tuple(map(self._entry, self.reps))
+        """The entry of each class of ``reps``, with its codimension read
+        from ``codims``; these indices are valid by construction and are
+        not checked."""
+        known = self._entries
+        for w, c in zip(self.reps, self.codims):
+            if w not in known:
+                known[w] = ClassEntry(self, w, c)
+        return tuple(map(known.__getitem__, self.reps))
 
     def _entry(self, w: Perm) -> ClassEntry:
         """entry with w unchecked, for indices valid by construction."""
         entry = self._entries.get(w)
         if entry is None:
-            entry = self._entries[w] = ClassEntry(self, w)
+            entry = self._entries[w] = ClassEntry(self, w, self.dimension - length(w))
         return entry
 
     def entry(self, w) -> ClassEntry:

@@ -24,7 +24,6 @@ from .flags import (
     ClassEntry,
     FlagTable,
     FlagType,
-    _grassmannian_partition,
     _walk,
     check_minimal_rep,
     flag_table,
@@ -138,6 +137,12 @@ def partition_from_perm(w: Perm, r: int, n: int) -> Partition:
     (1,)
     """
     return _grassmannian_partition(check_minimal_rep(w, grassmannian_flag(r, n)), r, n)
+
+
+def _grassmannian_partition(w: Perm, r: int, n: int) -> Partition:
+    """partition_from_perm with w unchecked: the parts n - r + j - w(j)
+    for j = 1 .. r, which weakly decrease, with the zero parts dropped."""
+    return tuple(p for p in (n - r + j - w[j - 1] for j in range(1, r + 1)) if p)
 
 
 def perm_from_partition(p: Partition, r: int, n: int) -> Perm:
@@ -256,15 +261,20 @@ def _product_to_point(parts: tuple[Partition, ...], r: int, n: int) -> int:
     """product_to_point on partitions already normalized and inside the
     r x (n - r) rectangle.
 
-    The first partition starts the product and the last one finishes it
-    by duality: the point coefficient of sigma_nu * sigma_p is 1 when p
-    is the complement of nu in the rectangle and 0 otherwise.
+    A projective space (r == 1 or n - r == 1) is decided by degree: its
+    classes multiply as sigma_a * sigma_b = sigma_(a+b), so the product
+    is the point class exactly when the sizes sum to its dimension.
+    Otherwise the first partition starts the product and the last one
+    finishes it by duality: the point coefficient of sigma_nu * sigma_p
+    is 1 when p is the complement of nu in the rectangle and 0 otherwise.
     """
     cols = n - r
     if sum(sum(p) for p in parts) != r * cols:
         return 0
-    if len(parts) < 2:
-        return 1  # no parts of an empty rectangle, or the rectangle itself
+    if len(parts) < 2 or r == 1 or cols == 1:
+        # no parts of an empty rectangle, the rectangle itself, or a
+        # projective space of the right degree
+        return 1
     acc: dict[Partition, int] = {parts[0]: 1}
     for p in parts[1:-1]:
         nxt: dict[Partition, int] = {}
@@ -325,13 +335,20 @@ def condition_iii_failure(classes: tuple[Perm, ...], flag: FlagType) -> str | No
 
 def _condition_iii(entries: tuple[ClassEntry, ...], table: FlagTable) -> str | None:
     """condition_iii_failure on the checked entries of an exact-degree
-    tuple, read from the pair partitions of the table."""
+    tuple, read from the pair partitions of the table.
+
+    A product of the wrong degree misses the point class without any
+    Littlewood-Richardson arithmetic.  A pair with b_i == 1 or b_j == 1
+    flattens onto a projective space, where the right degree alone hits
+    the point class (see _product_to_point), so its partitions are never
+    read."""
     for k, (bi, bj) in enumerate(table.pair_sizes):
-        # a product of the wrong degree misses the point class without
-        # any Littlewood-Richardson arithmetic
-        degree_ok = sum(e.pair_codims[k] for e in entries) == bi * bj
-        parts = tuple(e.pair_partitions[k] for e in entries)
-        if not degree_ok or _product_to_point(parts, bi, bi + bj) == 0:
+        if sum(e.pair_codims[k] for e in entries) != bi * bj or (
+            min(bi, bj) > 1
+            and _product_to_point(
+                tuple(e.pair_partitions[k] for e in entries), bi, bi + bj
+            ) == 0
+        ):
             i, j = table.pairs[k]
             return (
                 f"blocks ({i},{j}): flattened product misses the point class "

@@ -28,7 +28,7 @@ from flaghorn.flags import (
     projected_codim,
     restrict_to_fiber,
 )
-from flaghorn.grassmann import partition_from_perm
+from flaghorn.grassmann import _grassmannian_partition, partition_from_perm
 from flaghorn.levi import is_levi_movable
 from flaghorn.perm import _standardize, identity, length, longest_element
 
@@ -219,6 +219,34 @@ def test_flag_table_matches_the_public_functions(n):
                 assert entry.leaf_partitions[k] == partition_from_perm(projected, r, m)
                 sub, subflag = restrict_to_fiber(sub, subflag), fiber_flag(subflag)
         assert table.entries == tuple(map(table.entry, table.reps))
+
+
+@pytest.mark.parametrize(
+    "flag_types",
+    [*(enumerate_flag_types(n) for n in range(2, 7)), (complete_flag(7),)],
+    ids=["n2", "n3", "n4", "n5", "n6", "complete7"],
+)
+def test_counted_partitions_match_the_standardized_slices(flag_types):
+    # the table counts each part on w itself; standardizing the slice and
+    # reading the partition off the result must give the same fields
+    for flag in flag_types:
+        table = flag_table(flag)
+        b = flag.bounds
+        for entry in table.entries:
+            w = entry.w
+            pairs = tuple(
+                _grassmannian_partition(
+                    _standardize(w[b[i - 1] : b[i]] + w[b[j - 1] : b[j]]), bi, bi + bj
+                )
+                for (i, j), (bi, bj) in zip(table.pairs, table.pair_sizes)
+            )
+            leaves = tuple(
+                _grassmannian_partition(_standardize(w[a:]), r, m)
+                for a, (r, m) in zip(b, table.leaf_spaces)
+            )
+            assert entry.pair_partitions == pairs, (str(flag), w)
+            assert entry.pair_codims == tuple(map(sum, pairs)), (str(flag), w)
+            assert entry.leaf_partitions == leaves, (str(flag), w)
 
 
 @pytest.mark.parametrize("n", range(2, 7))

@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from flaghorn import flags, levi
+from flaghorn import flags, grassmann, levi
 from flaghorn.flags import (
     ClassEntry,
     FlagType,
@@ -249,6 +249,60 @@ def test_wrong_leaf_partitions_are_caught(monkeypatch):
     # the wrong classes miss the point class of the first leaf
     with pytest.raises(RuntimeError, match="vanishing leaf"):
         _mismatches([(F3, 2)])
+
+
+@pytest.fixture
+def fresh_flag_tables():
+    # entries keep the fields they computed, pair_codims is computed from
+    # pair_partitions, and route iv keeps the point-positive tuples that
+    # route iii found on each small Grassmannian: drop all of them before
+    # that field is patched, and again afterwards so that nothing computed
+    # from a patched value reaches a later test
+    def clear():
+        flag_table.cache_clear()
+        grassmann._point_positive_tuples.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+def test_wrong_pair_partitions_are_caught(fresh_flag_tables, monkeypatch):
+    # 1,3/5 has two projective pairs and the non-projective Gr(2,4)
+    flag = FlagType((1, 3), 5)
+    # route iii on the true entries computes their pair codimensions
+    assert enumerate_levi_movable(flag, 2, "via_iii")
+    # a property on the class shadows the values cached on the entries;
+    # the pair codimensions, already computed, stay right, so only the
+    # Littlewood-Richardson product on Gr(2,4) reads the wrong classes
+    monkeypatch.setattr(
+        ClassEntry, "pair_partitions", property(lambda e: ((1,),) * len(e.table.pairs))
+    )
+    with pytest.raises(RuntimeError, match="disagree"):
+        enumerate_levi_movable(flag, 2, "cross_check")
+    assert enumerate_levi_movable(flag, 2, "via_iii") == []
+    # on a cold table the pair codimensions are summed from the wrong
+    # partitions too
+    flag_table.cache_clear()
+    with pytest.raises(RuntimeError, match="disagree"):
+        enumerate_levi_movable(flag, 2, "cross_check")
+
+
+def test_routes_i_and_iii_never_build_the_flattenings(monkeypatch):
+    flag = FlagType((1, 2, 4), 6)
+    expected = {s: enumerate_levi_movable(flag, s, "via_iv") for s in (2, 3)}
+
+    def refuse(entry):
+        raise RuntimeError("the flattenings were read")
+
+    # a property on the class also hides flattenings already cached
+    monkeypatch.setattr(ClassEntry, "flats", property(refuse))
+    for s in (2, 3):
+        for method in ("via_i", "via_iii"):
+            assert enumerate_levi_movable(flag, s, method) == expected[s], (s, method)
+    # route iv is the one that reads them
+    with pytest.raises(RuntimeError, match="flattenings"):
+        enumerate_levi_movable(flag, 2, "via_iv")
 
 
 def test_enumerate_frozen_complete_three():
