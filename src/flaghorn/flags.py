@@ -87,8 +87,14 @@ class FlagType:
             prev = a
         # plain ints, so that an equal flag spelled with bools (cached by
         # equality, as by flag_table) prints the same
-        object.__setattr__(self, "steps", tuple(map(int, steps)))
-        object.__setattr__(self, "n", int(self.n))
+        steps, n = tuple(map(int, steps)), int(self.n)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "n", n)
+        # every lru_cache keyed by a flag type hashes it, so hash it once
+        object.__setattr__(self, "_hash", hash((steps, n)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def r(self) -> int:
@@ -214,21 +220,25 @@ def enumerate_minimal_reps(flag: FlagType) -> tuple[Perm, ...]:
 
     There are n! / (b_1! ... b_{r+1}!) of them.
 
+    Each block takes an ascending choice of the values the earlier blocks
+    left, in lexicographic order, and the last block takes all that are
+    left, so the recursion stops one block early.  The generator holds
+    only the current branch, so the result is the one large object.
+
     >>> enumerate_minimal_reps(FlagType((1,), 3))
     ((1, 2, 3), (2, 1, 3), (3, 1, 2))
     """
-    sizes = flag.block_sizes
-
     def fill(remaining: tuple[int, ...], sizes: tuple[int, ...]):
-        if not sizes:
-            yield ()
+        if len(sizes) == 1:
+            yield remaining
             return
         for head in combinations(remaining, sizes[0]):
-            rest = tuple(v for v in remaining if v not in set(head))
+            taken = set(head)
+            rest = tuple([v for v in remaining if v not in taken])
             for tail in fill(rest, sizes[1:]):
                 yield head + tail
 
-    return tuple(fill(tuple(range(1, flag.n + 1)), sizes))
+    return tuple(fill(tuple(range(1, flag.n + 1)), flag.block_sizes))
 
 
 @lru_cache(maxsize=None)

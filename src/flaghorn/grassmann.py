@@ -28,7 +28,6 @@ from .flags import (
     check_minimal_rep,
     flag_table,
     grassmannian_flag,
-    pair_grassmannian,
 )
 from .perm import Perm
 
@@ -341,7 +340,8 @@ def _condition_iii(entries: tuple[ClassEntry, ...], table: FlagTable) -> str | N
     Littlewood-Richardson arithmetic.  A pair with b_i == 1 or b_j == 1
     flattens onto a projective space, where the right degree alone hits
     the point class (see _product_to_point), so its partitions are never
-    read."""
+    read.  The witness names the pair Grassmannian as its flag type
+    prints, b_i/(b_i + b_j), without building one."""
     for k, (bi, bj) in enumerate(table.pair_sizes):
         if sum(e.pair_codims[k] for e in entries) != bi * bj or (
             min(bi, bj) > 1
@@ -352,7 +352,7 @@ def _condition_iii(entries: tuple[ClassEntry, ...], table: FlagTable) -> str | N
             i, j = table.pairs[k]
             return (
                 f"blocks ({i},{j}): flattened product misses the point class "
-                f"of {pair_grassmannian(table.flag, i, j)}"
+                f"of {bi}/{bi + bj}"
             )
     return None
 

@@ -39,7 +39,11 @@ from .flags import (
     flag_table,
 )
 from .grassmann import _condition_iii, _condition_iv, _product_to_point
-from .oracle import intersection_number, structure_constants_pair
+from .oracle import (
+    _intersection_number,
+    intersection_number,
+    structure_constants_pair,
+)
 from .perm import Perm
 
 __all__ = [
@@ -96,7 +100,7 @@ def condition_i_detail(
 def _condition_i(
     entries: tuple[ClassEntry, ...], flag: FlagType
 ) -> tuple[bool, int, str | None]:
-    coefficient = intersection_number(tuple(e.w for e in entries), flag)
+    coefficient = _intersection_number(tuple(e.w for e in entries), flag)
     if coefficient == 0:
         return False, 0, "intersection number is zero"
     witness = _grading_failure(entries, flag)
@@ -125,7 +129,7 @@ def _graded_verdict(
     the intersection number, None when the oracle did not run."""
     if _grading_failure(entries, flag) is not None:
         return False, None
-    coefficient = intersection_number(tuple(e.w for e in entries), flag)
+    coefficient = _intersection_number(tuple(e.w for e in entries), flag)
     return coefficient != 0, coefficient
 
 
@@ -281,7 +285,7 @@ def enumerate_levi_movable(
     for classes in candidates:
         entries = tuple(map(table.entry, classes))
         if method == "via_i":
-            coefficient = intersection_number(classes, flag)
+            coefficient = _intersection_number(classes, flag)
         elif method == "cross_check":
             coefficient = _cross_checked_coefficient(entries, table)
         elif decide(entries, table) is None:

@@ -328,7 +328,16 @@ def intersection_number(classes: tuple[Perm, ...], flag: FlagType) -> int:
     >>> intersection_number(((3, 1, 2), (3, 1, 2), (2, 3, 1)), flag)
     1
     """
-    classes = check_class_tuple(classes, flag)
+    return _intersection_number(check_class_tuple(classes, flag), flag)
+
+
+def _intersection_number(classes: tuple[Perm, ...], flag: FlagType) -> int:
+    """intersection_number with the classes unchecked: the packed product
+    for a tuple of valid class indices, as plain tuples of ints, whose
+    codimensions sum to the dimension of the manifold.  For callers
+    whose classes come from a table walk or from checked table entries;
+    anything else goes through intersection_number, which checks first.
+    """
     if not classes:
         return 1  # a flag type without steps: the manifold is a point
     *head, last = classes

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from collections.abc import Iterable, Sequence
+from itertools import repeat
 
 Perm = tuple[int, ...]
 
@@ -158,9 +159,13 @@ def flatten(w: Perm, positions: Iterable[int]) -> Perm:
 def _standardize(values: Sequence[int]) -> Perm:
     """The permutation of [len(values)] whose entries compare the same way
     as ``values``, which must be distinct; unchecked, for callers whose
-    values are distinct by construction."""
-    rank = {v: i for i, v in enumerate(sorted(values), start=1)}
-    return tuple(rank[v] for v in values)
+    values are distinct by construction.
+
+    The rank of a value is the number of values at most it, one bisect
+    into the sorted values; on distinct values that is its position in
+    the sorted order, counted from 1."""
+    ranks = sorted(values)
+    return tuple(map(bisect, repeat(ranks, len(values)), values))
 
 
 def lehmer_code(w: Perm) -> tuple[int, ...]:

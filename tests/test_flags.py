@@ -1,6 +1,9 @@
 """Flag types, class indexing, duality, projections, and reductions."""
 
+import copy
 import math
+import pickle
+from itertools import permutations
 
 import pytest
 
@@ -135,6 +138,27 @@ def test_enumerate_minimal_reps_invariants(n):
         lengths = [length(w) for w in reps]
         assert min(lengths) == 0
         assert max(lengths) == flag.dimension
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_enumerate_minimal_reps_matches_brute_force(n):
+    everything = list(permutations(range(1, n + 1)))
+    for flag in (FlagType((), n), *enumerate_flag_types(n)):
+        expected = tuple(w for w in everything if is_minimal_rep(w, flag))
+        assert enumerate_minimal_reps(flag) == expected, flag
+
+
+def test_flag_type_hash_is_cached_and_survives_copies():
+    spellings = [FlagType((True, 2), 3), FlagType.parse("1,2/3"), complete_flag(3)]
+    assert len({hash(f) for f in spellings}) == 1
+    assert len({id(flag_table(f)) for f in spellings}) == 1
+    flag = spellings[0]
+    assert flag.__hash__() == hash(((1, 2), 3))
+    for twin in (copy.copy(flag), pickle.loads(pickle.dumps(flag))):
+        assert twin == flag and hash(twin) == hash(flag)
+        assert vars(twin)["_hash"] == hash(flag)  # carried over, not recomputed
+        assert flag_table(twin) is flag_table(flag)
+    assert FlagType((2,), 4) != FlagType((1,), 4)
 
 
 def test_parabolic_longest():

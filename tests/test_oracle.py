@@ -185,6 +185,20 @@ def test_intersection_number_degree_mismatch():
         intersection_number(((3, 2, 1), (1, 2, 3)), grassmannian_flag(1, 3))
 
 
+def test_intersection_number_checks_then_calls_its_core(monkeypatch):
+    f3 = complete_flag(3)
+    with pytest.raises(ValueError, match="does not index a Schubert class"):
+        intersection_number(((3, 2, 1), (3, 2, 1)), FlagType((1,), 3))
+    with pytest.raises(ValueError, match="codimensions sum to 2, expected 3"):
+        intersection_number(((2, 3, 1), (2, 3, 1)), f3)
+    # a checked tuple goes to the one core, as plain tuples of ints
+    seen = []
+    monkeypatch.setattr(oracle, "_intersection_number", lambda c, f: seen.append(c) or 7)
+    assert intersection_number([[2.0, 3, 1], (2, True, 3)], f3) == 7
+    assert seen == [((2, 3, 1), (2, 1, 3))]
+    assert type(seen[0][0][0]) is int and type(seen[0][1][0]) is int
+
+
 @pytest.mark.parametrize("n", range(2, 5))
 def test_pair_products_match_duality(n):
     for flag in enumerate_flag_types(n):

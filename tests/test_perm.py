@@ -1,10 +1,12 @@
 """Permutation primitives: exhaustive small-n invariants and pinned values."""
 
+import random
 from itertools import combinations, permutations
 
 import pytest
 
 from flaghorn.perm import (
+    _standardize,
     check_permutation,
     compose,
     descent_set,
@@ -118,6 +120,22 @@ def test_flatten_rejects_bad_positions():
         flatten((2, 1, 3), (0, 2))
     with pytest.raises(ValueError):
         flatten((2, 1, 3), (2, 4))
+
+
+def _standardize_by_rank_dict(values):
+    rank = {v: i for i, v in enumerate(sorted(values), start=1)}
+    return tuple(rank[v] for v in values)
+
+
+def test_standardize_matches_the_rank_dict_definition():
+    for n in range(7):
+        for w in all_perms(n):
+            assert _standardize(w) == _standardize_by_rank_dict(w) == w
+    rng = random.Random(20261018)
+    for size in range(10):
+        for _ in range(200):
+            values = rng.sample(range(-50, 50), size)
+            assert _standardize(values) == _standardize_by_rank_dict(values), values
 
 
 def test_lehmer_code_pinned():

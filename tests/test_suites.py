@@ -3,7 +3,7 @@ runs them at full bounds)."""
 
 import pytest
 
-from flaghorn import suites
+from flaghorn import levi, suites
 from flaghorn.flags import FlagType
 from flaghorn.suites import (
     SUITES,
@@ -134,3 +134,26 @@ def test_duality_catches_a_wrong_dual(monkeypatch):
     result = run_duality(3)
     assert not result.passed
     assert "1,2/3: pairing of (1, 2, 3) with (3, 2, 1) gives 1, expected 0" in result.failures
+
+
+def test_suites_reach_the_oracle_core(monkeypatch):
+    """The suites and the oracle route of levi call the unchecked oracle
+    core; a core that is off by one must make the pairings and the
+    equivalence sweep fail."""
+    right = suites._intersection_number
+
+    def wrong(classes, flag):
+        return right(classes, flag) + 1
+
+    monkeypatch.setattr(suites, "_intersection_number", wrong)
+    monkeypatch.setattr(levi, "_intersection_number", wrong)
+    equivalence_rows.cache_clear()
+    try:
+        duality = run_duality(4)
+        thm1 = run_thm1(4)
+    finally:
+        equivalence_rows.cache_clear()
+    assert not duality.passed
+    assert "1/2: pairing of (1, 2) with (2, 1) gives 2, expected 1" in duality.failures
+    assert not thm1.passed
+    assert any("(i=True, iii=False, iv=False)" in f for f in thm1.failures)
