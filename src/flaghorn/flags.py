@@ -214,34 +214,18 @@ def check_class_tuple(classes, flag: FlagType) -> tuple[Perm, ...]:
     return tuple(e.w for e in flag_table(flag).class_tuple(classes))
 
 
-@lru_cache(maxsize=None)
 def enumerate_minimal_reps(flag: FlagType) -> tuple[Perm, ...]:
-    """All class indices for the flag type, in lexicographic order.
+    """All class indices for the flag type, in lexicographic order: the
+    ``reps`` of its class table.
 
     There are n! / (b_1! ... b_{r+1}!) of them.
-
-    Each block takes an ascending choice of the values the earlier blocks
-    left, in lexicographic order, and the last block takes all that are
-    left, so the recursion stops one block early.  The generator holds
-    only the current branch, so the result is the one large object.
 
     >>> enumerate_minimal_reps(FlagType((1,), 3))
     ((1, 2, 3), (2, 1, 3), (3, 1, 2))
     """
-    def fill(remaining: tuple[int, ...], sizes: tuple[int, ...]):
-        if len(sizes) == 1:
-            yield remaining
-            return
-        for head in combinations(remaining, sizes[0]):
-            taken = set(head)
-            rest = tuple([v for v in remaining if v not in taken])
-            for tail in fill(rest, sizes[1:]):
-                yield head + tail
-
-    return tuple(fill(tuple(range(1, flag.n + 1)), flag.block_sizes))
+    return flag_table(flag).reps
 
 
-@lru_cache(maxsize=None)
 def parabolic_longest(flag: FlagType) -> Perm:
     """The longest permutation that fixes every block, i.e. the one that
     reverses the values inside each block.
@@ -264,20 +248,17 @@ def dual(w: Perm, flag: FlagType) -> Perm:
     >>> dual((2, 4, 1, 3), FlagType((2,), 4))
     (1, 3, 2, 4)
     """
-    return _dual(check_minimal_rep(w, flag), flag)
+    return flag_table(flag).entry(w).dual
 
 
 def _dual(w: Perm, flag: FlagType) -> Perm:
-    """dual with w unchecked: (w0 * w * w_P)(i) = n + 1 - w(w_P(i)), with
-    the block reversal w_P computed once per flag type."""
-    top = flag.n + 1
-    return tuple(top - w[p - 1] for p in parabolic_longest(flag))
+    """dual with w unchecked, read from the class's table entry."""
+    return flag_table(flag)._entry(w).dual
 
 
 def codim(w: Perm, flag: FlagType) -> int:
     """Codimension of the class indexed by w: dimension(flag) - length(w)."""
-    w = check_minimal_rep(w, flag)
-    return flag.dimension - length(w)
+    return flag_table(flag).entry(w).codim
 
 
 def project_to_step(w: Perm, flag: FlagType, i: int) -> Perm:
@@ -289,7 +270,7 @@ def project_to_step(w: Perm, flag: FlagType, i: int) -> Perm:
     >>> project_to_step((3, 2, 1), FlagType((1, 2), 3), 2)
     (2, 3, 1)
     """
-    w = check_minimal_rep(w, flag)
+    w = flag_table(flag).entry(w).w
     if not 1 <= i <= flag.r:
         raise ValueError(f"step index {i} outside 1..{flag.r}")
     return _project_to_step(w, flag.steps[i - 1])
@@ -308,14 +289,10 @@ def projected_codim(w: Perm, flag: FlagType, i: int) -> int:
     >>> projected_codim((2, 3, 1), FlagType((1, 2), 3), 1)
     1
     """
-    w = check_minimal_rep(w, flag)
+    entry = flag_table(flag).entry(w)
     if not 1 <= i <= flag.r:
         raise ValueError(f"step index {i} outside 1..{flag.r}")
-    return _projected_codim(w, flag.steps[i - 1], flag.n)
-
-
-def _projected_codim(w: Perm, a: int, n: int) -> int:
-    return sum(n - a + j - w[j - 1] for j in range(1, a + 1))
+    return entry.projected_codims[i - 1]
 
 
 def flatten_pair(w: Perm, flag: FlagType, i: int, j: int) -> Perm:
@@ -326,7 +303,7 @@ def flatten_pair(w: Perm, flag: FlagType, i: int, j: int) -> Perm:
     >>> flatten_pair((2, 3, 1), FlagType((1, 2), 3), 1, 3)
     (2, 1)
     """
-    w = check_minimal_rep(w, flag)
+    w = flag_table(flag).entry(w).w
     if not 1 <= i < j <= flag.r + 1:
         raise ValueError(f"need 1 <= i < j <= {flag.r + 1}, got ({i}, {j})")
     return flatten(w, flag.block(i) + flag.block(j))
@@ -362,7 +339,7 @@ def restrict_to_fiber(w: Perm, flag: FlagType) -> Perm:
     >>> restrict_to_fiber((2, 3, 1), FlagType((1, 2), 3))
     (2, 1)
     """
-    w = check_minimal_rep(w, flag)
+    w = flag_table(flag).entry(w).w
     if flag.r < 1:
         raise ValueError("a point has no fiber reduction")
     return _restrict_to_fiber(w, flag.steps[0])
@@ -402,10 +379,21 @@ class ClassEntry:
         self.codim = codim
 
     @cached_property
+    def dual(self) -> Perm:
+        """The index of the Poincare dual class:
+        (w0 * w * w_P)(i) = n + 1 - w(w_P(i)), with the block reversal w_P
+        kept by the table."""
+        w, top = self.w, self.table.flag.n + 1
+        return tuple([top - w[p - 1] for p in self.table.block_reversal])
+
+    @cached_property
     def projected_codims(self) -> tuple[int, ...]:
-        """Codimension of the projection to each step a_1, ..., a_r."""
-        flag = self.table.flag
-        return tuple(_projected_codim(self.w, a, flag.n) for a in flag.steps)
+        """Codimension of the projection to each step a_1, ..., a_r: the
+        sum of n - a + j - w(j) over j = 1 .. a for the step a."""
+        w, flag = self.w, self.table.flag
+        return tuple(
+            sum(flag.n - a + j - w[j - 1] for j in range(1, a + 1)) for a in flag.steps
+        )
 
     @cached_property
     def flats(self) -> tuple[Perm, ...]:
@@ -487,12 +475,29 @@ class FlagTable:
         self.leaf_spaces = tuple(
             (b[k], flag.n - a) for k, a in enumerate(flag.bounds[:-2])
         )
+        self.block_reversal = parabolic_longest(flag)
         self._entries: dict[Perm, ClassEntry] = {}
 
     @cached_property
     def reps(self) -> tuple[Perm, ...]:
-        """Every class index, in lexicographic order."""
-        return enumerate_minimal_reps(self.flag)
+        """Every class index, in lexicographic order.
+
+        Each block takes an ascending choice of the values the earlier blocks
+        left, in lexicographic order, and the last block takes all that are
+        left, so the recursion stops one block early.  The generator holds
+        only the current branch, so the result is the one large object.
+        """
+        def fill(remaining: tuple[int, ...], sizes: tuple[int, ...]):
+            if len(sizes) == 1:
+                yield remaining
+                return
+            for head in combinations(remaining, sizes[0]):
+                taken = set(head)
+                rest = tuple([v for v in remaining if v not in taken])
+                for tail in fill(rest, sizes[1:]):
+                    yield head + tail
+
+        return tuple(fill(tuple(range(1, self.flag.n + 1)), self.flag.block_sizes))
 
     @cached_property
     def codims(self) -> tuple[int, ...]:
@@ -519,7 +524,9 @@ class FlagTable:
 
     def entry(self, w) -> ClassEntry:
         """The entry of the class indexed by w; ValueError if w does not
-        index a class of the flag type."""
+        index a class of the flag type.  Every public per-class function
+        takes its class through here, the one caller of check_minimal_rep,
+        so an index met before as a tuple is not checked again."""
         try:
             return self._entries[w]
         except (KeyError, TypeError):  # a class not seen yet, or an unhashable index
@@ -531,7 +538,11 @@ class FlagTable:
     def class_tuple(self, classes) -> tuple[ClassEntry, ...]:
         """Entries of a tuple of class indices whose codimensions sum to
         the dimension of the manifold; ValueError otherwise."""
-        entries = tuple(self.entry(w) for w in classes)
+        try:
+            indices = iter(classes)
+        except TypeError:
+            raise ValueError(f"not a sequence of class indices: {classes!r}") from None
+        entries = tuple(map(self.entry, indices))
         total = sum(e.codim for e in entries)
         if total != self.dimension:
             raise ValueError(

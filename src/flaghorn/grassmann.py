@@ -25,7 +25,6 @@ from .flags import (
     FlagTable,
     FlagType,
     _walk,
-    check_minimal_rep,
     flag_table,
     grassmannian_flag,
 )
@@ -135,7 +134,7 @@ def partition_from_perm(w: Perm, r: int, n: int) -> Partition:
     >>> partition_from_perm((2, 4, 1, 3), 2, 4)
     (1,)
     """
-    return _grassmannian_partition(check_minimal_rep(w, grassmannian_flag(r, n)), r, n)
+    return _grassmannian_partition(flag_table(grassmannian_flag(r, n)).entry(w).w, r, n)
 
 
 def _grassmannian_partition(w: Perm, r: int, n: int) -> Partition:
@@ -151,6 +150,8 @@ def perm_from_partition(p: Partition, r: int, n: int) -> Perm:
     (2, 4, 1, 3)
     """
     p = check_partition(p)
+    if not 0 <= r <= n:
+        raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
     if not fits_rectangle(p, r, n - r):
         raise ValueError(f"{p!r} does not fit inside {r} x {n - r}")
     padded = p + (0,) * (r - len(p))
@@ -248,6 +249,8 @@ def product_to_point(partitions: tuple[Partition, ...], r: int, n: int) -> int:
     >>> product_to_point(((1,),) * 4, 2, 4)
     2
     """
+    if not 0 <= r <= n:
+        raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
     cols = n - r
     parts = tuple(check_partition(p) for p in partitions)
     for p in parts:
@@ -305,12 +308,10 @@ def horn_inequality_holds(
         raise ValueError("class tuples must have the same length")
     if not 1 <= d < b_i:
         raise ValueError(f"need 1 <= d < {b_i}, got {d}")
-    big = grassmannian_flag(b_i, b_i + b_j)
-    small = grassmannian_flag(d, b_i)
-    for w, u in zip(tuple_w, tuple_u):
-        check_minimal_rep(w, big)
-        check_minimal_rep(u, small)
-    return _horn_holds(tuple_w, tuple_u, d, b_j)
+    big = flag_table(grassmannian_flag(b_i, b_i + b_j))
+    small = flag_table(grassmannian_flag(d, b_i))
+    pairs = [(big.entry(w).w, small.entry(u).w) for w, u in zip(tuple_w, tuple_u)]
+    return _horn_holds([w for w, _ in pairs], [u for _, u in pairs], d, b_j)
 
 
 def _horn_holds(

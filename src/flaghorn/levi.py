@@ -34,16 +34,10 @@ from .flags import (
     FlagType,
     _dual,
     _walk,
-    check_minimal_rep,
-    codim,
     flag_table,
 )
 from .grassmann import _condition_iii, _condition_iv, _product_to_point
-from .oracle import (
-    _intersection_number,
-    intersection_number,
-    structure_constants_pair,
-)
+from .oracle import _intersection_number, structure_constants_pair
 from .perm import Perm
 
 __all__ = [
@@ -133,16 +127,6 @@ def _graded_verdict(
     return coefficient != 0, coefficient
 
 
-def _check_agreement(
-    classes: tuple[Perm, ...], flag: FlagType, ok_i: bool, ok_iii: bool, ok_iv: bool
-) -> None:
-    if not ok_i == ok_iii == ok_iv:
-        raise RuntimeError(
-            f"movability conditions disagree on {classes!r} over {flag}: "
-            f"i={ok_i}, iii={ok_iii}, iv={ok_iv}"
-        )
-
-
 def check_condition_i(classes: tuple[Perm, ...], flag: FlagType) -> bool:
     """True if the oracle route accepts the tuple.
 
@@ -161,7 +145,8 @@ def is_levi_movable(
 ) -> MovabilityReport:
     """Decide Levi-movability by the requested route and report the
     evaluated conditions.  cross_check runs all three routes and raises
-    RuntimeError if they ever disagree.
+    RuntimeError if they ever disagree, or if a movable tuple's leaf
+    product differs from its oracle number.
 
     >>> from .flags import FlagType
     >>> is_levi_movable(((2, 3, 1), (2, 1, 3)), FlagType((1, 2), 3)).movable
@@ -169,39 +154,63 @@ def is_levi_movable(
     """
     table = flag_table(flag)
     entries = table.class_tuple(classes)
-    classes = tuple(e.w for e in entries)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
-    if method == "via_i":
-        ok, coefficient, witness = _condition_i(entries, flag)
-        return MovabilityReport(
-            classes, flag, method,
-            condition_i=ok, coefficient=coefficient, failing_witness=witness,
-        )
-    if method == "via_iii":
-        witness = _condition_iii(entries, table)
-        return MovabilityReport(
-            classes, flag, method,
-            condition_iii=witness is None, failing_witness=witness,
-        )
-    if method == "via_iv":
-        witness = _condition_iv(entries, table)
-        return MovabilityReport(
-            classes, flag, method,
-            condition_iv=witness is None, failing_witness=witness,
-        )
-    ok_i, coefficient, witness_i = _condition_i(entries, flag)
-    witness_iii = _condition_iii(entries, table)
-    witness_iv = _condition_iv(entries, table)
-    ok_iii = witness_iii is None
-    ok_iv = witness_iv is None
-    _check_agreement(classes, flag, ok_i, ok_iii, ok_iv)
+    ok_i, ok_iii, ok_iv, coefficient, witness = _evaluate(entries, table, method)
+    if method == "cross_check":
+        _cross_check(entries, table, ok_i, ok_iii, ok_iv, coefficient)
     return MovabilityReport(
-        classes, flag, method,
+        tuple(e.w for e in entries), flag, method,
         condition_i=ok_i, condition_iii=ok_iii, condition_iv=ok_iv,
-        coefficient=coefficient,
-        failing_witness=witness_i or witness_iii or witness_iv,
+        coefficient=coefficient, failing_witness=witness,
     )
+
+
+def _evaluate(
+    entries: tuple[ClassEntry, ...], table: FlagTable, method: str
+) -> tuple[bool | None, bool | None, bool | None, int | None, str | None]:
+    """The routes the method asks for on the checked entries of an
+    exact-degree tuple: (condition i, condition iii, condition iv,
+    intersection number, failing witness), None for what was not
+    evaluated.  Route i runs first, then iii and iv, and the witness is
+    the first failure met.  The verdicts are not compared here; see
+    _cross_check."""
+    ok_i = ok_iii = ok_iv = coefficient = witness = None
+    if method in ("via_i", "cross_check"):
+        ok_i, coefficient, witness = _condition_i(entries, table.flag)
+    if method in ("via_iii", "cross_check"):
+        failure = _condition_iii(entries, table)
+        ok_iii, witness = failure is None, witness or failure
+    if method in ("via_iv", "cross_check"):
+        failure = _condition_iv(entries, table)
+        ok_iv, witness = failure is None, witness or failure
+    return ok_i, ok_iii, ok_iv, coefficient, witness
+
+
+def _cross_check(
+    entries: tuple[ClassEntry, ...],
+    table: FlagTable,
+    ok_i: bool,
+    ok_iii: bool,
+    ok_iv: bool,
+    coefficient: int | None,
+) -> None:
+    """RuntimeError unless the three verdicts agree and, on a movable
+    tuple, the product of its Littlewood-Richardson leaves equals its
+    oracle number."""
+    classes, flag = tuple(e.w for e in entries), table.flag
+    if not ok_i == ok_iii == ok_iv:
+        raise RuntimeError(
+            f"movability conditions disagree on {classes!r} over {flag}: "
+            f"i={ok_i}, iii={ok_iii}, iv={ok_iv}"
+        )
+    if ok_i:
+        leaves = _leaf_product(entries, table)
+        if leaves != coefficient:
+            raise RuntimeError(
+                f"leaf product {leaves} disagrees with the oracle {coefficient} "
+                f"on {classes!r} over {flag}"
+            )
 
 
 def exact_degree_tuples(flag: FlagType, s: int) -> tuple[tuple[Perm, ...], ...]:
@@ -304,22 +313,14 @@ def enumerate_levi_movable(
 def _cross_checked_coefficient(entries: tuple[ClassEntry, ...], table: FlagTable) -> int:
     """The coefficient of an exact-degree tuple by all three routes, 0
     when it is not movable: RuntimeError if the verdicts disagree or a
-    movable tuple's leaf product differs from its oracle number."""
-    flag = table.flag
-    classes = tuple(e.w for e in entries)
-    movable, coefficient = _graded_verdict(entries, flag)
+    movable tuple's leaf product differs from its oracle number.  The
+    oracle route grades first (_graded_verdict), so the oracle runs only
+    on graded tuples."""
+    movable, coefficient = _graded_verdict(entries, table.flag)
     ok_iii = _condition_iii(entries, table) is None
     ok_iv = _condition_iv(entries, table) is None
-    _check_agreement(classes, flag, movable, ok_iii, ok_iv)
-    if not movable:
-        return 0
-    leaves = _leaf_product(entries, table)
-    if leaves != coefficient:
-        raise RuntimeError(
-            f"leaf product {leaves} disagrees with the oracle {coefficient} "
-            f"on {classes!r} over {flag}"
-        )
-    return coefficient
+    _cross_check(entries, table, movable, ok_iii, ok_iv, coefficient)
+    return coefficient if movable else 0
 
 
 def bk_structure_constant(w: Perm, u: Perm, v: Perm, flag: FlagType) -> int:
@@ -332,16 +333,15 @@ def bk_structure_constant(w: Perm, u: Perm, v: Perm, flag: FlagType) -> int:
     >>> bk_structure_constant((3, 1, 2), (3, 1, 2), (2, 1, 3), FlagType((1, 2), 3))
     0
     """
-    w = check_minimal_rep(w, flag)
-    u = check_minimal_rep(u, flag)
-    v = check_minimal_rep(v, flag)
-    if codim(w, flag) + codim(u, flag) != codim(v, flag):
+    table = flag_table(flag)
+    first, second, third = table.entry(w), table.entry(u), table.entry(v)
+    if first.codim + second.codim != third.codim:
         return 0
-    triple = (w, u, _dual(v, flag))
-    classical = intersection_number(triple, flag)
-    if classical == 0:
+    triple = (first, second, table._entry(third.dual))
+    classical = _intersection_number(tuple(e.w for e in triple), flag)
+    if classical == 0 or _condition_iii(triple, table) is not None:
         return 0
-    return classical if is_levi_movable(triple, flag).movable else 0
+    return classical
 
 
 def bk_product(w: Perm, u: Perm, flag: FlagType) -> dict[Perm, int]:
@@ -352,8 +352,8 @@ def bk_product(w: Perm, u: Perm, flag: FlagType) -> dict[Perm, int]:
     >>> bk_product((2, 3, 1), (3, 1, 2), FlagType((1, 2), 3))
     {}
     """
-    w = check_minimal_rep(w, flag)
-    u = check_minimal_rep(u, flag)
+    table = flag_table(flag)
+    w, u = table.entry(w).w, table.entry(u).w
     out = {}
     for v, c in structure_constants_pair(w, u, flag).items():
         if is_levi_movable((w, u, _dual(v, flag)), flag).movable:

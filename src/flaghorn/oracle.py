@@ -42,10 +42,10 @@ from .flags import (
     FlagType,
     _dual,
     check_class_tuple,
-    check_minimal_rep,
+    flag_table,
     is_minimal_rep,
 )
-from .perm import Perm, length, pad, perm_from_lehmer, trim
+from .perm import Perm, check_permutation, length, pad, perm_from_lehmer, trim
 from .poly import Monomial, SparsePolynomial, _order_key, divided_difference
 
 __all__ = [
@@ -81,7 +81,7 @@ def schubert_polynomial(w: Perm) -> SparsePolynomial:
     >>> str(schubert_polynomial((1, 3, 2)))
     'x2 + x1'
     """
-    return _schubert_trimmed(trim(w))
+    return _schubert_trimmed(trim(check_permutation(w)))
 
 
 def expand_in_schubert_basis(p: SparsePolynomial) -> dict[Perm, int]:
@@ -122,6 +122,7 @@ def monk_expansion(w: Perm, r: int) -> dict[Perm, int]:
     >>> monk_expansion((2, 1, 3), 1)
     {(3, 1, 2): 1}
     """
+    w = check_permutation(w)
     if r < 1:
         raise ValueError("the column index r must be at least 1")
     m = max(len(w), r) + 1
@@ -164,9 +165,9 @@ def structure_constants_pair(w: Perm, u: Perm, flag: FlagType) -> dict[Perm, int
     >>> sorted(result.items())
     [((1, 4, 2, 3), 1), ((2, 3, 1, 4), 1)]
     """
-    w = check_minimal_rep(w, flag)
-    u = check_minimal_rep(u, flag)
-    product = schubert_polynomial(_dual(w, flag)) * schubert_polynomial(_dual(u, flag))
+    table = flag_table(flag)
+    first, second = table.entry(w), table.entry(u)
+    product = schubert_polynomial(first.dual) * schubert_polynomial(second.dual)
     expansion = _discard_outside(expand_in_schubert_basis(product), flag)
     return {_dual(pad(v, flag.n), flag): c for v, c in expansion.items()}
 
@@ -179,73 +180,82 @@ def _sign(mono: Monomial) -> int:
     return -1 if ascents % 2 else 1
 
 
-@lru_cache(maxsize=None)
-def _packing(flag: FlagType) -> tuple[int, int, tuple[tuple[int, int], ...], int]:
-    """The packed layout of intersection_number on the flag type:
-    (field width, guard mask, thresholds, packed x^delta_P).
+class _Memo(dict):
+    """A dict that computes a missing value from its key on the first
+    lookup and keeps it."""
+
+    def __init__(self, compute) -> None:
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
+class _Layout:
+    """The packed layout of intersection_number on one flag type, with
+    the memos that depend on it.
 
     A monomial in x1..x_k, k = a_r, is the integer with the exponent of
-    x_i in the field of bits (i-1)*width .. i*width - 1.  The top bit of
-    each field, top = 2^(width-1) >= 2n, is its guard bit.  There is one
-    threshold (K_v, n - v) for each v from n down to b+1, b the size of
-    the last block, where K_v holds top - v in every field; the large v
-    come first because they cut the most monomials.
+    x_i in the field of bits (i-1)*width .. i*width - 1 (``shifts`` holds
+    the lowest bit of each field, ``mask`` a field's bits).  The top bit
+    of each field, top = 2^(width-1) >= 2n, is its guard bit (``guard``
+    holds them all).  There is one threshold (K_v, n - v) for each v from
+    n down to b+1, b the size of the last block, where K_v holds top - v
+    in every field; the large v come first because they cut the most
+    monomials.  ``start`` is the packed x^delta_P.
+
+    ``reps`` maps a class index to the terms (packed monomial,
+    coefficient) of the representative of its dual, and ``signs`` a
+    packed full-degree monomial to its antisymmetrizer sign, 0 unless it
+    rearranges the staircase.  Both start empty and compute an entry on
+    its first lookup, so a later one is a plain dict subscript.
     """
-    n = flag.n
-    k = n - flag.block_sizes[-1]
-    width = (2 * n - 1).bit_length() + 1
-    top = 1 << (width - 1)
-    fields = range(0, k * width, width)
-    guard = sum(top << f for f in fields)
-    thresholds = tuple(
-        (sum((top - v) << f for f in fields), n - v) for v in range(n, n - k, -1)
-    )
-    staircase = (e for b in flag.block_sizes[:-1] for e in range(b - 1, -1, -1))
-    return width, guard, thresholds, sum(e << f for e, f in zip(staircase, fields))
-
-
-@lru_cache(maxsize=None)
-def _packed_rep(w: Perm, flag: FlagType) -> tuple[tuple[int, int], ...]:
-    """The terms (packed monomial, coefficient) of the representative of
-    dual(w) in the layout of _packing; RuntimeError if a term involves
-    the last block's variables or has an exponent of n or more."""
-    n = flag.n
-    k = n - flag.block_sizes[-1]
-    width = _packing(flag)[0]
-    shifts = range(0, k * width, width)
-    packed = []
-    for mono, c in schubert_polynomial(_dual(w, flag)).terms.items():
-        if any(mono[k:]) or max(mono, default=0) >= n:
-            raise RuntimeError(
-                f"representative term {mono!r} for {w!r} on {flag} is not "
-                f"in x1..x{k} with exponents below {n}"
-            )
-        packed.append((sum(map(lshift, mono, shifts)), c))
-    return tuple(packed)
-
-
-class _SignMemo(dict):
-    """Packed full-degree monomial -> its antisymmetrizer sign, 0 unless
-    it rearranges the staircase; an entry is computed on its first lookup."""
 
     def __init__(self, flag: FlagType) -> None:
-        super().__init__()
-        width, self.guard, self.thresholds, _ = _packing(flag)
+        n = flag.n
+        self.flag = flag
+        self.k = k = n - flag.block_sizes[-1]
+        width = (2 * n - 1).bit_length() + 1
+        top = 1 << (width - 1)
         self.mask = (1 << width) - 1
-        self.shifts = range(0, (flag.n - flag.block_sizes[-1]) * width, width)
+        self.shifts = fields = range(0, k * width, width)
+        self.guard = sum(top << f for f in fields)
+        self.thresholds = tuple(
+            (sum((top - v) << f for f in fields), n - v) for v in range(n, n - k, -1)
+        )
+        staircase = (e for b in flag.block_sizes[:-1] for e in range(b - 1, -1, -1))
+        self.start = sum(map(lshift, staircase, fields))
+        self.reps = _Memo(self._pack)
+        self.signs = _Memo(self._sign_of)
 
-    def __missing__(self, m: int) -> int:
-        sign = 0
+    def _pack(self, w: Perm) -> tuple[tuple[int, int], ...]:
+        """The packed representative of dual(w); RuntimeError if a term
+        involves the last block's variables or has an exponent of n or
+        more."""
+        flag, k = self.flag, self.k
+        packed = []
+        for mono, c in schubert_polynomial(_dual(w, flag)).terms.items():
+            if any(mono[k:]) or max(mono, default=0) >= flag.n:
+                raise RuntimeError(
+                    f"representative term {mono!r} for {w!r} on {flag} is not "
+                    f"in x1..x{k} with exponents below {flag.n}"
+                )
+            packed.append((sum(map(lshift, mono, self.shifts)), c))
+        return tuple(packed)
+
+    def _sign_of(self, m: int) -> int:
+        """The sign of m read by the thresholds first, then by _sign."""
         if all(((m + K) & self.guard).bit_count() <= cap for K, cap in self.thresholds):
-            sign = _sign(tuple((m >> f) & self.mask for f in self.shifts))
-        self[m] = sign
-        return sign
+            return _sign(tuple((m >> f) & self.mask for f in self.shifts))
+        return 0
 
 
 @lru_cache(maxsize=None)
-def _signs(flag: FlagType) -> dict[int, int]:
-    """The flag type's memo of antisymmetrizer signs; starts empty."""
-    return _SignMemo(flag)
+def _layout(flag: FlagType) -> _Layout:
+    """The flag type's packed layout and its memos, built once."""
+    return _Layout(flag)
 
 
 def intersection_number(classes: tuple[Perm, ...], flag: FlagType) -> int:
@@ -291,7 +301,7 @@ def intersection_number(classes: tuple[Perm, ...], flag: FlagType) -> int:
       exceed none of the others, so they add no ascent to the sign, and a
       is a rearrangement of delta exactly when its first k exponents
       rearrange (n-1, ..., b).
-    * Each monomial in x1..x_k is packed into one integer (_packing),
+    * Each monomial in x1..x_k is packed into one integer (_Layout),
       so multiplying two monomials is adding two integers.  A field of
       `width` bits holds exponents up to 2^(width-1) - 1 >= 2n - 1 below
       its guard bit: a kept monomial and a factor term each have
@@ -299,7 +309,7 @@ def intersection_number(classes: tuple[Perm, ...], flag: FlagType) -> int:
       carries into the next field.  A factor term in a variable past x_k,
       or with an exponent of n or more, cannot be packed and raises
       RuntimeError.  Each class's packed representative is built and
-      checked once per flag type (_packed_rep).
+      checked once per flag type (_Layout.reps).
     * The product of all but the last factor is built one factor at a
       time, and after each factor every monomial that no longer lies
       below a rearrangement of (n-1, ..., b) is dropped: later factors
@@ -314,7 +324,7 @@ def intersection_number(classes: tuple[Perm, ...], flag: FlagType) -> int:
       kept monomial and a last-factor term has full degree, where only
       the rearrangements pass the thresholds, so the pair adds
       sgn(a + b) * c * d, with sgn 0 off the rearrangements.  The signs
-      come from a per-flag memo (_signs) that starts empty and is filled
+      come from a per-flag memo (_Layout.signs) that starts empty and is filled
       on each first lookup, by the thresholds and then _sign; it holds
       only the full-degree monomials met, never a table of all the
       rearrangements.  This is the same antisymmetrizer sum, reordered:
@@ -341,10 +351,11 @@ def _intersection_number(classes: tuple[Perm, ...], flag: FlagType) -> int:
     if not classes:
         return 1  # a flag type without steps: the manifold is a point
     *head, last = classes
-    _, guard, thresholds, start = _packing(flag)
-    terms: dict[int, int] = {start: 1}
+    layout = _layout(flag)
+    guard, thresholds, reps = layout.guard, layout.thresholds, layout.reps
+    terms: dict[int, int] = {layout.start: 1}
     for w in head:
-        factor = _packed_rep(w, flag)
+        factor = reps[w]
         product: dict[int, int] = {}
         get = product.get
         for a, c in terms.items():
@@ -358,8 +369,8 @@ def _intersection_number(classes: tuple[Perm, ...], flag: FlagType) -> int:
                     break
             else:
                 terms[m] = c
-    signs = _signs(flag)
-    factor = _packed_rep(last, flag)
+    signs = layout.signs
+    factor = reps[last]
     total = 0
     for a, c in terms.items():
         for b, d in factor:

@@ -52,8 +52,12 @@ def is_permutation(values: Sequence[int]) -> bool:
 
 def check_permutation(values: Sequence[int]) -> Perm:
     """Return ``values`` as a tuple, raising ValueError if not a permutation."""
-    w = tuple(values)
-    if not is_permutation(w):
+    try:
+        w = tuple(values)
+        valid = is_permutation(w)
+    except TypeError:  # not iterable, or entries that do not compare with ints
+        raise ValueError(f"not a permutation: {values!r}") from None
+    if not valid:
         raise ValueError(f"not a permutation of 1..{len(w)}: {w!r}")
     return w
 

@@ -38,14 +38,9 @@ from .flags import (
     flag_table,
     grassmannian_flag,
 )
-from .grassmann import (
-    _condition_iii,
-    _condition_iv,
-    partition_from_perm,
-    product_to_point,
-)
-from .levi import _condition_i, exact_degree_tuples
-from .oracle import _intersection_number, intersection_number
+from .grassmann import partition_from_perm, product_to_point
+from .levi import _evaluate, exact_degree_tuples
+from .oracle import _Memo, _intersection_number, intersection_number
 from .perm import Perm, _standardize, flatten, length
 
 __all__ = [
@@ -108,16 +103,13 @@ def equivalence_rows(
     (classes, oracle route verdict, pairwise point-product verdict,
     inequality-system verdict, intersection number).  The walked classes
     are valid by construction, so the routes read their table entries
-    unchecked."""
+    unchecked, through the one route evaluator of levi without its
+    agreement test: disagreements are what the thm1 suite reports."""
     table = flag_table(flag)
-    rows = []
-    for classes in exact_degree_tuples(flag, s):
-        entries = tuple(map(table._entry, classes))
-        ok_i, coefficient, _ = _condition_i(entries, flag)
-        ok_iii = _condition_iii(entries, table) is None
-        ok_iv = _condition_iv(entries, table) is None
-        rows.append((classes, ok_i, ok_iii, ok_iv, coefficient))
-    return tuple(rows)
+    return tuple(
+        (classes, *_evaluate(tuple(map(table._entry, classes)), table, "cross_check")[:4])
+        for classes in exact_degree_tuples(flag, s)
+    )
 
 
 def _sweep_flags(max_n: int | None) -> tuple[FlagType, ...]:
@@ -240,19 +232,6 @@ def run_thm2(max_n: int | None = None) -> SuiteResult:
             f"reductions verified"
         )
     return _finish(result, sum(per_flag.values()), "movable tuples", max_n)
-
-
-class _Memo(dict):
-    """A dict that computes a missing value from its key on the first
-    lookup and keeps it."""
-
-    def __init__(self, compute) -> None:
-        super().__init__()
-        self.compute = compute
-
-    def __missing__(self, key):
-        value = self[key] = self.compute(key)
-        return value
 
 
 def _length_memos() -> tuple[_Memo, _Memo]:

@@ -7,6 +7,7 @@ from itertools import permutations
 
 import pytest
 
+from flaghorn import flags
 from flaghorn.flags import (
     FlagType,
     _dual,
@@ -33,7 +34,8 @@ from flaghorn.flags import (
 )
 from flaghorn.grassmann import _grassmannian_partition, partition_from_perm
 from flaghorn.levi import is_levi_movable
-from flaghorn.perm import _standardize, identity, length, longest_element
+from flaghorn.oracle import intersection_number
+from flaghorn.perm import _standardize, compose, identity, length, longest_element
 
 
 def test_flag_type_validation():
@@ -165,6 +167,96 @@ def test_parabolic_longest():
     assert parabolic_longest(complete_flag(4)) == identity(4)
     assert parabolic_longest(FlagType((2,), 4)) == (2, 1, 4, 3)
     assert parabolic_longest(FlagType((), 3)) == longest_element(3)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_entry_dual_is_w0_w_wp(n):
+    for flag in enumerate_flag_types(n):
+        table = flag_table(flag)
+        for entry in table.entries:
+            expected = compose(longest_element(n), compose(entry.w, parabolic_longest(flag)))
+            assert entry.dual == expected, (str(flag), entry.w)
+            assert table.entry(entry.dual).dual == entry.w
+            assert entry.codim + table.entry(entry.dual).codim == flag.dimension
+
+
+def test_enumerate_minimal_reps_is_the_table_reps():
+    for flag in (*enumerate_flag_types(4), FlagType((), 3)):
+        assert enumerate_minimal_reps(flag) is flag_table(flag).reps
+
+
+def _plain(value):
+    """True if every number inside value is a plain int."""
+    if isinstance(value, tuple):
+        return all(map(_plain, value))
+    return type(value) is int
+
+
+@pytest.mark.parametrize("spelled, w", [([3.0, 1, 2], (3, 1, 2)), ((True, 2, 3), (1, 2, 3))])
+def test_per_class_results_are_plain_ints(spelled, w):
+    # the first spelling of a class fills its entry, so start from a cold
+    # table, and leave none behind that a later test might read
+    flag = FlagType((1,), 3)
+
+    def results(v):
+        return (
+            dual(v, flag),
+            project_to_step(v, flag, 1),
+            restrict_to_fiber(v, flag),
+            flatten_pair(v, flag, 1, 2),
+            codim(v, flag),
+            projected_codim(v, flag, 1),
+            partition_from_perm(v, 1, 3),
+        )
+
+    flag_table.cache_clear()
+    try:
+        got = results(spelled)
+    finally:
+        flag_table.cache_clear()
+    assert _plain(got), got
+    assert got == results(w)
+
+
+def test_per_class_functions_check_a_class_once(monkeypatch):
+    flag = FlagType((1, 2), 4)
+    calls = []
+    check = flags.check_minimal_rep
+
+    def counted(w, f):
+        calls.append(w)
+        return check(w, f)
+
+    monkeypatch.setattr(flags, "check_minimal_rep", counted)
+    flag_table.cache_clear()
+    try:
+        for _ in range(3):
+            w = (3, 1, 2, 4)
+            dual(w, flag)
+            codim(w, flag)
+            project_to_step(w, flag, 2)
+            projected_codim(w, flag, 1)
+            flatten_pair(w, flag, 1, 3)
+            restrict_to_fiber(w, flag)
+    finally:
+        flag_table.cache_clear()
+    assert calls == [(3, 1, 2, 4)]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: check_class_tuple(None, f),
+        lambda f: check_class_tuple([(1, 2, 3), None], f),
+        lambda f: intersection_number([5], f),
+        lambda f: dual(None, f),
+        lambda f: codim(7, f),
+    ],
+    ids=["tuple None", "class None", "class 5", "dual None", "codim 7"],
+)
+def test_a_class_that_is_not_a_sequence_is_a_value_error(call):
+    with pytest.raises(ValueError):
+        call(FlagType((1,), 3))
 
 
 def test_dual_pinned():

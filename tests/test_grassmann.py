@@ -116,6 +116,16 @@ def test_partition_pinned_values():
         partition_from_perm((2, 1, 3, 4), 2, 4)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda: perm_from_partition((), 3, 2), lambda: product_to_point(((),), 3, 2)],
+    ids=["perm_from_partition", "product_to_point"],
+)
+def test_a_rectangle_with_r_outside_0_to_n_is_a_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 def add_one_box(p, rows, cols):
     """Independent Pieri rule for a single box."""
     out = []

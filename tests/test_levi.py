@@ -239,6 +239,13 @@ def test_a_wrong_leaf_product_is_caught(monkeypatch):
         enumerate_levi_movable(flag, 2)
 
 
+def test_check_cross_check_compares_the_leaf_product(monkeypatch):
+    leaf_product = levi._leaf_product
+    monkeypatch.setattr(levi, "_leaf_product", lambda *args: leaf_product(*args) + 1)
+    with pytest.raises(RuntimeError, match="leaf product"):
+        is_levi_movable(MOVABLE_PAIR, F3, "cross_check")
+
+
 def test_wrong_leaf_partitions_are_caught(monkeypatch):
     # a property on the class shadows the values cached on the entries
     monkeypatch.setattr(

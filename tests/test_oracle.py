@@ -226,12 +226,12 @@ def test_intersection_number_matches_the_expansion_route():
 
 @pytest.fixture
 def fresh_packed_reps():
-    # packed representatives are cached per (class, flag): drop them before
-    # a representative is patched, and again afterwards so that no patched
-    # entry reaches a later test
-    oracle._packed_rep.cache_clear()
+    # packed representatives are cached in each flag's layout: drop the
+    # layouts before a representative is patched, and again afterwards so
+    # that no patched entry reaches a later test
+    oracle._layout.cache_clear()
     yield
-    oracle._packed_rep.cache_clear()
+    oracle._layout.cache_clear()
 
 
 def test_negative_representative_raises(fresh_packed_reps, monkeypatch):
@@ -354,10 +354,24 @@ def test_unpackable_representative_raises(fresh_packed_reps, monkeypatch, mutati
         intersection_number((w, dual(w, flag)), flag)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: schubert_polynomial((1, 1)),
+        lambda: schubert_polynomial((0, 1)),
+        lambda: monk_expansion((1, 1), 1),
+    ],
+    ids=["schubert (1,1)", "schubert (0,1)", "monk (1,1)"],
+)
+def test_a_non_permutation_is_a_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_point_against_fundamental_signs_one_monomial():
     # the last factor's signs are filled on demand, never as a table of
     # all n! rearrangements of the staircase
     flag = complete_flag(10)
-    oracle._signs.cache_clear()
+    oracle._layout.cache_clear()
     assert intersection_number((identity(10), longest_element(10)), flag) == 1
-    assert len(oracle._signs(flag)) <= 1
+    assert len(oracle._layout(flag).signs) <= 1

@@ -117,7 +117,7 @@ def test_lengths_memo_lives_for_one_run(monkeypatch):
 def test_thm1_catches_a_wrong_route(monkeypatch):
     """The sweep reads the unchecked routes; a pairwise route that passes
     every tuple must make the conditions disagree."""
-    monkeypatch.setattr(suites, "_condition_iii", lambda entries, table: None)
+    monkeypatch.setattr(levi, "_condition_iii", lambda entries, table: None)
     equivalence_rows.cache_clear()
     try:
         result = run_thm1(3)
