@@ -526,10 +526,12 @@ class FlagTable:
         """The entry of the class indexed by w; ValueError if w does not
         index a class of the flag type.  Every public per-class function
         takes its class through here, the one caller of check_minimal_rep,
-        so an index met before as a tuple is not checked again."""
+        so an index met before is not checked again, whatever sequence
+        spells it."""
         try:
+            w = tuple(w)
             return self._entries[w]
-        except (KeyError, TypeError):  # a class not seen yet, or an unhashable index
+        except (KeyError, TypeError):  # a class not seen yet, or not a sequence
             pass
         # every later caller gets this tuple back, so it holds plain ints
         # even when the first caller passed equal floats or bools
@@ -561,6 +563,10 @@ def flag_table(flag: FlagType) -> FlagTable:
     >>> table.entry((2, 1, 3)).pair_partitions
     ((1,),)
     """
+    # the per-class and tuple functions take their flag through here, and
+    # a flag type that passes is kept, so it is checked once
+    if not isinstance(flag, FlagType):
+        raise ValueError(f"not a flag type: {flag!r}")
     return FlagTable(flag)
 
 

@@ -269,6 +269,12 @@ def _product_to_point(parts: tuple[Partition, ...], r: int, n: int) -> int:
     Otherwise the first partition starts the product and the last one
     finishes it by duality: the point coefficient of sigma_nu * sigma_p
     is 1 when p is the complement of nu in the rectangle and 0 otherwise.
+    So the point coefficient of sigma_nu * sigma_q * sigma_p is the
+    coefficient of the complement of p in sigma_nu * sigma_q, one
+    Littlewood-Richardson coefficient: with three or more partitions,
+    only those strictly between the first and the last two are expanded,
+    and each term nu of that product adds its multiplicity times
+    lr_coefficient(nu, q, complement of p).
     """
     cols = n - r
     if sum(sum(p) for p in parts) != r * cols:
@@ -277,15 +283,19 @@ def _product_to_point(parts: tuple[Partition, ...], r: int, n: int) -> int:
         # no parts of an empty rectangle, the rectangle itself, or a
         # projective space of the right degree
         return 1
+    padded = parts[-1] + (0,) * (r - len(parts[-1]))
+    complement = tuple(cols - x for x in reversed(padded) if x < cols)
+    if len(parts) == 2:
+        return int(parts[0] == complement)
     acc: dict[Partition, int] = {parts[0]: 1}
-    for p in parts[1:-1]:
+    for p in parts[1:-2]:
         nxt: dict[Partition, int] = {}
         for nu, c in acc.items():
             for kappa, c2 in lr_expand(nu, p, r, cols).items():
                 nxt[kappa] = nxt.get(kappa, 0) + c * c2
         acc = nxt
-    padded = parts[-1] + (0,) * (r - len(parts[-1]))
-    return acc.get(tuple(cols - x for x in reversed(padded) if x < cols), 0)
+    q = parts[-2]
+    return sum(c * lr_coefficient(nu, q, complement) for nu, c in acc.items())
 
 
 def horn_inequality_holds(

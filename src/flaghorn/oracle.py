@@ -9,7 +9,10 @@ same way.  This is the only place the two conventions meet.
 
 The representative of the codimension index v is the classic polynomial
 obtained from the staircase monomial x1^(m-1) * x2^(m-2) * ... of the
-longest permutation by divided differences.
+longest permutation by divided differences.  They are taken on packed
+integers, one field of bits per variable (_schubert_trimmed): the
+oracle reads the packed terms directly, and schubert_polynomial unpacks
+the same terms into a SparsePolynomial.
 
 Intersection numbers come from one product of representatives, pruned as
 it grows, and the antisymmetrizer formula for the top divided difference
@@ -46,7 +49,7 @@ from .flags import (
     is_minimal_rep,
 )
 from .perm import Perm, check_permutation, length, pad, perm_from_lehmer, trim
-from .poly import Monomial, SparsePolynomial, _order_key, divided_difference
+from .poly import Monomial, SparsePolynomial, _order_key
 
 __all__ = [
     "schubert_polynomial",
@@ -57,16 +60,71 @@ __all__ = [
 ]
 
 
+def _width(n: int) -> int:
+    """The field width of a packed monomial on C^n: room for exponents up
+    to 2n - 1 below a guard bit on top."""
+    return (2 * n - 1).bit_length() + 1
+
+
 @lru_cache(maxsize=None)
-def _schubert_trimmed(w: Perm) -> SparsePolynomial:
+def _schubert_trimmed(w: Perm, width: int) -> dict[int, int]:
+    """The terms of the representative of w, packed: the exponent of x_i
+    sits in the field of bits (i-1)*width .. i*width - 1.
+
+    The representative of the permutation of S_m without an ascent, the
+    longest one, is the staircase x1^(m-1) * x2^(m-2) * ...  Any other w
+    has a first ascent i, and its representative is the divided
+    difference d_i of that of w with positions i and i+1 swapped, one
+    inversion longer.  On packed terms, d_i sends x_i^a * x_(i+1)^b with
+    a > b to the a - b monomials x_i^k * x_(i+1)^(a+b-1-k), k = b .. a-1:
+    the first has b on x_i and a - 1 on x_(i+1), and each next one is
+    step = 2^s_i - 2^s_(i+1) past the last, s_i the lowest bit of the
+    field of x_i.  a < b gives minus the same run with a and b exchanged,
+    and a = b nothing.  No exponent grows, so no field carries.  Terms
+    that cancel are dropped.
+    """
     m = len(w)
-    if m <= 1:
-        return SparsePolynomial.one()
-    if length(w) == m * (m - 1) // 2:
-        return SparsePolynomial.monomial(tuple(range(m - 1, 0, -1)))
-    i = next(k for k in range(1, m) if w[k - 1] < w[k])
+    i = next((k for k in range(1, m) if w[k - 1] < w[k]), 0)
+    if not i:
+        return {sum(e << (j * width) for j, e in enumerate(range(m - 1, -1, -1))): 1}
     longer = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
-    return divided_difference(_schubert_trimmed(longer), i)
+    low = (i - 1) * width
+    high = low + width
+    mask = (1 << width) - 1
+    step = (1 << low) - (1 << high)
+    out: dict[int, int] = {}
+    get = out.get
+    for mono, c in _schubert_trimmed(longer, width).items():
+        a, b = mono >> low & mask, mono >> high & mask
+        if a == b:
+            continue
+        key = mono - (a << low) - (b << high)
+        if a < b:
+            a, b, c = b, a, -c
+        key += (b << low) + ((a - 1) << high)
+        for _ in range(a - b):
+            out[key] = get(key, 0) + c
+            key += step
+    return {mono: c for mono, c in out.items() if c}
+
+
+def _unpack(mono: int, width: int) -> Monomial:
+    """The exponent tuple of a packed monomial, trailing zeros trimmed."""
+    mask = (1 << width) - 1
+    out = []
+    while mono:
+        out.append(mono & mask)
+        mono >>= width
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _schubert_polynomial(w: Perm) -> SparsePolynomial:
+    """schubert_polynomial on a trimmed permutation, unpacked from
+    _schubert_trimmed."""
+    width = _width(len(w))
+    terms = _schubert_trimmed(w, width)
+    return SparsePolynomial._wrap({_unpack(mono, width): c for mono, c in terms.items()})
 
 
 def schubert_polynomial(w: Perm) -> SparsePolynomial:
@@ -81,7 +139,7 @@ def schubert_polynomial(w: Perm) -> SparsePolynomial:
     >>> str(schubert_polynomial((1, 3, 2)))
     'x2 + x1'
     """
-    return _schubert_trimmed(trim(check_permutation(w)))
+    return _schubert_polynomial(trim(check_permutation(w)))
 
 
 def expand_in_schubert_basis(p: SparsePolynomial) -> dict[Perm, int]:
@@ -204,10 +262,12 @@ class _Layout:
     holds them all).  There is one threshold (K_v, n - v) for each v from
     n down to b+1, b the size of the last block, where K_v holds top - v
     in every field; the large v come first because they cut the most
-    monomials.  ``start`` is the packed x^delta_P.
+    monomials.  ``over_n`` is K_n, which also catches an exponent of n or
+    more in a representative.  ``start`` is the packed x^delta_P.
 
     ``reps`` maps a class index to the terms (packed monomial,
-    coefficient) of the representative of its dual, and ``signs`` a
+    coefficient) of the representative of its dual, packed by
+    _schubert_trimmed at this width and checked once, and ``signs`` a
     packed full-degree monomial to its antisymmetrizer sign, 0 unless it
     rearranges the staircase.  Both start empty and compute an entry on
     its first lookup, so a later one is a plain dict subscript.
@@ -217,7 +277,7 @@ class _Layout:
         n = flag.n
         self.flag = flag
         self.k = k = n - flag.block_sizes[-1]
-        width = (2 * n - 1).bit_length() + 1
+        self.width = width = _width(n)
         top = 1 << (width - 1)
         self.mask = (1 << width) - 1
         self.shifts = fields = range(0, k * width, width)
@@ -225,25 +285,27 @@ class _Layout:
         self.thresholds = tuple(
             (sum((top - v) << f for f in fields), n - v) for v in range(n, n - k, -1)
         )
+        self.over_n = sum((top - n) << f for f in fields)
         staircase = (e for b in flag.block_sizes[:-1] for e in range(b - 1, -1, -1))
         self.start = sum(map(lshift, staircase, fields))
         self.reps = _Memo(self._pack)
         self.signs = _Memo(self._sign_of)
 
     def _pack(self, w: Perm) -> tuple[tuple[int, int], ...]:
-        """The packed representative of dual(w); RuntimeError if a term
-        involves the last block's variables or has an exponent of n or
-        more."""
-        flag, k = self.flag, self.k
-        packed = []
-        for mono, c in schubert_polynomial(_dual(w, flag)).terms.items():
-            if any(mono[k:]) or max(mono, default=0) >= flag.n:
+        """The packed representative of dual(w), read from _schubert_trimmed
+        at the layout's width; RuntimeError if a term involves a variable
+        past x_k (a bit at or above k * width) or has an exponent of n or
+        more (a guard bit set in the term, or in the term plus top - n in
+        every field)."""
+        flag, k, width, guard, over_n = self.flag, self.k, self.width, self.guard, self.over_n
+        terms = _schubert_trimmed(trim(_dual(w, flag)), width)
+        for mono in terms:
+            if mono >> (k * width) or (mono | mono + over_n) & guard:
                 raise RuntimeError(
-                    f"representative term {mono!r} for {w!r} on {flag} is not "
-                    f"in x1..x{k} with exponents below {flag.n}"
+                    f"representative term {_unpack(mono, width)!r} for {w!r} on "
+                    f"{flag} is not in x1..x{k} with exponents below {flag.n}"
                 )
-            packed.append((sum(map(lshift, mono, self.shifts)), c))
-        return tuple(packed)
+        return tuple(terms.items())
 
     def _sign_of(self, m: int) -> int:
         """The sign of m read by the thresholds first, then by _sign."""
@@ -306,10 +368,13 @@ def intersection_number(classes: tuple[Perm, ...], flag: FlagType) -> int:
       `width` bits holds exponents up to 2^(width-1) - 1 >= 2n - 1 below
       its guard bit: a kept monomial and a factor term each have
       exponents at most n - 1, so their sum, at most 2(n-1), never
-      carries into the next field.  A factor term in a variable past x_k,
-      or with an exponent of n or more, cannot be packed and raises
-      RuntimeError.  Each class's packed representative is built and
-      checked once per flag type (_Layout.reps).
+      carries into the next field.  The representatives are built packed
+      at this width, by divided differences on packed terms
+      (_schubert_trimmed), and never exist as exponent tuples.  A factor
+      term in a variable past x_k, or with an exponent of n or more,
+      does not fit the layout and raises RuntimeError.  Each class's
+      packed representative is read and checked once per flag type
+      (_Layout.reps).
     * The product of all but the last factor is built one factor at a
       time, and after each factor every monomial that no longer lies
       below a rearrangement of (n-1, ..., b) is dropped: later factors

@@ -228,19 +228,21 @@ def test_per_class_functions_check_a_class_once(monkeypatch):
         return check(w, f)
 
     monkeypatch.setattr(flags, "check_minimal_rep", counted)
-    flag_table.cache_clear()
-    try:
-        for _ in range(3):
-            w = (3, 1, 2, 4)
-            dual(w, flag)
-            codim(w, flag)
-            project_to_step(w, flag, 2)
-            projected_codim(w, flag, 1)
-            flatten_pair(w, flag, 1, 3)
-            restrict_to_fiber(w, flag)
-    finally:
+    # a list is not a dict key, so the table looks it up as a tuple
+    for w in ((3, 1, 2, 4), [3, 1, 2, 4]):
+        calls.clear()
         flag_table.cache_clear()
-    assert calls == [(3, 1, 2, 4)]
+        try:
+            for _ in range(3):
+                dual(w, flag)
+                codim(w, flag)
+                project_to_step(w, flag, 2)
+                projected_codim(w, flag, 1)
+                flatten_pair(w, flag, 1, 3)
+                restrict_to_fiber(w, flag)
+        finally:
+            flag_table.cache_clear()
+        assert calls == [(3, 1, 2, 4)]
 
 
 @pytest.mark.parametrize(
@@ -257,6 +259,21 @@ def test_per_class_functions_check_a_class_once(monkeypatch):
 def test_a_class_that_is_not_a_sequence_is_a_value_error(call):
     with pytest.raises(ValueError):
         call(FlagType((1,), 3))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: codim((1, 2, 3), f),
+        lambda f: intersection_number(((1, 2, 3),), f),
+        lambda f: is_levi_movable(((1, 2, 3), (3, 1, 2)), f),
+    ],
+    ids=["codim", "intersection_number", "is_levi_movable"],
+)
+@pytest.mark.parametrize("flag", ["1/3", None, ((1,), 3)], ids=["text", "None", "tuple"])
+def test_a_flag_that_is_not_a_flag_type_is_a_value_error(call, flag):
+    with pytest.raises(ValueError, match="not a flag type"):
+        call(flag)
 
 
 def test_dual_pinned():

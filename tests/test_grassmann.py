@@ -229,8 +229,8 @@ def _exact_degree_partition_tuples(r, cols, s, size):
                 yield (p,) + rest
 
 
-def _expanded_product_to_point(parts, r, cols):
-    # every factor expanded, from the empty partition, then the rectangle read
+def _expanded_product(parts, r, cols):
+    # every factor expanded, from the empty partition
     acc = {(): 1}
     for p in parts:
         nxt = {}
@@ -238,7 +238,12 @@ def _expanded_product_to_point(parts, r, cols):
             for kappa, c2 in lr_expand(nu, p, r, cols).items():
                 nxt[kappa] = nxt.get(kappa, 0) + c * c2
         acc = nxt
-    return acc.get((cols,) * r if cols else (), 0)
+    return acc
+
+
+def _expanded_product_to_point(parts, r, cols):
+    # the rectangle read off the full expansion
+    return _expanded_product(parts, r, cols).get((cols,) * r if cols else (), 0)
 
 
 def test_product_to_point_finish_by_duality_matches_the_full_expansion():
@@ -255,6 +260,27 @@ def test_product_to_point_finish_by_duality_matches_the_full_expansion():
                     checked += 1
     assert checked == 38711
     assert _product_to_point(((1,), (1,)), 2, 4) == 0  # sizes below the rectangle
+
+
+def _product_to_point_by_complement(parts, r, cols):
+    # all but the last factor expanded, then the complement of the last read
+    padded = parts[-1] + (0,) * (r - len(parts[-1]))
+    complement = tuple(cols - x for x in reversed(padded) if x < cols)
+    return _expanded_product(parts[:-1], r, cols).get(complement, 0)
+
+
+def test_product_to_point_finish_by_one_coefficient_matches_the_expansion():
+    # with s >= 3 the last two factors are one LR coefficient against the
+    # complement of the last; every tuple of the right size at s = 3, 4
+    checked = nonzero = 0
+    for r, n in ((2, 4), (2, 5), (3, 6)):
+        for s in (3, 4):
+            for parts in _exact_degree_partition_tuples(r, n - r, s, r * (n - r)):
+                expected = _product_to_point_by_complement(parts, r, n - r)
+                assert _product_to_point(parts, r, n) == expected, (r, n, parts)
+                checked += 1
+                nonzero += expected > 0
+    assert (checked, nonzero) == (2986, 1882)
 
 
 def test_horn_inequality_fixture():

@@ -5,6 +5,7 @@ of structure_constants_pair, and its packed product against a reference
 on raw exponent tuples."""
 
 import random
+from functools import cache
 from itertools import permutations
 from operator import add, le
 
@@ -64,7 +65,8 @@ def test_schubert_polynomial_stability():
 @pytest.mark.parametrize("n", range(2, 7))
 def test_divided_difference_steps_down_every_descent(n):
     # d_i S_w = S_{w s_i} at a descent of w and 0 at an ascent, for every
-    # i, where the recursion itself only uses the first ascent
+    # i, by divided_difference on exponent tuples, where the packed
+    # recursion behind schubert_polynomial only uses the first ascent
     for w in all_perms(n):
         p = schubert_polynomial(w)
         for i in range(1, n):
@@ -226,12 +228,21 @@ def test_intersection_number_matches_the_expansion_route():
 
 @pytest.fixture
 def fresh_packed_reps():
-    # packed representatives are cached in each flag's layout: drop the
-    # layouts before a representative is patched, and again afterwards so
-    # that no patched entry reaches a later test
+    # packed representatives are cached in each flag's layout and built by
+    # a cached recursion that looks itself up by name: drop both caches
+    # before a representative is patched, and again afterwards so that no
+    # patched entry reaches a later test
     oracle._layout.cache_clear()
+    oracle._schubert_trimmed.cache_clear()
     yield
     oracle._layout.cache_clear()
+    oracle._schubert_trimmed.cache_clear()
+
+
+def _packed(p, width):
+    # the terms of a polynomial packed as the oracle packs a representative:
+    # the exponent of x_i in the field of bits (i-1)*width .. i*width - 1
+    return {sum(e << (i * width) for i, e in enumerate(mono)): c for mono, c in p.terms.items()}
 
 
 def test_negative_representative_raises(fresh_packed_reps, monkeypatch):
@@ -239,15 +250,39 @@ def test_negative_representative_raises(fresh_packed_reps, monkeypatch):
     flag = complete_flag(3)
     w = (2, 1, 3)
     broken = dual(w, flag)
-    schubert = oracle.schubert_polynomial
+    schubert = oracle._schubert_trimmed
 
-    def negated(v):
-        p = schubert(v)
-        return -p if trim(v) == trim(broken) else p
+    def negated(v, width):
+        terms = schubert(v, width)
+        return {m: -c for m, c in terms.items()} if trim(v) == trim(broken) else terms
 
-    monkeypatch.setattr(oracle, "schubert_polynomial", negated)
+    monkeypatch.setattr(oracle, "_schubert_trimmed", negated)
     with pytest.raises(RuntimeError, match="negative intersection number"):
         intersection_number((w, dual(w, flag)), flag)
+
+
+@cache
+def _reference_representative(w):
+    # divided differences on exponent tuples, from the staircase of S_m down
+    # the first ascent, as the representatives were built before packing
+    m = len(w)
+    i = next((k for k in range(1, m) if w[k - 1] < w[k]), 0)
+    if not i:
+        return SparsePolynomial.monomial(tuple(range(m - 1, -1, -1)))
+    longer = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
+    return divided_difference(_reference_representative(longer), i)
+
+
+def test_packed_representatives_match_the_divided_difference_reference():
+    checked = 0
+    for n in range(1, 7):
+        for flag in enumerate_flag_types(n):
+            layout = oracle._layout(flag)
+            for w in enumerate_minimal_reps(flag):
+                expected = _packed(_reference_representative(trim(dual(w, flag))), layout.width)
+                assert dict(layout.reps[w]) == expected, (flag, w)
+                checked += 1
+    assert checked == 5310
 
 
 def _reference_intersection_number(classes, flag):
@@ -340,16 +375,16 @@ def test_unpackable_representative_raises(fresh_packed_reps, monkeypatch, mutati
     flag = complete_flag(3)
     w = (1, 2, 3)  # the point class; its representative is x1^2*x2
     broken = dual(w, flag)
-    schubert = oracle.schubert_polynomial
+    schubert = oracle._schubert_trimmed
     replacement = {
-        "last variable": schubert(broken).swap_variables(1, 3),
+        "last variable": schubert_polynomial(broken).swap_variables(1, 3),
         "exponent n": SparsePolynomial.monomial((3,)),
     }[mutation]
 
-    def mutated(v):
-        return replacement if trim(v) == trim(broken) else schubert(v)
+    def mutated(v, width):
+        return _packed(replacement, width) if trim(v) == trim(broken) else schubert(v, width)
 
-    monkeypatch.setattr(oracle, "schubert_polynomial", mutated)
+    monkeypatch.setattr(oracle, "_schubert_trimmed", mutated)
     with pytest.raises(RuntimeError, match="representative term"):
         intersection_number((w, dual(w, flag)), flag)
 
