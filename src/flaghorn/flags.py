@@ -23,7 +23,7 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, pairwise
 from operator import le
 
 from .perm import (
@@ -193,6 +193,7 @@ def is_minimal_rep(w: Perm, flag: FlagType) -> bool:
     >>> is_minimal_rep((3, 2, 1), FlagType((1,), 3))
     False
     """
+    flag = flag_table(flag).flag  # ValueError unless a flag type
     if len(w) != flag.n:
         return False
     steps = set(flag.steps)
@@ -233,10 +234,7 @@ def parabolic_longest(flag: FlagType) -> Perm:
     >>> parabolic_longest(FlagType((2,), 4))
     (2, 1, 4, 3)
     """
-    out = []
-    for i in range(1, flag.r + 2):
-        out.extend(reversed(flag.block(i)))
-    return tuple(out)
+    return flag_table(flag).block_reversal
 
 
 def dual(w: Perm, flag: FlagType) -> Perm:
@@ -475,7 +473,10 @@ class FlagTable:
         self.leaf_spaces = tuple(
             (b[k], flag.n - a) for k, a in enumerate(flag.bounds[:-2])
         )
-        self.block_reversal = parabolic_longest(flag)
+        # parabolic_longest: the positions of each block in reverse
+        self.block_reversal = tuple(
+            p for lo, hi in pairwise(flag.bounds) for p in range(hi, lo, -1)
+        )
         self._entries: dict[Perm, ClassEntry] = {}
 
     @cached_property
@@ -553,7 +554,9 @@ class FlagTable:
         return entries
 
 
-@lru_cache(maxsize=None)
+_flag_table = lru_cache(maxsize=None)(FlagTable)
+
+
 def flag_table(flag: FlagType) -> FlagTable:
     """The shared class table of the flag type.
 
@@ -563,11 +566,11 @@ def flag_table(flag: FlagType) -> FlagTable:
     >>> table.entry((2, 1, 3)).pair_partitions
     ((1,),)
     """
-    # the per-class and tuple functions take their flag through here, and
-    # a flag type that passes is kept, so it is checked once
+    # every function of a flag type takes its flag through here; it is
+    # checked before the cache, which would hash an unhashable flag first
     if not isinstance(flag, FlagType):
         raise ValueError(f"not a flag type: {flag!r}")
-    return FlagTable(flag)
+    return _flag_table(flag)
 
 
 def _walk(

@@ -12,6 +12,11 @@ are implemented:
            pair Grassmannian (Littlewood-Richardson arithmetic only);
   via_iv   flattened degree equalities plus the full inequality system.
 
+One evaluator (_evaluate) turns a method name into routes, for
+is_levi_movable, enumerate_levi_movable and the thm1 sweep of suites.
+Route i tests the grading first and runs the oracle only on a graded
+tuple.
+
 enumerate_levi_movable lists the movable tuples of a flag type.  The
 tuple walker of flags (_walk) builds the candidate tuples of each route
 against a vector target (exact_degree_tuples is its one-coordinate
@@ -32,7 +37,6 @@ from .flags import (
     ClassEntry,
     FlagTable,
     FlagType,
-    _dual,
     _walk,
     flag_table,
 )
@@ -86,19 +90,12 @@ def condition_i_detail(
     The tuple passes when its intersection number is nonzero and, for
     every step a_i, the projected codimensions sum to a_i * (n - a_i),
     the dimension of the one-step manifold.  The intersection number is
-    computed even when the grading fails.
+    computed even when the grading fails, and a zero number is the
+    witness ahead of a grading failure (_reported).
     """
-    return _condition_i(flag_table(flag).class_tuple(classes), flag)
-
-
-def _condition_i(
-    entries: tuple[ClassEntry, ...], flag: FlagType
-) -> tuple[bool, int, str | None]:
-    coefficient = _intersection_number(tuple(e.w for e in entries), flag)
-    if coefficient == 0:
-        return False, 0, "intersection number is zero"
-    witness = _grading_failure(entries, flag)
-    return witness is None, coefficient, witness
+    table = flag_table(flag)
+    ok_i, _, _, coefficient, witness = _reported(table.class_tuple(classes), table, "via_i")
+    return ok_i, coefficient, witness
 
 
 def _grading_failure(entries: tuple[ClassEntry, ...], flag: FlagType) -> str | None:
@@ -113,18 +110,6 @@ def _grading_failure(entries: tuple[ClassEntry, ...], flag: FlagType) -> str | N
                 f"expected {expected}"
             )
     return None
-
-
-def _graded_verdict(
-    entries: tuple[ClassEntry, ...], flag: FlagType
-) -> tuple[bool, int | None]:
-    """The verdict of the oracle route with the cheap grading test first:
-    the oracle only runs on tuples that pass it.  Returns the verdict and
-    the intersection number, None when the oracle did not run."""
-    if _grading_failure(entries, flag) is not None:
-        return False, None
-    coefficient = _intersection_number(tuple(e.w for e in entries), flag)
-    return coefficient != 0, coefficient
 
 
 def check_condition_i(classes: tuple[Perm, ...], flag: FlagType) -> bool:
@@ -156,7 +141,7 @@ def is_levi_movable(
     entries = table.class_tuple(classes)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
-    ok_i, ok_iii, ok_iv, coefficient, witness = _evaluate(entries, table, method)
+    ok_i, ok_iii, ok_iv, coefficient, witness = _reported(entries, table, method)
     if method == "cross_check":
         _cross_check(entries, table, ok_i, ok_iii, ok_iv, coefficient)
     return MovabilityReport(
@@ -172,18 +157,40 @@ def _evaluate(
     """The routes the method asks for on the checked entries of an
     exact-degree tuple: (condition i, condition iii, condition iv,
     intersection number, failing witness), None for what was not
-    evaluated.  Route i runs first, then iii and iv, and the witness is
-    the first failure met.  The verdicts are not compared here; see
+    evaluated.  This is the one place a method name selects routes.
+
+    Route i runs first, testing the grading before the oracle, so the
+    oracle runs only on a graded tuple; then iii and iv, and the witness
+    is the first failure met.  The verdicts are not compared here; see
     _cross_check."""
     ok_i = ok_iii = ok_iv = coefficient = witness = None
     if method in ("via_i", "cross_check"):
-        ok_i, coefficient, witness = _condition_i(entries, table.flag)
+        witness = _grading_failure(entries, table.flag)
+        if witness is None:
+            coefficient = _intersection_number(tuple(e.w for e in entries), table.flag)
+            witness = None if coefficient else "intersection number is zero"
+        ok_i = witness is None
     if method in ("via_iii", "cross_check"):
         failure = _condition_iii(entries, table)
         ok_iii, witness = failure is None, witness or failure
     if method in ("via_iv", "cross_check"):
         failure = _condition_iv(entries, table)
         ok_iv, witness = failure is None, witness or failure
+    return ok_i, ok_iii, ok_iv, coefficient, witness
+
+
+def _reported(
+    entries: tuple[ClassEntry, ...], table: FlagTable, method: str
+) -> tuple[bool | None, bool | None, bool | None, int | None, str | None]:
+    """_evaluate as a single-tuple report states it: route i always
+    carries the intersection number.  When the grading failed, so the
+    oracle did not run, it runs here, and a zero number becomes the
+    witness in place of the grading failure."""
+    ok_i, ok_iii, ok_iv, coefficient, witness = _evaluate(entries, table, method)
+    if ok_i is False and coefficient is None:
+        coefficient = _intersection_number(tuple(e.w for e in entries), table.flag)
+        if coefficient == 0:
+            witness = "intersection number is zero"
     return ok_i, ok_iii, ok_iv, coefficient, witness
 
 
@@ -257,14 +264,16 @@ def enumerate_levi_movable(
     pair Grassmannian, which is part of condition (iv) and the degree of
     each pair product of condition (iii).  via_i walks the projected
     codimensions against (a_i * (n - a_i)), its own grading test.
-    cross_check walks every exact-degree tuple and evaluates all three
-    routes on each.  Every candidate is then decided from the entries of
-    the flag table with the verdicts of is_levi_movable.
+    cross_check walks every exact-degree tuple.  Every candidate is then
+    decided from the entries of the flag table by _evaluate, the
+    evaluator of is_levi_movable, and cross_check raises RuntimeError
+    unless its three verdicts agree (_cross_check).  Unlike a report, no
+    oracle runs on a tuple that fails the grading.
 
     A movable tuple's coefficient is the product of its
-    Littlewood-Richardson leaves (_leaf_product); via_i keeps the oracle
-    number it decided by, and cross_check raises RuntimeError unless the
-    leaf product equals it.
+    Littlewood-Richardson leaves (_leaf_product); via_i and cross_check
+    keep the oracle number they decided by, and cross_check raises
+    RuntimeError unless the leaf product equals it.
 
     >>> from .flags import FlagType
     >>> [(t, c) for t, c in enumerate_levi_movable(FlagType((1,), 2), 2)]
@@ -289,38 +298,23 @@ def enumerate_levi_movable(
             [e.pair_codims for e in table.entries],
             tuple(bi * bj for bi, bj in table.pair_sizes),
         )
-    decide = _condition_iii if method == "via_iii" else _condition_iv
     out = []
     for classes in candidates:
         entries = tuple(map(table.entry, classes))
-        if method == "via_i":
-            coefficient = _intersection_number(classes, flag)
-        elif method == "cross_check":
-            coefficient = _cross_checked_coefficient(entries, table)
-        elif decide(entries, table) is None:
+        ok_i, ok_iii, ok_iv, coefficient, _ = _evaluate(entries, table, method)
+        if method == "cross_check":
+            _cross_check(entries, table, ok_i, ok_iii, ok_iv, coefficient)
+        # one verdict was evaluated, or three that agree
+        if not any((ok_i, ok_iii, ok_iv)):
+            continue
+        if coefficient is None:
             coefficient = _leaf_product(entries, table)
             if not coefficient:
                 raise RuntimeError(
                     f"movable tuple {classes!r} over {flag} has a vanishing leaf"
                 )
-        else:
-            continue
-        if coefficient:
-            out.append((classes, coefficient))
+        out.append((classes, coefficient))
     return out
-
-
-def _cross_checked_coefficient(entries: tuple[ClassEntry, ...], table: FlagTable) -> int:
-    """The coefficient of an exact-degree tuple by all three routes, 0
-    when it is not movable: RuntimeError if the verdicts disagree or a
-    movable tuple's leaf product differs from its oracle number.  The
-    oracle route grades first (_graded_verdict), so the oracle runs only
-    on graded tuples."""
-    movable, coefficient = _graded_verdict(entries, table.flag)
-    ok_iii = _condition_iii(entries, table) is None
-    ok_iv = _condition_iv(entries, table) is None
-    _cross_check(entries, table, movable, ok_iii, ok_iv, coefficient)
-    return coefficient if movable else 0
 
 
 def bk_structure_constant(w: Perm, u: Perm, v: Perm, flag: FlagType) -> int:
@@ -353,9 +347,9 @@ def bk_product(w: Perm, u: Perm, flag: FlagType) -> dict[Perm, int]:
     {}
     """
     table = flag_table(flag)
-    w, u = table.entry(w).w, table.entry(u).w
+    first, second = table.entry(w), table.entry(u)
     out = {}
-    for v, c in structure_constants_pair(w, u, flag).items():
-        if is_levi_movable((w, u, _dual(v, flag)), flag).movable:
+    for v, c in structure_constants_pair(first.w, second.w, flag).items():
+        if _condition_iii((first, second, table._entry(table._entry(v).dual)), table) is None:
             out[v] = c
     return out

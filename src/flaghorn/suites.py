@@ -39,7 +39,7 @@ from .flags import (
     grassmannian_flag,
 )
 from .grassmann import partition_from_perm, product_to_point
-from .levi import _evaluate, exact_degree_tuples
+from .levi import _reported, exact_degree_tuples
 from .oracle import _Memo, _intersection_number, intersection_number
 from .perm import Perm, _standardize, flatten, length
 
@@ -103,11 +103,12 @@ def equivalence_rows(
     (classes, oracle route verdict, pairwise point-product verdict,
     inequality-system verdict, intersection number).  The walked classes
     are valid by construction, so the routes read their table entries
-    unchecked, through the one route evaluator of levi without its
-    agreement test: disagreements are what the thm1 suite reports."""
+    unchecked, through the one route evaluator of levi as a report states
+    it (every row carries its intersection number), without its agreement
+    test: disagreements are what the thm1 suite reports."""
     table = flag_table(flag)
     return tuple(
-        (classes, *_evaluate(tuple(map(table._entry, classes)), table, "cross_check")[:4])
+        (classes, *_reported(tuple(map(table._entry, classes)), table, "cross_check")[:4])
         for classes in exact_degree_tuples(flag, s)
     )
 

@@ -59,7 +59,7 @@ def test_flag_type_spelled_with_bools_is_plain_int():
     assert type(flag.steps[0]) is int and str(flag) == "1/3"
     # flag_table is cached by equality, so the first spelling of a flag
     # type is the one every later message for an equal flag prints
-    flag_table.cache_clear()
+    flags._flag_table.cache_clear()
     flag_table(flag)
     with pytest.raises(ValueError, match="expected 2 on 1/3$"):
         is_levi_movable(((2, 1, 3),), FlagType((1,), 3))
@@ -209,11 +209,11 @@ def test_per_class_results_are_plain_ints(spelled, w):
             partition_from_perm(v, 1, 3),
         )
 
-    flag_table.cache_clear()
+    flags._flag_table.cache_clear()
     try:
         got = results(spelled)
     finally:
-        flag_table.cache_clear()
+        flags._flag_table.cache_clear()
     assert _plain(got), got
     assert got == results(w)
 
@@ -231,7 +231,7 @@ def test_per_class_functions_check_a_class_once(monkeypatch):
     # a list is not a dict key, so the table looks it up as a tuple
     for w in ((3, 1, 2, 4), [3, 1, 2, 4]):
         calls.clear()
-        flag_table.cache_clear()
+        flags._flag_table.cache_clear()
         try:
             for _ in range(3):
                 dual(w, flag)
@@ -241,7 +241,7 @@ def test_per_class_functions_check_a_class_once(monkeypatch):
                 flatten_pair(w, flag, 1, 3)
                 restrict_to_fiber(w, flag)
         finally:
-            flag_table.cache_clear()
+            flags._flag_table.cache_clear()
         assert calls == [(3, 1, 2, 4)]
 
 
@@ -267,10 +267,18 @@ def test_a_class_that_is_not_a_sequence_is_a_value_error(call):
         lambda f: codim((1, 2, 3), f),
         lambda f: intersection_number(((1, 2, 3),), f),
         lambda f: is_levi_movable(((1, 2, 3), (3, 1, 2)), f),
+        lambda f: is_minimal_rep((1, 2, 3), f),
+        parabolic_longest,
     ],
-    ids=["codim", "intersection_number", "is_levi_movable"],
+    ids=["codim", "intersection_number", "is_levi_movable", "is_minimal_rep", "parabolic_longest"],
 )
-@pytest.mark.parametrize("flag", ["1/3", None, ((1,), 3)], ids=["text", "None", "tuple"])
+# a list and a dict are not hashable, so they must be refused before any
+# cache keyed by the flag
+@pytest.mark.parametrize(
+    "flag",
+    ["1/3", None, ((1,), 3), [1, 3], {"n": 3}],
+    ids=["text", "None", "tuple", "list", "dict"],
+)
 def test_a_flag_that_is_not_a_flag_type_is_a_value_error(call, flag):
     with pytest.raises(ValueError, match="not a flag type"):
         call(flag)

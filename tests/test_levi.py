@@ -17,7 +17,9 @@ from flaghorn.flags import (
     enumerate_minimal_reps,
     flag_table,
     grassmannian_flag,
+    projected_codim,
 )
+from flaghorn.grassmann import condition_iii_failure, condition_iv_failure
 from flaghorn.levi import (
     METHODS,
     MovabilityReport,
@@ -266,7 +268,7 @@ def fresh_flag_tables():
     # that field is patched, and again afterwards so that nothing computed
     # from a patched value reaches a later test
     def clear():
-        flag_table.cache_clear()
+        flags._flag_table.cache_clear()
         grassmann._point_positive_tuples.cache_clear()
 
     clear()
@@ -290,7 +292,7 @@ def test_wrong_pair_partitions_are_caught(fresh_flag_tables, monkeypatch):
     assert enumerate_levi_movable(flag, 2, "via_iii") == []
     # on a cold table the pair codimensions are summed from the wrong
     # partitions too
-    flag_table.cache_clear()
+    flags._flag_table.cache_clear()
     with pytest.raises(RuntimeError, match="disagree"):
         enumerate_levi_movable(flag, 2, "cross_check")
 
@@ -425,3 +427,87 @@ def test_bk_product_validates_input():
     with pytest.raises(ValueError):
         bk_product((2, 1), (2, 1, 3), F3)
     check_minimal_rep((2, 1, 3), F3)  # sanity: the other operand is fine
+
+
+def _graded(classes, flag):
+    return all(
+        sum(projected_codim(w, flag, i) for w in classes) == a * (flag.n - a)
+        for i, a in enumerate(flag.steps, start=1)
+    )
+
+
+def _reference_report(classes, flag, method):
+    # the documented order: the oracle first, a zero number as the witness
+    # ahead of the grading, then route iii, then route iv; the first
+    # failure is the witness
+    ok_i = ok_iii = ok_iv = coefficient = None
+    failures = []
+    if method in ("via_i", "cross_check"):
+        coefficient = intersection_number(classes, flag)
+        if coefficient == 0:
+            failures.append("intersection number is zero")
+        for i, a in enumerate(flag.steps, start=1):
+            total = sum(projected_codim(w, flag, i) for w in classes)
+            if total != a * (flag.n - a):
+                failures.append(
+                    f"step {i}: projected codimensions sum to {total}, "
+                    f"expected {a * (flag.n - a)}"
+                )
+                break
+        ok_i = not failures
+    if method in ("via_iii", "cross_check"):
+        failure = condition_iii_failure(classes, flag)
+        ok_iii = failure is None
+        failures.append(failure)
+    if method in ("via_iv", "cross_check"):
+        failure = condition_iv_failure(classes, flag)
+        ok_iv = failure is None
+        failures.append(failure)
+    witness = next((f for f in failures if f is not None), None)
+    return ok_i, ok_iii, ok_iv, coefficient, witness
+
+
+def test_reports_keep_the_oracle_first_order():
+    # route i grades before it runs the oracle; a report still carries the
+    # intersection number of an ungraded tuple and names a zero number
+    # ahead of the grading failure
+    ungraded = {"zero": 0, "nonzero": 0}
+    for n in range(2, 5):
+        for flag in enumerate_flag_types(n):
+            for s in (2, 3):
+                for classes in exact_degree_tuples(flag, s):
+                    for method in METHODS:
+                        report = is_levi_movable(classes, flag, method)
+                        got = (
+                            report.condition_i, report.condition_iii,
+                            report.condition_iv, report.coefficient,
+                            report.failing_witness,
+                        )
+                        assert got == _reference_report(classes, flag, method), (
+                            flag, classes, method,
+                        )
+                    ok_i, _, _, coefficient, witness = _reference_report(
+                        classes, flag, "via_i"
+                    )
+                    assert condition_i_detail(classes, flag) == (ok_i, coefficient, witness)
+                    if not _graded(classes, flag):
+                        ungraded["nonzero" if coefficient else "zero"] += 1
+    # both witness orders are exercised
+    assert ungraded == {"zero": 288, "nonzero": 60}
+
+
+def test_cross_check_runs_the_oracle_on_graded_tuples_only(monkeypatch):
+    flag = FlagType((2, 4), 6)
+    calls = []
+    oracle = levi._intersection_number
+
+    def counted(classes, f):
+        calls.append(classes)
+        return oracle(classes, f)
+
+    monkeypatch.setattr(levi, "_intersection_number", counted)
+    tuples = exact_degree_tuples(flag, 3)
+    graded = [t for t in tuples if _graded(t, flag)]
+    assert (len(graded), len(tuples)) == (341, 4635)
+    enumerate_levi_movable(flag, 3, "cross_check")
+    assert sorted(calls) == sorted(graded)
