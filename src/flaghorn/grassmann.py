@@ -443,7 +443,10 @@ def _condition_iv(
     pair finds once the positions of positive codimension and sums the
     inequalities over those alone: at most b_i * b_j positions count,
     however large s is.  A failure
-    still names the whole u-tuple."""
+    still names the whole u-tuple.
+
+    A pair with b_i = 1 has no inequality, since no d satisfies
+    1 <= d < b_i: after its degree test it reads no flattening."""
     s = len(entries)
     for k, (bi, bj) in enumerate(table.pair_sizes):
         i, j = table.pairs[k]
@@ -453,6 +456,8 @@ def _condition_iv(
                 f"blocks ({i},{j}): flattened codimensions sum to {total}, "
                 f"expected {bi * bj}"
             )
+        if bi == 1:
+            continue
         moving = [t for t, e in enumerate(entries) if e.pair_codims[k]]
         flats = tuple(entries[t].flats[k] for t in moving)
         for d in range(1, bi):

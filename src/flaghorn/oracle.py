@@ -66,7 +66,10 @@ def _width(n: int) -> int:
     return (2 * n - 1).bit_length() + 1
 
 
-@lru_cache(maxsize=None)
+# packed representatives by (w, width), filled by _schubert_trimmed
+_trimmed: dict[tuple[Perm, int], dict[int, int]] = {}
+
+
 def _schubert_trimmed(w: Perm, width: int) -> dict[int, int]:
     """The terms of the representative of w, packed: the exponent of x_i
     sits in the field of bits (i-1)*width .. i*width - 1.
@@ -75,26 +78,43 @@ def _schubert_trimmed(w: Perm, width: int) -> dict[int, int]:
     longest one, is the staircase x1^(m-1) * x2^(m-2) * ...  Any other w
     has a first ascent i, and its representative is the divided
     difference d_i of that of w with positions i and i+1 swapped, one
-    inversion longer.  On packed terms, d_i sends x_i^a * x_(i+1)^b with
-    a > b to the a - b monomials x_i^k * x_(i+1)^(a+b-1-k), k = b .. a-1:
-    the first has b on x_i and a - 1 on x_(i+1), and each next one is
+    inversion longer (_packed_divided_difference).  The chain of first
+    ascents is walked with a loop, up to the first permutation already in
+    the memo or to the longest one, and back down, memoizing every step:
+    its length, up to m(m-1)/2, never becomes a recursion depth.
+    """
+    chain = []
+    while (w, width) not in _trimmed:
+        i = next((k for k in range(1, len(w)) if w[k - 1] < w[k]), 0)
+        if not i:
+            m = len(w)
+            _trimmed[w, width] = {sum((m - 1 - j) << (j * width) for j in range(m)): 1}
+            break
+        chain.append((w, i))
+        w = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
+    terms = _trimmed[w, width]
+    for w, i in reversed(chain):
+        terms = _trimmed[w, width] = _packed_divided_difference(terms, i, width)
+    return terms
+
+
+def _packed_divided_difference(
+    terms: dict[int, int], i: int, width: int
+) -> dict[int, int]:
+    """d_i of packed terms.  It sends x_i^a * x_(i+1)^b with a > b to the
+    a - b monomials x_i^k * x_(i+1)^(a+b-1-k), k = b .. a-1: the first
+    has b on x_i and a - 1 on x_(i+1), and each next one is
     step = 2^s_i - 2^s_(i+1) past the last, s_i the lowest bit of the
     field of x_i.  a < b gives minus the same run with a and b exchanged,
     and a = b nothing.  No exponent grows, so no field carries.  Terms
-    that cancel are dropped.
-    """
-    m = len(w)
-    i = next((k for k in range(1, m) if w[k - 1] < w[k]), 0)
-    if not i:
-        return {sum(e << (j * width) for j, e in enumerate(range(m - 1, -1, -1))): 1}
-    longer = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
+    that cancel are dropped."""
     low = (i - 1) * width
     high = low + width
     mask = (1 << width) - 1
     step = (1 << low) - (1 << high)
     out: dict[int, int] = {}
     get = out.get
-    for mono, c in _schubert_trimmed(longer, width).items():
+    for mono, c in terms.items():
         a, b = mono >> low & mask, mono >> high & mask
         if a == b:
             continue

@@ -135,6 +135,18 @@ def test_coeff_counts_non_movable_products(capsys):
     assert out.strip() == "1"
 
 
+def test_coeff_on_a_long_projective_space(capsys):
+    # the point class against the fundamental class of P^32: the point's
+    # dual index (33, 1, ..., 32) is 496 first-ascent steps below the
+    # longest element of S_33, which a recursion per step could not reach
+    point = ",".join(map(str, range(1, 34)))
+    fundamental = ",".join(map(str, [33, *range(1, 33)]))
+    code, out, err = run_cli(
+        capsys, "coeff", "--flag", "1/33", "--tuple", f"{point};{fundamental}"
+    )
+    assert (code, out.strip(), err) == (0, "1", "")
+
+
 def test_coeff_json(capsys):
     code, out, _ = run_cli(
         capsys,

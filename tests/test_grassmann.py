@@ -6,6 +6,7 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from flaghorn.flags import (
+    ClassEntry,
     FlagType,
     complete_flag,
     enumerate_flag_types,
@@ -14,6 +15,7 @@ from flaghorn.flags import (
     grassmannian_flag,
 )
 from flaghorn.grassmann import (
+    _condition_iii,
     _condition_iv,
     _horn_holds,
     _point_positive_tuples,
@@ -427,3 +429,39 @@ def test_condition_iv_skips_only_positions_that_add_nothing():
                         ), (flag, classes, via)
                         failures += got is not None
     assert failures  # the witnesses compared include failing ones
+
+
+def _refuse_flattenings(entry):
+    raise RuntimeError("the flattenings were read")
+
+
+def test_condition_iv_reads_no_flattening_of_a_projective_pair(monkeypatch):
+    # every block of a complete flag has size 1, so no pair has an
+    # inequality (no d with 1 <= d < b_i): route iv decides on the degrees
+    # alone, and still exactly as route iii does.  A property on the class
+    # also hides flattenings already cached.
+    flag = complete_flag(4)
+    table = flag_table(flag)
+    monkeypatch.setattr(ClassEntry, "flats", property(_refuse_flattenings))
+    verdicts = []
+    for classes in exact_degree_tuples(flag, 3):
+        entries = tuple(map(table._entry, classes))
+        verdict = _condition_iv(entries, table) is None
+        assert verdict == (_condition_iii(entries, table) is None), classes
+        verdicts.append(verdict)
+    assert (len(verdicts), sum(verdicts)) == (211, 17)
+
+
+def test_condition_iv_reads_the_flattenings_of_a_larger_pair(monkeypatch):
+    # on 2,4/6 every pair has b_i = 2, so the d = 1 inequalities run on
+    # the flattenings, and a failing one names its u-tuple
+    flag = FlagType((2, 4), 6)
+    table = flag_table(flag)
+    classes = ((1, 4, 2, 3, 5, 6), (4, 5, 3, 6, 1, 2), (5, 6, 3, 4, 1, 2))
+    entries = tuple(map(table._entry, classes))
+    assert _condition_iv(entries, table) == (
+        "blocks (1,2), d=1: inequality fails for u-tuple ((1, 2), (2, 1), (2, 1))"
+    )
+    monkeypatch.setattr(ClassEntry, "flats", property(_refuse_flattenings))
+    with pytest.raises(RuntimeError, match="flattenings were read"):
+        _condition_iv(entries, table)

@@ -228,15 +228,13 @@ def test_intersection_number_matches_the_expansion_route():
 
 @pytest.fixture
 def fresh_packed_reps():
-    # packed representatives are cached in each flag's layout and built by
-    # a cached recursion that looks itself up by name: drop both caches
-    # before a representative is patched, and again afterwards so that no
-    # patched entry reaches a later test
+    # packed representatives are cached in each flag's layout: drop the
+    # layouts before a representative is patched, and again afterwards so
+    # that no patched entry reaches a later test (the memo of
+    # _schubert_trimmed is filled by the real builder alone)
     oracle._layout.cache_clear()
-    oracle._schubert_trimmed.cache_clear()
     yield
     oracle._layout.cache_clear()
-    oracle._schubert_trimmed.cache_clear()
 
 
 def _packed(p, width):
@@ -283,6 +281,23 @@ def test_packed_representatives_match_the_divided_difference_reference():
                 assert dict(layout.reps[w]) == expected, (flag, w)
                 checked += 1
     assert checked == 5310
+
+
+@pytest.mark.parametrize("n", [40, 80])
+def test_pairing_past_the_recursion_limit(n):
+    # the dual of the point class of P^(n-1) is (n, 1, 2, ..., n-1), whose
+    # chain of first ascents up to the longest element of S_n has
+    # (n-1)(n-2)/2 steps: a recursion per step failed from n = 33 on
+    flag = FlagType((1,), n)
+    point = tuple(range(1, n + 1))
+    assert intersection_number((point, (n,) + point[:-1]), flag) == 1
+
+
+def test_representative_of_a_late_simple_transposition():
+    # s_39 in S_40 is 779 steps below the longest element
+    w = tuple(range(1, 39)) + (40, 39)
+    expected = sum((SparsePolynomial.variable(i) for i in range(1, 40)), SparsePolynomial.zero())
+    assert schubert_polynomial(w) == expected
 
 
 def _reference_intersection_number(classes, flag):

@@ -12,6 +12,7 @@ from flaghorn.suites import (
     equivalence_rows,
     movable_rows,
     run_all,
+    run_cor13,
     run_duality,
     run_lengths,
     run_thm1,
@@ -112,6 +113,64 @@ def test_lengths_memo_lives_for_one_run(monkeypatch):
     result = run_lengths(4)
     assert not result.passed
     assert "1/3, w=(3, 1, 2): fiber length 0 != 1" in result.failures
+
+
+def test_lengths_memos_are_keyed_by_the_full_input(monkeypatch):
+    """A projection that sorts the prefix but leaves the suffix as it is
+    must make the suite fail: a memo keyed by the prefix alone would
+    answer with the length of the right projection and hide it."""
+    monkeypatch.setattr(
+        suites, "_project_to_step", lambda w, a: tuple(sorted(w[:a])) + tuple(w[a:])
+    )
+    result = run_lengths(4)
+    assert not result.passed
+    assert "1,2/3, w=(1, 3, 2): fiber length 1 != 0" in result.failures
+
+
+def test_cor13_checks_the_oracle_numbers(monkeypatch):
+    """cor13 checks the oracle number the route-i walk decided each tuple
+    by; an oracle core that is off by one must make it fail."""
+    right = levi._intersection_number
+    monkeypatch.setattr(
+        levi, "_intersection_number", lambda classes, flag: right(classes, flag) + 1
+    )
+    equivalence_rows.cache_clear()
+    try:
+        result = run_cor13()
+    finally:
+        equivalence_rows.cache_clear()
+    assert not result.passed
+    assert (
+        "1,2/3 s=2: movable tuple ((1, 2, 3), (3, 2, 1)) has coefficient 2, "
+        "expected 1"
+    ) in result.failures
+
+
+def test_cor13_runs_route_i_alone(monkeypatch):
+    """cor13 reads the route-i walk, so routes iii and iv never run, and
+    it still finds every movable tuple."""
+
+    def refuse(entries, table, *args):
+        raise AssertionError("cor13 ran a route other than route i")
+
+    monkeypatch.setattr(levi, "_condition_iii", refuse)
+    monkeypatch.setattr(levi, "_condition_iv", refuse)
+    equivalence_rows.cache_clear()
+    try:
+        result = run_cor13()
+    finally:
+        equivalence_rows.cache_clear()
+    check_passing(result, "cor13")
+    assert result.lines == [
+        f"{flag} s={s}: {count} movable tuples, all coefficient 1"
+        for flag, s, count in [
+            ("1,2/3", 2, 3),
+            ("1,2/3", 3, 3),
+            ("1,2,3/4", 2, 12),
+            ("1,2,3/4", 3, 17),
+            ("1,2,3,4/5", 2, 60),
+        ]
+    ]
 
 
 def test_thm1_catches_a_wrong_route(monkeypatch):
