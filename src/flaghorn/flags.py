@@ -12,9 +12,14 @@ a_{i-1}+1 .. a_i (with a_0 = 0, a_{r+1} = n) and size b_i = a_i - a_{i-1}.
 An empty step tuple is allowed and names a single point; its only class
 is the unit.
 
-flag_table(flag) keeps the classes of a flag type and their per-class
-data; _walk, the one tuple walker of levi and grassmann, lists the tuples
-of its classes whose codimensions and per-class vectors sum to a target.
+A class is an ascending first block, a class of the Grassmannian of
+a_1-planes, together with a class of the fiber flag (steps a_2 - a_1, ...,
+a_r - a_1 in n - a_1) relabelled onto the values the block leaves; its
+codimension is the sum of the two.  flag_table(flag) keeps the classes
+of a flag type and their per-class data, and builds its class list and
+codimensions this way from the fiber's table; _walk, the one tuple
+walker of levi and grassmann, lists the tuples of its classes whose
+codimensions and per-class vectors sum to a target.
 """
 
 from __future__ import annotations
@@ -310,6 +315,7 @@ def flatten_pair(w: Perm, flag: FlagType, i: int, j: int) -> Perm:
 def pair_grassmannian(flag: FlagType, i: int, j: int) -> FlagType:
     """The Grassmannian of b_i-planes in C^(b_i + b_j) that receives the
     pair flattening of blocks i < j."""
+    flag = flag_table(flag).flag  # ValueError unless a flag type
     if not 1 <= i < j <= flag.r + 1:
         raise ValueError(f"need 1 <= i < j <= {flag.r + 1}, got ({i}, {j})")
     b = flag.block_sizes
@@ -324,6 +330,7 @@ def fiber_flag(flag: FlagType) -> FlagType:
     >>> fiber_flag(FlagType((1, 2), 3))
     FlagType(steps=(1,), n=2)
     """
+    flag = flag_table(flag).flag  # ValueError unless a flag type
     if flag.r < 1:
         raise ValueError("a point has no fiber reduction")
     a1 = flag.steps[0]
@@ -456,10 +463,12 @@ class FlagTable:
     table per flag type.
 
     Nothing is computed up front.  ``reps`` and ``codims`` list every
-    class in lexicographic order the first time an enumeration asks.  A
-    single class gets its ClassEntry the first time a route asks for it;
-    that is where its index is validated, once, so a one-off request pays
-    only for its own classes and later reads skip the check.
+    class in lexicographic order the first time an enumeration asks,
+    built from the fiber flag's table (which is kept too) without a
+    length count.  A single class gets its ClassEntry the first time a
+    route asks for it; that is where its index is validated, once, so a
+    one-off request pays only for its own classes and later reads skip
+    the check.
     """
 
     def __init__(self, flag: FlagType) -> None:
@@ -480,30 +489,43 @@ class FlagTable:
         self._entries: dict[Perm, ClassEntry] = {}
 
     @cached_property
-    def reps(self) -> tuple[Perm, ...]:
-        """Every class index, in lexicographic order.
+    def _classes(self) -> tuple[tuple[Perm, ...], tuple[int, ...]]:
+        """(reps, codims), built from the tables of the fiber flags.
 
-        Each block takes an ascending choice of the values the earlier blocks
-        left, in lexicographic order, and the last block takes all that are
-        left, so the recursion stops one block early.  The generator holds
-        only the current branch, so the result is the one large object.
+        The chain of fiber flags is walked with a loop down to the first
+        table already built, or to the point flag, whose one class is the
+        identity of codimension 0.  Each table on the way back up is built
+        from the one below it (see _lift_classes) and kept, innermost
+        first, so no recursion depth grows with the number of steps.
         """
-        def fill(remaining: tuple[int, ...], sizes: tuple[int, ...]):
-            if len(sizes) == 1:
-                yield remaining
-                return
-            for head in combinations(remaining, sizes[0]):
-                taken = set(head)
-                rest = tuple([v for v in remaining if v not in taken])
-                for tail in fill(rest, sizes[1:]):
-                    yield head + tail
+        chain = [self]
+        while chain[-1].flag.r:
+            fiber = flag_table(fiber_flag(chain[-1].flag))
+            if "_classes" in vars(fiber):
+                classes = fiber._classes
+                break
+            chain.append(fiber)
+        else:
+            point = chain.pop()
+            classes = ((tuple(range(1, point.flag.n + 1)),), (0,))
+            vars(point)["_classes"] = classes
+        for table in reversed(chain):
+            classes = vars(table)["_classes"] = _lift_classes(table.flag, *classes)
+        return classes
 
-        return tuple(fill(tuple(range(1, self.flag.n + 1)), self.flag.block_sizes))
+    @cached_property
+    def reps(self) -> tuple[Perm, ...]:
+        """Every class index, in lexicographic order: each ascending first
+        block, in lexicographic order, followed by each class of the fiber
+        flag relabelled onto the values the block leaves."""
+        return self._classes[0]
 
     @cached_property
     def codims(self) -> tuple[int, ...]:
-        """The codimension of each class of ``reps``."""
-        return tuple(self.dimension - length(w) for w in self.reps)
+        """The codimension of each class of ``reps``: that of its first
+        block on the Grassmannian of the first step plus that of its
+        fiber class, with no length counted."""
+        return self._classes[1]
 
     @cached_property
     def entries(self) -> tuple[ClassEntry, ...]:
@@ -552,6 +574,36 @@ class FlagTable:
                 f"codimensions sum to {total}, expected {self.dimension} on {self.flag}"
             )
         return entries
+
+
+def _lift_classes(
+    flag: FlagType, fiber_reps: tuple[Perm, ...], fiber_codims: tuple[int, ...]
+) -> tuple[tuple[Perm, ...], tuple[int, ...]]:
+    """(reps, codims) of the flag type from those of its fiber flag.
+
+    A class w is its ascending first block head = w(1..a_1) together with
+    the fiber class u, w = head + (rest[u(1)], ..., rest[u(n - a_1)]) for
+    the values rest that head leaves, in increasing order.  The relabelling
+    is increasing, so heads in lexicographic order, each with the fiber
+    classes in lexicographic order, list w in lexicographic order.  The
+    head ascends, and head_j stands before the head_j - j smaller values
+    of rest, so length(w) = sum(head_j - j) + length(u) and the
+    codimension of w is a_1 (n - a_1) - sum(head_j - j) + codim(u).
+    """
+    n, a1 = flag.n, flag.steps[0]
+    values = range(1, n + 1)
+    # a_1 (n - a_1) - sum(head_j - j), with sum(j) = a_1 (a_1 + 1) / 2
+    top = a1 * (n - a1) + a1 * (a1 + 1) // 2
+    reps: list[Perm] = []
+    codims: list[int] = []
+    for head in combinations(values, a1):
+        taken = set(head)
+        # rest[i] is the i-th value left, so rest[0] is never read
+        rest = (0, *[v for v in values if v not in taken])
+        reps.extend([head + tuple(map(rest.__getitem__, u)) for u in fiber_reps])
+        shift = top - sum(head)
+        codims.extend([shift + c for c in fiber_codims])
+    return tuple(reps), tuple(codims)
 
 
 _flag_table = lru_cache(maxsize=None)(FlagTable)

@@ -239,24 +239,30 @@ def run_thm2(max_n: int | None = None) -> SuiteResult:
     return _finish(result, sum(per_flag.values()), "movable tuples", max_n)
 
 
-def _length_memos() -> tuple[_Memo, _Memo, _Memo]:
+def _length_memos() -> tuple[_Memo, _Memo, _Memo, _Memo]:
     """Fresh memos of length(w) by permutation, of the length of the
     projection of a permutation to the step value a by (permutation, a),
-    and of the length of the standardization of a pair slice by the
-    slice's values.  Each is keyed by the full input of its map, never
-    by a part of it such as a prefix, which would hide a map that goes
-    wrong on the rest; each map is looked up on a miss, so a replaced map
-    is the one applied."""
+    of the length of the standardization of a pair slice by the slice's
+    values, and of the fiber restriction of a permutation past the first
+    step a_1 by (permutation, a_1).  Each is keyed by the full input of
+    its map, never by a part of it such as the permutation alone, which
+    would hide a map that goes wrong on the rest; each map is looked up
+    on a miss, so a replaced map is the one applied."""
     lengths = _Memo(length)
     return (
         lengths,
         _Memo(lambda key: lengths[_project_to_step(*key)]),
         _Memo(lambda values: lengths[_standardize(values)]),
+        _Memo(lambda key: _restrict_to_fiber(*key)),
     )
 
 
 def _fiber_length_sides(
-    flag: FlagType, lengths: _Memo, proj_lengths: _Memo, flat_lengths: _Memo
+    flag: FlagType,
+    lengths: _Memo,
+    proj_lengths: _Memo,
+    flat_lengths: _Memo,
+    fibers: _Memo,
 ):
     """The two sides of the fiber length identities for classes of the
     flag type, with the first step, the fiber steps and the blocks read
@@ -272,16 +278,17 @@ def _fiber_length_sides(
     2 .. i+top).  The validated reading has top = 1, the rejected one
     top = 0.
 
-    Each class is read in one pass over the steps.  The fiber
-    restriction runs once per class; the projections and the pair
-    flattenings run through the caller's memos (see _length_memos): each
-    projection runs once per distinct (permutation, step value), each
-    pair slice head + w[lo:hi] is standardized once per distinct slice,
-    and the length of a permutation met before is not counted again.
-    Classes of different flag types share projections (18,330 of them
-    reach 4,166 distinct inputs for n <= 6), which is why the projection
-    memo stays.  Both sides stay computations through distinct maps, not
-    readings of one shared inversion table."""
+    Each class is read in one pass over the steps.  All four maps run
+    through the caller's memos (see _length_memos): each fiber
+    restriction runs once per distinct (permutation, first step), each
+    projection once per distinct (permutation, step value), each pair
+    slice head + w[lo:hi] is standardized once per distinct slice, and
+    the length of a permutation met before is not counted again.
+    Classes of different flag types share these inputs (for n <= 6 the
+    5,310 fiber restrictions reach 1,492 distinct inputs, and 18,330
+    projections reach 4,166), which is why the memos outlive one flag.
+    Both sides stay computations through distinct maps, not readings of
+    one shared inversion table."""
     a1 = flag.steps[0]
     # step i of the fiber and step i+1 of w, with block i+1 of w: the
     # blocks 2 .. r that the pair sums of both readings reach
@@ -292,7 +299,7 @@ def _fiber_length_sides(
     ))
 
     def sides(w: Perm, top: int):
-        fiber = _restrict_to_fiber(w, a1)
+        fiber = fibers[w, a1]
         first = proj_lengths[w, a1]
         head = w[:a1]
         pair_sum = 0
@@ -324,9 +331,10 @@ def run_lengths(max_n: int | None = None) -> SuiteResult:
     The reading that stops at block i fails already on the complete flag
     manifold of C^3, which this suite also pins down.
 
-    Each run keeps its own memos of lengths, projected lengths and pair
-    flattening lengths, so a permutation's length is counted once per
-    run however many classes reach it.  Nothing is cached at module
+    Each run keeps its own four memos, of lengths, projected lengths,
+    pair flattening lengths and fiber restrictions, so a permutation's
+    length is counted, and a class restricted to its fiber, once per run
+    however many flag types reach it.  Nothing is cached at module
     level: ``enumerate`` and ``query`` take lengths of far larger
     permutations, which an unbounded cache would keep alive, and a cache
     that outlived the run would answer for a map that has since been

@@ -150,6 +150,31 @@ def test_enumerate_minimal_reps_matches_brute_force(n):
         assert enumerate_minimal_reps(flag) == expected, flag
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_table_codims_are_dimension_minus_length(n):
+    for flag in (FlagType((), n), *enumerate_flag_types(n)):
+        table = flag_table(flag)
+        assert table.codims == tuple(flag.dimension - length(w) for w in table.reps), flag
+
+
+def test_table_codims_count_no_length(monkeypatch):
+    """The codimensions come from the fiber's table, not from length."""
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return length(w)
+
+    monkeypatch.setattr(flags, "length", counted)
+    flags._flag_table.cache_clear()
+    try:
+        codims = flag_table(complete_flag(6)).codims
+    finally:
+        flags._flag_table.cache_clear()
+    assert calls == []
+    assert len(codims) == 720 and sorted(codims) == sorted(15 - c for c in codims)
+
+
 def test_flag_type_hash_is_cached_and_survives_copies():
     spellings = [FlagType((True, 2), 3), FlagType.parse("1,2/3"), complete_flag(3)]
     assert len({hash(f) for f in spellings}) == 1
@@ -269,8 +294,18 @@ def test_a_class_that_is_not_a_sequence_is_a_value_error(call):
         lambda f: is_levi_movable(((1, 2, 3), (3, 1, 2)), f),
         lambda f: is_minimal_rep((1, 2, 3), f),
         parabolic_longest,
+        fiber_flag,
+        lambda f: pair_grassmannian(f, 1, 2),
     ],
-    ids=["codim", "intersection_number", "is_levi_movable", "is_minimal_rep", "parabolic_longest"],
+    ids=[
+        "codim",
+        "intersection_number",
+        "is_levi_movable",
+        "is_minimal_rep",
+        "parabolic_longest",
+        "fiber_flag",
+        "pair_grassmannian",
+    ],
 )
 # a list and a dict are not hashable, so they must be refused before any
 # cache keyed by the flag

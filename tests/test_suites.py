@@ -116,9 +116,27 @@ def test_lengths_memo_lives_for_one_run(monkeypatch):
 
 
 def test_lengths_memos_are_keyed_by_the_full_input(monkeypatch):
-    """A projection that sorts the prefix but leaves the suffix as it is
-    must make the suite fail: a memo keyed by the prefix alone would
-    answer with the length of the right projection and hide it."""
+    """Each class is restricted to its fiber once per distinct
+    (permutation, first step), and the run still passes: a restriction
+    memo keyed by the permutation alone would hand a class the fiber of
+    another flag type's first step.  A projection that sorts the prefix
+    but leaves the suffix as it is must make the suite fail: a memo keyed
+    by the prefix alone would answer with the length of the right
+    projection and hide it."""
+    restricted = []
+    right = suites._restrict_to_fiber
+
+    def counted(w, a1):
+        restricted.append((w, a1))
+        return right(w, a1)
+
+    monkeypatch.setattr(suites, "_restrict_to_fiber", counted)
+    result = run_lengths()
+    check_passing(result, "lengths")
+    assert result.lines[0] == "fiber length identity on 5310 classes, n <= 6"
+    # one more for the rejected reading, which runs on fresh memos
+    assert len(restricted) == 1493 and len(set(restricted)) == 1492
+    monkeypatch.setattr(suites, "_restrict_to_fiber", right)
     monkeypatch.setattr(
         suites, "_project_to_step", lambda w, a: tuple(sorted(w[:a])) + tuple(w[a:])
     )
