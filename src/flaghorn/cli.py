@@ -6,16 +6,28 @@ run the verification suites.  Flag types are written "steps/n" (for
 example "1,3/4"), tuples as semicolon-separated permutations (for
 example "2,3,1;2,1,3").  Output formats: text, json, csv.
 
+Each command builds only the format that ``--format`` names, as one
+string, and ``main`` writes it with a single write.  ``enumerate``
+renders each distinct class once per run (its indented JSON block, or
+its permutation string for CSV and text) and joins those texts for every
+tuple; its JSON is byte-identical to ``json.dumps(doc, indent=2)``.
+
 Exit codes: 0 for success or a positive verdict, 1 for a well-formed
-negative verdict, 2 for usage and domain errors.
+negative verdict, 2 for usage and domain errors.  When the reader closes
+the output pipe early (as ``| head`` does), the rest of the output is
+dropped without a message and the exit code is still the command's own.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import os
 import sys
+from collections.abc import Sequence
+from functools import cache
 
 from .factor import factor_full
 from .flags import FlagType, check_class_tuple, codim
@@ -27,9 +39,28 @@ from .suites import SUITES, run_all, run_suite
 
 __all__ = ["main", "build_parser"]
 
-# What every command builds, once: the exit code, the JSON document, the
-# CSV rows and the text lines.  main prints the format that was asked for.
-Output = tuple[int, object, list[dict], list[str]]
+# What every command returns: the exit code and its whole output, in the
+# one format that --format names.
+Output = tuple[int, str]
+
+
+def _json_text(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
+    """A header line and one line per row; no text at all without rows."""
+    if not rows:
+        return ""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def _lines_text(lines: Sequence[str]) -> str:
+    return "".join(line + "\n" for line in lines)
 
 
 def _parse_tuple(text: str) -> tuple[Perm, ...]:
@@ -61,46 +92,61 @@ def _document(
     }
 
 
+def _enumerate_json(
+    flag: FlagType, s: int, results: Sequence[tuple[tuple[Perm, ...], int]]
+) -> str:
+    """``json.dumps(doc, indent=2) + "\\n"`` of the enumerate document
+    ``{"flag", "n", "s", "results": [{"tuple", "coefficient"}, ...]}``,
+    with each distinct class's block rendered once."""
+    head = f'{{\n  "flag": {json.dumps(str(flag))},\n  "n": {flag.n},\n  "s": {s},\n  "results": '
+    if not results:
+        return head + "[]\n}\n"
+    # A class sits at depth 4 (document, results, item, tuple): brackets
+    # indented by 8 spaces, values by 10.
+    block = cache(lambda w: "        [\n          " + ",\n          ".join(map(str, w)) + "\n        ]")
+    items = ",\n".join(
+        '    {\n      "tuple": [\n'
+        + ",\n".join(map(block, classes))
+        + f'\n      ],\n      "coefficient": {c}\n    }}'
+        for classes, c in results
+    )
+    return head + "[\n" + items + "\n  ]\n}\n"
+
+
 def _cmd_enumerate(args) -> Output:
     flag = FlagType.parse(args.flag)
     results = enumerate_levi_movable(flag, args.s, args.method)
-    doc = {
-        "flag": str(flag),
-        "n": flag.n,
-        "s": args.s,
-        "results": [
-            {"tuple": [list(w) for w in classes], "coefficient": c}
-            for classes, c in results
-        ],
-    }
-    rows = [
-        {"tuple": _format_tuple(classes), "coefficient": c}
-        for classes, c in results
-    ]
-    lines = [f"{row['tuple']} -> {row['coefficient']}" for row in rows]
+    if args.format == "json":
+        return 0, _enumerate_json(flag, args.s, results)
+    name = cache(format_permutation)
+    rows = [(";".join(map(name, classes)), c) for classes, c in results]
+    if args.format == "csv":
+        return 0, _csv_text(("tuple", "coefficient"), rows)
+    lines = [f"{t} -> {c}" for t, c in rows]
     lines.append(f"{len(results)} movable tuples on {flag} with s={args.s}")
-    return 0, doc, rows, lines
+    return 0, _lines_text(lines)
 
 
 def _cmd_check(args) -> Output:
     flag = FlagType.parse(args.flag)
     classes = _parse_tuple(args.tuple)
     report = is_levi_movable(classes, flag, args.method)
+    code = 0 if report.movable else 1
     conditions = {
         "i": report.condition_i,
         "iii": report.condition_iii,
         "iv": report.condition_iv,
     }
-    doc = _document(
-        flag, report.classes, conditions=conditions, coefficient=report.coefficient
-    )
-    row = {
-        "flag": str(flag),
-        "n": flag.n,
-        "tuple": _format_tuple(report.classes),
-        **{f"condition_{label}": value for label, value in conditions.items()},
-        "coefficient": report.coefficient,
-    }
+    if args.format == "json":
+        return code, _json_text(_document(
+            flag, report.classes, conditions=conditions, coefficient=report.coefficient
+        ))
+    if args.format == "csv":
+        return code, _csv_text(
+            ("flag", "n", "tuple", *(f"condition_{label}" for label in conditions), "coefficient"),
+            [(str(flag), flag.n, _format_tuple(report.classes), *conditions.values(),
+              report.coefficient)],
+        )
     verdict = "movable" if report.movable else "not movable"
     lines = [f"{_format_tuple(report.classes)} on {flag}: {verdict}"]
     for label, value in conditions.items():
@@ -110,47 +156,49 @@ def _cmd_check(args) -> Output:
         lines.append(f"  coefficient: {report.coefficient}")
     if report.failing_witness:
         lines.append(f"  witness: {report.failing_witness}")
-    return (0 if report.movable else 1), doc, [row], lines
+    return code, _lines_text(lines)
 
 
 def _cmd_coeff(args) -> Output:
     flag = FlagType.parse(args.flag)
     classes = check_class_tuple(_parse_tuple(args.tuple), flag)
     coefficient = intersection_number(classes, flag)
-    doc = _document(flag, classes, coefficient=coefficient)
-    row = {
-        "flag": str(flag),
-        "n": flag.n,
-        "tuple": _format_tuple(classes),
-        "coefficient": coefficient,
-    }
-    return 0, doc, [row], [str(coefficient)]
+    if args.format == "json":
+        return 0, _json_text(_document(flag, classes, coefficient=coefficient))
+    if args.format == "csv":
+        return 0, _csv_text(
+            ("flag", "n", "tuple", "coefficient"),
+            [(str(flag), flag.n, _format_tuple(classes), coefficient)],
+        )
+    return 0, _lines_text([str(coefficient)])
 
 
 def _cmd_factor(args) -> Output:
     flag = FlagType.parse(args.flag)
     classes = _parse_tuple(args.tuple)
     tree = factor_full(classes, flag)
-    doc = _document(
-        flag, tree.classes, coefficient=tree.coefficient, factorization=tree.to_dict()
-    )
-    rows = []
-    lines = [f"{_format_tuple(tree.classes)} on {flag}: coefficient {tree.coefficient}"]
-    for depth, leaf in enumerate(tree.leaf_factors(), start=1):
-        rows.append(
-            {
-                "level": depth,
-                "grassmannian": str(leaf.space),
-                "partitions": ";".join(format_partition(p) for p in leaf.partitions),
-                "coefficient": leaf.coefficient,
-            }
+    if args.format == "json":
+        return 0, _json_text(_document(
+            flag, tree.classes, coefficient=tree.coefficient, factorization=tree.to_dict()
+        ))
+    leaves = list(enumerate(tree.leaf_factors(), start=1))
+    if args.format == "csv":
+        return 0, _csv_text(
+            ("level", "grassmannian", "partitions", "coefficient"),
+            [
+                (depth, str(leaf.space), ";".join(format_partition(p) for p in leaf.partitions),
+                 leaf.coefficient)
+                for depth, leaf in leaves
+            ],
         )
+    lines = [f"{_format_tuple(tree.classes)} on {flag}: coefficient {tree.coefficient}"]
+    for depth, leaf in leaves:
         parts = ",".join("(" + ",".join(map(str, p)) + ")" for p in leaf.partitions)
         lines.append(
             f"{'  ' * depth}{leaf.space}: partitions {parts} -> "
             f"coefficient {leaf.coefficient}"
         )
-    return 0, doc, rows, lines
+    return 0, _lines_text(lines)
 
 
 def _cmd_verify(args) -> Output:
@@ -158,20 +206,23 @@ def _cmd_verify(args) -> Output:
         results = run_all(args.max_n)
     else:
         results = [run_suite(args.suite, args.max_n)]
-    doc = [
-        {"suite": r.name, "passed": r.passed, "lines": r.lines, "failures": r.failures}
-        for r in results
-    ]
-    rows = [
-        {"suite": r.name, "passed": r.passed, "failures": " | ".join(r.failures)}
-        for r in results
-    ]
+    code = 0 if all(r.passed for r in results) else 1
+    if args.format == "json":
+        return code, _json_text([
+            {"suite": r.name, "passed": r.passed, "lines": r.lines, "failures": r.failures}
+            for r in results
+        ])
+    if args.format == "csv":
+        return code, _csv_text(
+            ("suite", "passed", "failures"),
+            [(r.name, r.passed, " | ".join(r.failures)) for r in results],
+        )
     lines = []
     for r in results:
         lines.append(f"{r.name}: {'PASS' if r.passed else 'FAIL'}")
         lines.extend(f"  {line}" for line in r.lines)
         lines.extend(f"  FAILURE: {failure}" for failure in r.failures)
-    return (0 if all(r.passed for r in results) else 1), doc, rows, lines
+    return code, _lines_text(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,20 +284,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code, doc, rows, lines = args.handler(args)
+        code, text = args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        if rows:
-            writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
-    else:
-        for line in lines:
-            print(line)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early.  Point stdout at devnull, so
+        # that the interpreter's flush at exit has no closed pipe to fail on.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

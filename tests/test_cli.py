@@ -304,3 +304,25 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2"
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_closed_output_pipe_ends_quietly(fmt):
+    # Every format of this output is larger than a 64 KiB pipe buffer, so
+    # the child is still writing when the reader closes the pipe after
+    # one line.
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "flaghorn", "enumerate",
+            "--flag", "1,2,3,4,5,6/7", "--s", "2", "--format", fmt,
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        bufsize=0,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert first
+    assert err == b""
+    assert proc.returncode == 0
