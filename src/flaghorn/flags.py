@@ -482,6 +482,13 @@ class FlagTable:
         self.leaf_spaces = tuple(
             (b[k], flag.n - a) for k, a in enumerate(flag.bounds[:-2])
         )
+        # the positions in pairs of (k, j), j > k, for each step k: leaf k
+        # pairs block k with every later block, so its codimension is the
+        # sum of theirs
+        self.leaf_pairs = tuple(
+            tuple(p for p, (i, _) in enumerate(self.pairs) if i == k)
+            for k in range(1, len(self.leaf_spaces) + 1)
+        )
         # parabolic_longest: the positions of each block in reverse
         self.block_reversal = tuple(
             p for lo, hi in pairwise(flag.bounds) for p in range(hi, lo, -1)

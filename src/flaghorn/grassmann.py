@@ -6,8 +6,14 @@ partition inside the r x (n - r) rectangle; the partition of the class
 indexed by w (dimension convention) has parts n - r + j - w(j) for
 j = 1 .. r, and its size is the codimension of the class.
 
-Littlewood-Richardson coefficients are computed by direct enumeration of
-skew semistandard fillings whose reverse reading word is a lattice word.
+A single Littlewood-Richardson coefficient (lr_coefficient) is a
+depth-first search over the semistandard fillings of the skew shape whose
+reverse reading word is a lattice word.  A whole product (lr_expand)
+comes from one walk that adds the rows of the second partition as
+labelled horizontal strips, so every term arrives with its multiplicity
+and no search runs per term; the tests check each against the other.
+Point products of four or more classes expand the two halves of the list
+by that walk and meet in the middle, by duality.
 
 Routes iii and iv of the movability test live here.  The Horn recursion
 is route iv on the Grassmannian's own class table: the tuple walker of
@@ -166,7 +172,6 @@ def _contains(outer: Partition, inner: Partition) -> bool:
     )
 
 
-@lru_cache(maxsize=None)
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     """The Littlewood-Richardson coefficient: the multiplicity of the
     class of nu in the product of the classes of lam and mu, equivalently
@@ -178,9 +183,14 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     >>> lr_coefficient((2, 1), (2, 1), (3, 2, 1))
     2
     """
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    nu = check_partition(nu)
+    # checked before the cache, which would hash an unhashable list first
+    return _lr_coefficient(check_partition(lam), check_partition(mu), check_partition(nu))
+
+
+@lru_cache(maxsize=None)
+def _lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """lr_coefficient on normalized partitions: one depth-first search
+    over the fillings of nu/lam."""
     if sum(nu) != sum(lam) + sum(mu) or not _contains(nu, lam):
         return 0
     if not mu:
@@ -226,17 +236,121 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
+lr_coefficient.cache_info = _lr_coefficient.cache_info
+lr_coefficient.cache_clear = _lr_coefficient.cache_clear
+
+
 def lr_expand(lam: Partition, mu: Partition, rows: int, cols: int) -> dict[Partition, int]:
-    """Product of the classes of lam and mu truncated to the rectangle."""
+    """Product of the classes of lam and mu truncated to the rows x cols
+    rectangle: each partition nu inside it with its Littlewood-Richardson
+    coefficient, nonzero, in lexicographic order of nu.
+
+    >>> lr_expand((1,), (1,), 2, 2)
+    {(1, 1): 1, (2,): 1}
+    >>> lr_expand((2, 1), (2, 1), 3, 3)[(3, 2, 1)]
+    2
+    """
+    lam, mu = check_partition(lam), check_partition(mu)
+    if rows < 0 or cols < 0:
+        raise ValueError(f"need a rectangle of nonnegative sides, got {rows} x {cols}")
+    for p in (lam, mu):
+        if not fits_rectangle(p, rows, cols):
+            raise ValueError(f"{p!r} does not fit inside {rows} x {cols}")
+    return dict(sorted(_lr_expand(lam, mu, rows, cols).items()))
+
+
+@lru_cache(maxsize=None)
+def _lr_expand(lam: Partition, mu: Partition, rows: int, cols: int) -> dict[Partition, int]:
+    """lr_expand on normalized partitions inside the rectangle, in no
+    particular order: the rows of mu are added to lam as labelled
+    horizontal strips (_strips).
+
+    Label i (counted from 0) adds mu[i] boxes, at most one in a column.
+    The reverse reading word of the labels is a lattice word when, for
+    every row r, the labels i in rows 0 .. r are at most the labels i - 1
+    in rows 0 .. r - 1; so label i starts in row i.  These running counts
+    are all that a later label reads of an earlier one, so a state of the
+    walk is a shape with the running counts of the label just added, and
+    fillings that reach the same state merge, their multiplicities added.
+    Each filling is a Littlewood-Richardson tableau of nu/lam with
+    content mu, so each nu ends with its coefficient.
+
+    The cost of a state grows with the rows, so a rectangle with more
+    rows than columns is walked transposed: conjugating all three
+    partitions keeps every coefficient."""
+    if rows > cols:
+        flip = _lr_expand(_conjugate(lam), _conjugate(mu), cols, rows)
+        return {_conjugate(nu): c for nu, c in flip.items()}
+    # sum(mu) never binds: the first label has no lattice bound
+    states: dict = {(lam + (0,) * (rows - len(lam)), (sum(mu),) * rows): 1}
+    for i, boxes in enumerate(mu):
+        nxt: dict = {}
+        for (shape, bound), c in states.items():
+            for state in _strips(shape, bound, i, boxes, cols):
+                nxt[state] = nxt.get(state, 0) + c
+        states = nxt
     out: dict[Partition, int] = {}
-    for nu in partitions_in_rectangle(rows, cols, sum(lam) + sum(mu)):
-        if not (_contains(nu, lam) and _contains(nu, mu)):
-            continue
-        c = lr_coefficient(lam, mu, nu)
-        if c:
-            out[nu] = c
+    for (shape, _), c in states.items():
+        nu = shape[: rows - shape.count(0)]  # the zeros are all at the end
+        out[nu] = out.get(nu, 0) + c
     return out
+
+
+lr_expand.cache_info = _lr_expand.cache_info
+lr_expand.cache_clear = _lr_expand.cache_clear
+
+
+def _conjugate(p: Partition) -> Partition:
+    """The transposed partition: part j counts the parts larger than j."""
+    return tuple([sum(1 for x in p if x > j) for j in range(p[0])]) if p else ()
+
+
+def _strips(
+    shape: tuple[int, ...], bound: tuple[int, ...], first: int, boxes: int, cols: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The horizontal strips of `boxes` boxes that extend the shape, a
+    partition padded with zeros to the rows of the rectangle, within its
+    cols columns, starting in row `first` and putting at most bound[r - 1]
+    boxes in rows first .. r.  Yields each new shape with those running
+    counts, the bound of the next label.
+
+    The walk chooses the running count through each row in turn.  Row r
+    takes at most shape[r - 1] - shape[r] boxes (cols - shape[0] in row
+    0), so the rows below r hold at most shape[r] - shape[-1], and the
+    count through row r is at least boxes - (shape[r] - shape[-1]).  When
+    these least counts keep within the bound, every choice inside the
+    ranges completes a strip, so the walk meets no dead end; otherwise
+    there is no strip."""
+    rows, floor = len(shape), shape[-1]
+    # the bound of the first label never binds
+    if boxes > (shape[first - 1] if first else cols) - floor or first and any(
+        boxes - shape[r] + floor > bound[r - 1] for r in range(first, rows)
+    ):
+        return
+    # count[r]: the boxes in rows first .. r; top[r]: the most it may be
+    new, count, top = list(shape), [0] * rows, [0] * rows
+    r, prev = first, 0
+    count[r] = max(0, boxes - shape[r] + floor)
+    top[r] = min(boxes, (shape[r - 1] if r else cols) - shape[r], bound[r - 1])
+    while True:
+        new[r] = shape[r] + count[r] - prev
+        if count[r] == boxes or r == rows - 1:
+            # a complete strip: yield it, then take the next choice of the
+            # deepest row that has one
+            new[r + 1 :] = shape[r + 1 :]
+            count[r + 1 :] = [boxes] * (rows - r - 1)
+            yield tuple(new), tuple(count)
+            while r >= first and count[r] == top[r]:
+                r -= 1
+            if r < first:
+                return
+            count[r] += 1
+            prev = count[r - 1] if r > first else 0
+            continue
+        prev = count[r]
+        r += 1
+        count[r] = max(prev, boxes - shape[r] + floor)
+        top[r] = min(prev + shape[r - 1] - shape[r], boxes, bound[r - 1])
 
 
 def product_to_point(partitions: tuple[Partition, ...], r: int, n: int) -> int:
@@ -266,36 +380,50 @@ def _product_to_point(parts: tuple[Partition, ...], r: int, n: int) -> int:
     A projective space (r == 1 or n - r == 1) is decided by degree: its
     classes multiply as sigma_a * sigma_b = sigma_(a+b), so the product
     is the point class exactly when the sizes sum to its dimension.
-    Otherwise the first partition starts the product and the last one
-    finishes it by duality: the point coefficient of sigma_nu * sigma_p
-    is 1 when p is the complement of nu in the rectangle and 0 otherwise.
-    So the point coefficient of sigma_nu * sigma_q * sigma_p is the
-    coefficient of the complement of p in sigma_nu * sigma_q, one
-    Littlewood-Richardson coefficient: with three or more partitions,
-    only those strictly between the first and the last two are expanded,
-    and each term nu of that product adds its multiplicity times
-    lr_coefficient(nu, q, complement of p).
+    Otherwise the product is finished by duality: the point coefficient
+    of sigma_nu * sigma_p is 1 when p is the complement of nu in the
+    rectangle and 0 otherwise.  So two partitions are compared, and with
+    three the point coefficient of sigma_nu * sigma_q * sigma_p is one
+    Littlewood-Richardson coefficient, that of the complement of p in
+    sigma_nu * sigma_q.  With four or more the two halves of the list
+    are expanded apart (_expand) and met in the middle: each term nu of
+    the first half's product adds its multiplicity times that of the
+    complement of nu in the second half's.
     """
     cols = n - r
-    if sum(sum(p) for p in parts) != r * cols:
+    if sum(map(sum, parts)) != r * cols:
         return 0
-    if len(parts) < 2 or r == 1 or cols == 1:
-        # no parts of an empty rectangle, the rectangle itself, or a
+    if len(parts) < 2 or r <= 1 or cols <= 1:
+        # no parts, the rectangle itself, an empty rectangle, or a
         # projective space of the right degree
         return 1
-    padded = parts[-1] + (0,) * (r - len(parts[-1]))
-    complement = tuple(cols - x for x in reversed(padded) if x < cols)
     if len(parts) == 2:
-        return int(parts[0] == complement)
-    acc: dict[Partition, int] = {parts[0]: 1}
-    for p in parts[1:-2]:
+        return int(parts[0] == _complement(parts[1], r, cols))
+    if len(parts) == 3:
+        return _lr_coefficient(parts[0], parts[1], _complement(parts[2], r, cols))
+    half = len(parts) // 2
+    left, right = _expand(parts[:half], r, cols), _expand(parts[half:], r, cols)
+    return sum(c * right.get(_complement(nu, r, cols), 0) for nu, c in left.items())
+
+
+def _complement(p: Partition, rows: int, cols: int) -> Partition:
+    """The complement of p in the rectangle (of at least one column),
+    turned by 180 degrees: the partition whose class pairs with that of
+    p to the point class."""
+    return (cols,) * (rows - len(p)) + tuple([cols - x for x in reversed(p) if x < cols])
+
+
+def _expand(parts: tuple[Partition, ...], rows: int, cols: int) -> dict[Partition, int]:
+    """The product of the classes of two or more partitions inside the
+    rectangle, one _lr_expand per term and factor."""
+    acc = _lr_expand(parts[0], parts[1], rows, cols)
+    for p in parts[2:]:
         nxt: dict[Partition, int] = {}
         for nu, c in acc.items():
-            for kappa, c2 in lr_expand(nu, p, r, cols).items():
+            for kappa, c2 in _lr_expand(nu, p, rows, cols).items():
                 nxt[kappa] = nxt.get(kappa, 0) + c * c2
         acc = nxt
-    q = parts[-2]
-    return sum(c * lr_coefficient(nu, q, complement) for nu, c in acc.items())
+    return acc
 
 
 def horn_inequality_holds(

@@ -241,10 +241,22 @@ def _leaf_product(entries: tuple[ClassEntry, ...], table: FlagTable) -> int:
     """The product of the Littlewood-Richardson leaves of the tuple, one
     point coefficient on the Grassmannian of each step; 0 at the first
     leaf that vanishes.  For a movable tuple this is its intersection
-    number (the factorization of factor_full)."""
+    number (the factorization of factor_full).
+
+    A leaf on a projective space (r == 1 or m - r == 1) is decided by
+    its degree alone (see _product_to_point), and its codimension is the
+    sum of the codimensions of its pairs (FlagTable.leaf_pairs), so it
+    reads no partition."""
     coefficient = 1
     for k, (r, m) in enumerate(table.leaf_spaces):
-        coefficient *= _product_to_point(tuple(e.leaf_partitions[k] for e in entries), r, m)
+        if r == 1 or m - r == 1:
+            pairs = table.leaf_pairs[k]
+            degree = sum(e.pair_codims[p] for e in entries for p in pairs)
+            coefficient *= degree == r * (m - r)
+        else:
+            coefficient *= _product_to_point(
+                tuple(e.leaf_partitions[k] for e in entries), r, m
+            )
         if not coefficient:
             break
     return coefficient

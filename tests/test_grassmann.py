@@ -1,10 +1,14 @@
-"""Partitions, the Littlewood-Richardson rule (cross-validated against an
+"""Partitions, the Littlewood-Richardson rule (the strip walk of lr_expand
+cross-validated against the filling count of lr_coefficient and an
 independent strip-adding rule), point products, and the inequality tests."""
 
+from functools import lru_cache
 from itertools import combinations_with_replacement, product
+from math import factorial, prod
 
 import pytest
 
+from flaghorn import grassmann
 from flaghorn.flags import (
     ClassEntry,
     FlagType,
@@ -120,8 +124,13 @@ def test_partition_pinned_values():
 
 @pytest.mark.parametrize(
     "call",
-    [lambda: perm_from_partition((), 3, 2), lambda: product_to_point(((),), 3, 2)],
-    ids=["perm_from_partition", "product_to_point"],
+    [
+        lambda: perm_from_partition((), 3, 2),
+        lambda: product_to_point(((),), 3, 2),
+        lambda: lr_expand((), (), -1, 2),
+        lambda: lr_expand((), (), 2, -1),
+    ],
+    ids=["perm_from_partition", "product_to_point", "lr_expand_rows", "lr_expand_cols"],
 )
 def test_a_rectangle_with_r_outside_0_to_n_is_a_value_error(call):
     with pytest.raises(ValueError):
@@ -204,6 +213,106 @@ def test_lr_coefficient_symmetry():
             assert lr_coefficient(lam, mu, nu) == lr_coefficient(mu, lam, nu)
 
 
+def test_lr_functions_take_any_sequence_and_check_it():
+    # the arguments are normalized before the cache, which hashes them
+    assert lr_coefficient([1], [1], [2]) == 1
+    assert lr_coefficient([2, 1, 0], (1,), [3, 1]) == 1
+    assert lr_expand([1], [1], 2, 2) == {(1, 1): 1, (2,): 1}
+    assert lr_expand([1, 0], (), 2, 2) == {(1,): 1}
+    for bad in ((1, 2), (-1,), (1.5,)):
+        with pytest.raises(ValueError):
+            lr_coefficient(bad, (1,), (2,))
+        with pytest.raises(ValueError):
+            lr_coefficient((1,), (1,), bad)
+        with pytest.raises(ValueError):
+            lr_expand(bad, (1,), 2, 2)
+        with pytest.raises(ValueError):
+            lr_expand((1,), bad, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "lam,mu", [((3,), ()), ((1, 1, 1), ()), ((), (3,)), ((), (1, 1, 1))]
+)
+def test_lr_expand_rejects_a_partition_outside_the_rectangle(lam, mu):
+    with pytest.raises(ValueError, match="does not fit"):
+        lr_expand(lam, mu, 2, 2)
+
+
+@lru_cache(maxsize=None)
+def _expansion_by_fillings(lam, mu, rows, cols):
+    # one filling count (lr_coefficient) per partition of the right size
+    # inside the rectangle, in lexicographic order
+    out = {}
+    for nu in partitions_in_rectangle(rows, cols, size=sum(lam) + sum(mu)):
+        c = lr_coefficient(lam, mu, nu)
+        if c:
+            out[nu] = c
+    return out
+
+
+EXPANSION_RECTANGLES = [(r, c) for r in range(2, 5) for c in range(2, 5)] + [(3, 5), (2, 6)]
+
+
+def _expansion_mismatches(rows, cols):
+    shapes = partitions_in_rectangle(rows, cols)
+    return [
+        (lam, mu)
+        for lam in shapes
+        for mu in shapes
+        if list(lr_expand(lam, mu, rows, cols).items())
+        != list(_expansion_by_fillings(lam, mu, rows, cols).items())
+    ]
+
+
+@pytest.mark.parametrize("rows,cols", EXPANSION_RECTANGLES)
+def test_lr_expand_matches_the_filling_count(rows, cols):
+    # every pair of partitions in the rectangle: the strip walk gives the
+    # terms and multiplicities of one filling search per term, in the
+    # same (lexicographic) order
+    assert _expansion_mismatches(rows, cols) == []
+
+
+@pytest.fixture
+def fresh_lr_expand():
+    # expansions made while the walk is patched must not reach a later test
+    lr_expand.cache_clear()
+    yield
+    lr_expand.cache_clear()
+
+
+def test_the_filling_count_catches_a_walk_without_the_lattice_bound(
+    fresh_lr_expand, monkeypatch
+):
+    strips = grassmann._strips
+    monkeypatch.setattr(
+        grassmann,
+        "_strips",
+        lambda shape, bound, *rest: strips(shape, (10**9,) * len(shape), *rest),
+    )
+    # without the bound the one row of (2,2)/(2) may read 1 2, whose
+    # reverse 2 1 is no lattice word
+    assert lr_expand((2,), (1, 1), 3, 3) == {(2, 1, 1): 1, (2, 2): 1, (3, 1): 1}
+    assert lr_coefficient((2,), (1, 1), (2, 2)) == 0
+    assert len(_expansion_mismatches(3, 3)) == 48
+
+
+def _standard_tableaux_of_rectangle(rows, cols):
+    # the hook length formula on the rows x cols rectangle
+    hooks = prod(rows + cols - i - j - 1 for i in range(rows) for j in range(cols))
+    return factorial(rows * cols) // hooks
+
+
+@pytest.mark.parametrize(
+    "r,n,expected",
+    [(4, 8, 24_024), (5, 10, 701_149_020), (6, 12, 1_671_643_033_734_960)],
+)
+def test_sigma_one_powers_count_standard_tableaux(r, n, expected):
+    # the point coefficient of sigma_1 to the dimension counts the
+    # standard Young tableaux of the rectangle
+    assert _standard_tableaux_of_rectangle(r, n - r) == expected
+    assert product_to_point(((1,),) * (r * (n - r)), r, n) == expected
+
+
 def test_product_to_point_pinned():
     assert product_to_point(((1,), (1,), (2,)), 2, 4) == 1
     assert product_to_point(((1,), (1,), (1, 1)), 2, 4) == 1
@@ -231,16 +340,17 @@ def _exact_degree_partition_tuples(r, cols, s, size):
                 yield (p,) + rest
 
 
+@lru_cache(maxsize=None)
 def _expanded_product(parts, r, cols):
-    # every factor expanded, from the empty partition
-    acc = {(): 1}
-    for p in parts:
-        nxt = {}
-        for nu, c in acc.items():
-            for kappa, c2 in lr_expand(nu, p, r, cols).items():
-                nxt[kappa] = nxt.get(kappa, 0) + c * c2
-        acc = nxt
-    return acc
+    # every factor expanded by filling counts, from the empty partition;
+    # kept for each prefix, which many tuples share
+    if not parts:
+        return {(): 1}
+    out = {}
+    for nu, c in _expanded_product(parts[:-1], r, cols).items():
+        for kappa, c2 in _expansion_by_fillings(nu, parts[-1], r, cols).items():
+            out[kappa] = out.get(kappa, 0) + c * c2
+    return out
 
 
 def _expanded_product_to_point(parts, r, cols):
@@ -250,17 +360,18 @@ def _expanded_product_to_point(parts, r, cols):
 
 def test_product_to_point_finish_by_duality_matches_the_full_expansion():
     # Gr(d, m) for m <= 7, with the empty rectangles d = 0 and d = m, and
-    # s = 0 .. 4 classes: the last factor read off by its complement must
-    # give what expanding it does
+    # s = 0 .. 5 classes: the last factor read off by its complement, or
+    # the two halves met in the middle, must give what expanding every
+    # factor by filling counts does
     checked = 0
     for m in range(1, 8):
         for d in range(m + 1):
-            for s in range(5):
+            for s in range(6):
                 for parts in _exact_degree_partition_tuples(d, m - d, s, d * (m - d)):
                     expected = _expanded_product_to_point(parts, d, m - d)
                     assert _product_to_point(parts, d, m) == expected, (d, m, parts)
                     checked += 1
-    assert checked == 38711
+    assert checked == 176056
     assert _product_to_point(((1,), (1,)), 2, 4) == 0  # sizes below the rectangle
 
 

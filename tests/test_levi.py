@@ -249,15 +249,20 @@ def test_check_cross_check_compares_the_leaf_product(monkeypatch):
 
 
 def test_wrong_leaf_partitions_are_caught(monkeypatch):
+    # 2,3/5 has the leaf Gr(2,5), whose partitions are read, and the
+    # projective leaf Gr(1,3), which its degree decides
+    flag = FlagType((2, 3), 5)
     # a property on the class shadows the values cached on the entries
     monkeypatch.setattr(
         ClassEntry, "leaf_partitions", property(lambda e: ((1,),) * len(e.table.leaf_spaces))
     )
     with pytest.raises(RuntimeError, match="leaf product"):
-        enumerate_levi_movable(F3, 2, "cross_check")
+        enumerate_levi_movable(flag, 2, "cross_check")
     # the wrong classes miss the point class of the first leaf
     with pytest.raises(RuntimeError, match="vanishing leaf"):
-        _mismatches([(F3, 2)])
+        _mismatches([(flag, 2)])
+    # every leaf of a complete flag is projective: no partition is read
+    assert _mismatches([(F3, 2), (F3, 3)]) == []
 
 
 @pytest.fixture
