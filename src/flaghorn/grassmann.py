@@ -377,12 +377,10 @@ def _product_to_point(parts: tuple[Partition, ...], r: int, n: int) -> int:
     """product_to_point on partitions already normalized and inside the
     r x (n - r) rectangle.
 
-    A projective space (r == 1 or n - r == 1) is decided by degree: its
-    classes multiply as sigma_a * sigma_b = sigma_(a+b), so the product
-    is the point class exactly when the sizes sum to its dimension.
-    Otherwise the product is finished by duality: the point coefficient
-    of sigma_nu * sigma_p is 1 when p is the complement of nu in the
-    rectangle and 0 otherwise.  So two partitions are compared, and with
+    The degree decides first (_degree_verdict).  Otherwise the product
+    is finished by duality: the point coefficient of sigma_nu * sigma_p
+    is 1 when p is the complement of nu in the rectangle and 0
+    otherwise.  So two partitions are compared, and with
     three the point coefficient of sigma_nu * sigma_q * sigma_p is one
     Littlewood-Richardson coefficient, that of the complement of p in
     sigma_nu * sigma_q.  With four or more the two halves of the list
@@ -390,13 +388,12 @@ def _product_to_point(parts: tuple[Partition, ...], r: int, n: int) -> int:
     the first half's product adds its multiplicity times that of the
     complement of nu in the second half's.
     """
+    verdict = _degree_verdict(sum(map(sum, parts)), r, n)
+    if verdict is not None:
+        return verdict
     cols = n - r
-    if sum(map(sum, parts)) != r * cols:
-        return 0
-    if len(parts) < 2 or r <= 1 or cols <= 1:
-        # no parts, the rectangle itself, an empty rectangle, or a
-        # projective space of the right degree
-        return 1
+    if len(parts) == 1:
+        return 1  # the rectangle itself
     if len(parts) == 2:
         return int(parts[0] == _complement(parts[1], r, cols))
     if len(parts) == 3:
@@ -404,6 +401,21 @@ def _product_to_point(parts: tuple[Partition, ...], r: int, n: int) -> int:
     half = len(parts) // 2
     left, right = _expand(parts[:half], r, cols), _expand(parts[half:], r, cols)
     return sum(c * right.get(_complement(nu, r, cols), 0) for nu, c in left.items())
+
+
+def _degree_verdict(degree: int, r: int, n: int) -> int | None:
+    """The point coefficient of a product of classes of Gr(r, n) whose
+    sizes sum to degree, when the degree alone decides it, else None.
+
+    A product of the wrong degree misses the point class: 0.  On a
+    projective space (r == 1 or n - r == 1), or a point, the classes
+    multiply as sigma_a * sigma_b = sigma_(a+b), so the right degree is
+    the point class: 1.  Elsewhere the partitions decide: None."""
+    if degree != r * (n - r):
+        return 0
+    if r <= 1 or n - r <= 1:
+        return 1
+    return None
 
 
 def _complement(p: Partition, rows: int, cols: int) -> Partition:
@@ -475,19 +487,18 @@ def _condition_iii(entries: tuple[ClassEntry, ...], table: FlagTable) -> str | N
     """condition_iii_failure on the checked entries of an exact-degree
     tuple, read from the pair partitions of the table.
 
-    A product of the wrong degree misses the point class without any
-    Littlewood-Richardson arithmetic.  A pair with b_i == 1 or b_j == 1
-    flattens onto a projective space, where the right degree alone hits
-    the point class (see _product_to_point), so its partitions are never
-    read.  The witness names the pair Grassmannian as its flag type
-    prints, b_i/(b_i + b_j), without building one."""
+    The degree, summed from the pair codimensions, decides a product of
+    the wrong degree and a pair with b_i == 1 or b_j == 1, which flattens
+    onto a projective space (_degree_verdict), so their partitions are
+    never read.  The witness names the pair Grassmannian as its flag
+    type prints, b_i/(b_i + b_j), without building one."""
     for k, (bi, bj) in enumerate(table.pair_sizes):
-        if sum(e.pair_codims[k] for e in entries) != bi * bj or (
-            min(bi, bj) > 1
-            and _product_to_point(
+        verdict = _degree_verdict(sum(e.pair_codims[k] for e in entries), bi, bi + bj)
+        if verdict is None:
+            verdict = _product_to_point(
                 tuple(e.pair_partitions[k] for e in entries), bi, bi + bj
-            ) == 0
-        ):
+            )
+        if not verdict:
             i, j = table.pairs[k]
             return (
                 f"blocks ({i},{j}): flattened product misses the point class "

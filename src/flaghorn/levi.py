@@ -40,7 +40,7 @@ from .flags import (
     _walk,
     flag_table,
 )
-from .grassmann import _condition_iii, _condition_iv, _product_to_point
+from .grassmann import _condition_iii, _condition_iv, _degree_verdict, _product_to_point
 from .oracle import _intersection_number, structure_constants_pair
 from .perm import Perm
 
@@ -243,20 +243,17 @@ def _leaf_product(entries: tuple[ClassEntry, ...], table: FlagTable) -> int:
     leaf that vanishes.  For a movable tuple this is its intersection
     number (the factorization of factor_full).
 
-    A leaf on a projective space (r == 1 or m - r == 1) is decided by
-    its degree alone (see _product_to_point), and its codimension is the
-    sum of the codimensions of its pairs (FlagTable.leaf_pairs), so it
-    reads no partition."""
+    A leaf's codimension is the sum of the codimensions of its pairs
+    (FlagTable.leaf_pairs), so a leaf that its degree decides
+    (_degree_verdict: a projective space, or the wrong degree) reads no
+    partition."""
     coefficient = 1
     for k, (r, m) in enumerate(table.leaf_spaces):
-        if r == 1 or m - r == 1:
-            pairs = table.leaf_pairs[k]
-            degree = sum(e.pair_codims[p] for e in entries for p in pairs)
-            coefficient *= degree == r * (m - r)
-        else:
-            coefficient *= _product_to_point(
-                tuple(e.leaf_partitions[k] for e in entries), r, m
-            )
+        pairs = table.leaf_pairs[k]
+        verdict = _degree_verdict(sum(e.pair_codims[p] for e in entries for p in pairs), r, m)
+        if verdict is None:
+            verdict = _product_to_point(tuple(e.leaf_partitions[k] for e in entries), r, m)
+        coefficient *= verdict
         if not coefficient:
             break
     return coefficient

@@ -21,6 +21,7 @@ from flaghorn.flags import (
 from flaghorn.grassmann import (
     _condition_iii,
     _condition_iv,
+    _degree_verdict,
     _horn_holds,
     _point_positive_tuples,
     _product_to_point,
@@ -373,6 +374,26 @@ def test_product_to_point_finish_by_duality_matches_the_full_expansion():
                     checked += 1
     assert checked == 176056
     assert _product_to_point(((1,), (1,)), 2, 4) == 0  # sizes below the rectangle
+
+
+def test_degree_verdict_decides_only_what_the_degree_decides():
+    # Gr(d, m), m <= 7: the wrong degree is 0; the right degree is None
+    # where the partitions decide, and otherwise (a projective space or
+    # a point) 1, which every exact-degree tuple's expansion confirms
+    for m in range(1, 8):
+        for d in range(m + 1):
+            dim = d * (m - d)
+            for degree in range(dim + 2):
+                verdict = _degree_verdict(degree, d, m)
+                if degree != dim:
+                    assert verdict == 0, (d, m, degree)
+                elif min(d, m - d) > 1:
+                    assert verdict is None, (d, m)
+                else:
+                    assert verdict == 1, (d, m)
+                    for s in range(1, 5):
+                        for parts in _exact_degree_partition_tuples(d, m - d, s, dim):
+                            assert _expanded_product_to_point(parts, d, m - d) == 1
 
 
 def _product_to_point_by_complement(parts, r, cols):
