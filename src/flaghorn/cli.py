@@ -6,6 +6,13 @@ run the verification suites.  Flag types are written "steps/n" (for
 example "1,3/4"), tuples as semicolon-separated permutations (for
 example "2,3,1;2,1,3").  Output formats: text, json, csv.
 
+Every command and its options are declared once, in _COMMANDS.  ``main``
+reads argv of the plain form ``command --option value ...`` straight
+from that table, so a plain call never imports argparse.  Everything
+else (help, usage errors, ``--option=value``, abbreviations, repeated
+options, values that start with "-") goes through the argparse parser
+that build_parser makes from the same table, with unchanged output.
+
 Each command builds only the format that ``--format`` names, as one
 string, and ``main`` writes it with a single write.  ``enumerate``
 renders each distinct class once per run (its indented JSON block, or
@@ -20,7 +27,6 @@ dropped without a message and the exit code is still the command's own.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
@@ -28,6 +34,7 @@ import os
 import sys
 from collections.abc import Sequence
 from functools import cache
+from types import SimpleNamespace
 
 from .factor import factor_full
 from .flags import FlagType, check_class_tuple, codim
@@ -225,7 +232,41 @@ def _cmd_verify(args) -> Output:
     return code, _lines_text(lines)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each subcommand once: its help line, its handler, and its options in
+# order, as (option, add_argument keywords).  build_parser builds argparse
+# from this table, and _parse reads plain argv straight from it.
+_FLAG = ("--flag", {"required": True, "help": "flag type, e.g. 1,2/4"})
+_TUPLE = (
+    "--tuple",
+    {"required": True, "help": "semicolon-separated permutations, e.g. 2,3,1;2,1,3"},
+)
+_FORMAT = ("--format", {"choices": ("text", "json", "csv"), "default": "text"})
+_METHOD = ("--method", {"choices": METHODS, "default": "via_iii"})
+_COMMANDS = {
+    "enumerate": (
+        "list all movable tuples of a size",
+        _cmd_enumerate,
+        (_FLAG, _FORMAT, ("--s", {"type": int, "required": True, "help": "tuple size, at least 2"}),
+         _METHOD),
+    ),
+    "check": ("decide movability of one tuple", _cmd_check, (_FLAG, _TUPLE, _FORMAT, _METHOD)),
+    "coeff": ("intersection number of one tuple", _cmd_coeff, (_FLAG, _TUPLE, _FORMAT)),
+    "factor": ("factor a movable tuple into leaves", _cmd_factor, (_FLAG, _TUPLE, _FORMAT)),
+    "verify": (
+        "run a verification suite",
+        _cmd_verify,
+        (("--suite", {"required": True, "choices": (*SUITES, "all")}),
+         ("--max-n", {"type": int, "default": None}),
+         _FORMAT),
+    ),
+}
+
+
+def build_parser():
+    """The argparse parser of every command, built from _COMMANDS.  main
+    only builds it for the argv that _parse leaves to it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="flaghorn",
         description=(
@@ -235,54 +276,60 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, tuple_arg: bool) -> None:
-        p.add_argument("--flag", required=True, help="flag type, e.g. 1,2/4")
-        if tuple_arg:
-            p.add_argument(
-                "--tuple",
-                required=True,
-                help="semicolon-separated permutations, e.g. 2,3,1;2,1,3",
-            )
-        p.add_argument(
-            "--format", choices=("text", "json", "csv"), default="text"
-        )
-
-    p = sub.add_parser("enumerate", help="list all movable tuples of a size")
-    add_common(p, tuple_arg=False)
-    p.add_argument("--s", type=int, required=True, help="tuple size, at least 2")
-    p.add_argument("--method", choices=METHODS, default="via_iii")
-    p.set_defaults(handler=_cmd_enumerate)
-
-    p = sub.add_parser("check", help="decide movability of one tuple")
-    add_common(p, tuple_arg=True)
-    p.add_argument("--method", choices=METHODS, default="via_iii")
-    p.set_defaults(handler=_cmd_check)
-
-    p = sub.add_parser("coeff", help="intersection number of one tuple")
-    add_common(p, tuple_arg=True)
-    p.set_defaults(handler=_cmd_coeff)
-
-    p = sub.add_parser("factor", help="factor a movable tuple into leaves")
-    add_common(p, tuple_arg=True)
-    p.set_defaults(handler=_cmd_factor)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument(
-        "--suite",
-        required=True,
-        choices=(*SUITES, "all"),
-    )
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.set_defaults(handler=_cmd_verify)
-
+    for name, (help_line, handler, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for option, keywords in options:
+            p.add_argument(option, **keywords)
+        p.set_defaults(handler=handler)
     return parser
 
 
+def _parse(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace that build_parser().parse_args(argv) gives, read
+    straight from _COMMANDS for argv of the plain form ``command --option
+    value ...``.  None for any other argv, which is left to argparse: an
+    unknown command or option, a repeated or missing required option, a
+    value that starts with "-" or fails its type or choices, help,
+    "--option=value" and abbreviations.
+
+    >>> vars(_parse(["coeff", "--tuple", "2,1", "--flag", "1/2"]))["format"]
+    'text'
+    >>> _parse(["coeff", "--flag=1/2", "--tuple", "2,1"]) is None
+    True
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command, rest = argv[0], argv[1:]
+    _, handler, options = _COMMANDS[command]
+    given = dict(zip(rest[::2], rest[1::2]))
+    if 2 * len(given) != len(rest) or not given.keys() <= dict(options).keys():
+        return None
+    values = {}
+    for option, keywords in options:
+        text = given.get(option)
+        if text is None:
+            if keywords.get("required"):
+                return None
+            value = keywords.get("default")
+        else:
+            if text.startswith("-"):
+                return None
+            try:
+                value = keywords.get("type", str)(text)
+            except ValueError:
+                return None
+            if value not in keywords.get("choices", (value,)):
+                return None
+        values[option[2:].replace("-", "_")] = value
+    return SimpleNamespace(command=command, handler=handler, **values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         code, text = args.handler(args)
     except ValueError as exc:

@@ -31,6 +31,7 @@ the associated triple is Levi-movable and zeroes it otherwise.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .flags import (
@@ -220,6 +221,15 @@ def _cross_check(
             )
 
 
+def _check_size(s: int) -> None:
+    """Reject a tuple size below 2, or one too large to index a list,
+    before any work starts."""
+    if s < 2:
+        raise ValueError(f"need at least two classes, got s={s}")
+    if s > sys.maxsize:
+        raise ValueError(f"tuple size s={s} exceeds the largest list size {sys.maxsize}")
+
+
 def exact_degree_tuples(flag: FlagType, s: int) -> tuple[tuple[Perm, ...], ...]:
     """All unordered s-tuples of class indices whose codimensions sum to
     the dimension of the manifold, in lexicographic order.
@@ -231,8 +241,7 @@ def exact_degree_tuples(flag: FlagType, s: int) -> tuple[tuple[Perm, ...], ...]:
     >>> exact_degree_tuples(FlagType((1,), 2), 3)
     (((1, 2), (2, 1), (2, 1)),)
     """
-    if s < 2:
-        raise ValueError(f"need at least two classes, got s={s}")
+    _check_size(s)
     table = flag_table(flag)
     return tuple(_walk(table, s, [()] * len(table.reps), ()))
 
@@ -288,8 +297,7 @@ def enumerate_levi_movable(
     >>> [(t, c) for t, c in enumerate_levi_movable(FlagType((1,), 2), 2)]
     [(((1, 2), (2, 1)), 1)]
     """
-    if s < 2:
-        raise ValueError(f"need at least two classes, got s={s}")
+    _check_size(s)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     table = flag_table(flag)

@@ -1,5 +1,7 @@
 """Command line behavior: output formats, exit codes, document round-trips."""
 
+import argparse
+import contextlib
 import csv
 import io
 import json
@@ -8,7 +10,17 @@ import sys
 
 import pytest
 
-from flaghorn.cli import build_parser, main
+from flaghorn.cli import (
+    _cmd_check,
+    _cmd_coeff,
+    _cmd_enumerate,
+    _cmd_factor,
+    _cmd_verify,
+    build_parser,
+    main,
+)
+from flaghorn.levi import METHODS
+from flaghorn.suites import SUITES
 
 
 SIGMA1_FOURTH = "2,4,1,3;2,4,1,3;2,4,1,3;2,4,1,3"
@@ -285,6 +297,158 @@ def test_bad_flag_string_exits_two(capsys):
 
 def test_parser_prog_name():
     assert build_parser().prog == "flaghorn"
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The parser as it was written by hand before build_parser read the
+    command table: the help text and usage errors that must not change."""
+    parser = argparse.ArgumentParser(
+        prog="flaghorn",
+        description=(
+            "Exact Schubert calculus on partial flag manifolds: movability "
+            "decisions, structure constants, and their factorization into "
+            "Grassmannian Littlewood-Richardson numbers."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_common(p, tuple_arg: bool) -> None:
+        p.add_argument("--flag", required=True, help="flag type, e.g. 1,2/4")
+        if tuple_arg:
+            p.add_argument(
+                "--tuple",
+                required=True,
+                help="semicolon-separated permutations, e.g. 2,3,1;2,1,3",
+            )
+        p.add_argument(
+            "--format", choices=("text", "json", "csv"), default="text"
+        )
+
+    p = sub.add_parser("enumerate", help="list all movable tuples of a size")
+    add_common(p, tuple_arg=False)
+    p.add_argument("--s", type=int, required=True, help="tuple size, at least 2")
+    p.add_argument("--method", choices=METHODS, default="via_iii")
+    p.set_defaults(handler=_cmd_enumerate)
+
+    p = sub.add_parser("check", help="decide movability of one tuple")
+    add_common(p, tuple_arg=True)
+    p.add_argument("--method", choices=METHODS, default="via_iii")
+    p.set_defaults(handler=_cmd_check)
+
+    p = sub.add_parser("coeff", help="intersection number of one tuple")
+    add_common(p, tuple_arg=True)
+    p.set_defaults(handler=_cmd_coeff)
+
+    p = sub.add_parser("factor", help="factor a movable tuple into leaves")
+    add_common(p, tuple_arg=True)
+    p.set_defaults(handler=_cmd_factor)
+
+    p = sub.add_parser("verify", help="run a verification suite")
+    p.add_argument(
+        "--suite",
+        required=True,
+        choices=(*SUITES, "all"),
+    )
+    p.add_argument("--max-n", type=int, default=None)
+    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p.set_defaults(handler=_cmd_verify)
+
+    return parser
+
+
+def subcommands(parser: argparse.ArgumentParser) -> dict:
+    [action] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_help_and_usage_match_the_reference(monkeypatch):
+    # argparse's help text differs between Python versions, so the table
+    # built parser is compared with the reference, not with recorded bytes
+    monkeypatch.setenv("COLUMNS", "80")
+    built, reference = build_parser(), reference_parser()
+    assert built.format_help() == reference.format_help()
+    assert built.format_usage() == reference.format_usage()
+    built_sub, reference_sub = subcommands(built), subcommands(reference)
+    assert list(built_sub) == list(reference_sub)
+    for name, p in built_sub.items():
+        assert p.format_help() == reference_sub[name].format_help(), name
+        assert p.format_usage() == reference_sub[name].format_usage(), name
+
+
+def exit_of(call, argv):
+    """Stdout, stderr and exit code of call(argv), which may exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    return out.getvalue(), err.getvalue(), code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--flag", "1,2/3"],
+        ["unknown-command"],
+        ["enumerate", "--flag", "1,2/3", "--s", "x"],
+        ["enumerate", "--flag", "1,2/3", "--s", "2", "--method", "bad"],
+        ["enumerate", "--flag", "1,2/3", "--s", "2", "--bogus", "1"],
+        ["check", "--flag", "1,2/3"],
+        ["verify", "--suite", "nope"],
+        [],
+        ["--help"],
+        ["enumerate", "--help"],
+        ["verify", "-h"],
+    ],
+)
+def test_usage_errors_and_help_match_the_reference(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = exit_of(main, argv)
+    want = exit_of(lambda a: reference_parser().parse_args(a), argv)
+    assert got == want
+    assert got[2][0] == "SystemExit"
+
+
+@pytest.mark.parametrize(
+    "argv,plain",
+    [
+        (
+            ["enumerate", "--fl", "1,2/3", "--s=2", "--meth", "via_i"],
+            ["enumerate", "--flag", "1,2/3", "--s", "2", "--method", "via_i"],
+        ),
+        (
+            ["enumerate", "--flag=1,2/3", "--s", "3", "--s", "2"],
+            ["enumerate", "--flag", "1,2/3", "--s", "2"],
+        ),
+    ],
+)
+def test_argv_left_to_argparse_still_runs(capsys, argv, plain):
+    # abbreviations, "=" forms and repeats take the argparse path and give
+    # the output of the plain command
+    assert run_cli(capsys, *argv) == run_cli(capsys, *plain)
+
+
+def test_huge_tuple_size_exits_two(capsys):
+    # larger than sys.maxsize: refused before anything is allocated
+    code, out, err = run_cli(
+        capsys, "enumerate", "--flag", "1/2", "--s", "99999999999999999999"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: tuple size s=99999999999999999999 exceeds")
+
+
+def test_plain_argv_does_not_import_argparse():
+    script = (
+        "import contextlib, io, sys\n"
+        "from flaghorn.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['enumerate', '--flag', '1,2/3', '--s', '2'])\n"
+        "assert code == 0, code\n"
+        "assert 'argparse' not in sys.modules, 'argparse was imported'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_module_entry_point():

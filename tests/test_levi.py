@@ -111,6 +111,14 @@ def test_exact_degree_tuples():
         exact_degree_tuples(F3, 1)
 
 
+@pytest.mark.parametrize("walk", [exact_degree_tuples, enumerate_levi_movable])
+def test_tuple_size_beyond_sys_maxsize_is_refused_before_any_work(walk):
+    # 10**20 > sys.maxsize: the walk would fail on the list of slots with
+    # OverflowError; the check runs before any table is built
+    with pytest.raises(ValueError, match="exceeds the largest list size"):
+        walk(F3, 10**20)
+
+
 def _brute_force_tuples(flag, s):
     """The reference: filter every sorted multiset of classes by degree."""
     reps = enumerate_minimal_reps(flag)
