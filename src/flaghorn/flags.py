@@ -17,9 +17,10 @@ a_1-planes, together with a class of the fiber flag (steps a_2 - a_1, ...,
 a_r - a_1 in n - a_1) relabelled onto the values the block leaves; its
 codimension is the sum of the two.  flag_table(flag) keeps the classes
 of a flag type and their per-class data, and builds its class list and
-codimensions this way from the fiber's table; _walk, the one tuple
-walker of levi and grassmann, lists the tuples of its classes whose
-codimensions and per-class vectors sum to a target.
+codimensions this way from the fiber's table, and the pair, leaf and
+projected data of each class from those of its fiber class; _walk, the
+one tuple walker of levi and grassmann, lists the tuples of its classes
+whose codimensions and per-class vectors sum to a target.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations, pairwise
-from operator import le
+from operator import add, le
 
 from .perm import (
     Perm,
@@ -373,15 +374,26 @@ class ClassEntry:
     """Per-class data of one Schubert class on a flag type.
 
     Built by FlagTable, which validates the index once and knows its
-    codimension; the fields below are computed the first time a route
-    reads them and kept.  The pair fields follow the order of
-    FlagTable.pairs.
+    codimension, and its position ``index`` in ``reps`` when the table is
+    listed; the fields below are computed the first time a route reads
+    them and kept.  The pair fields follow the order of FlagTable.pairs.
+
+    A class is its first block, the head, with a class u of the fiber flag
+    (see _lift_classes), and its projected, pair and leaf data are those
+    of u lifted by the head, one rule per field (_LIFTS).  An entry of a
+    listed table reads its field from the table's column (FlagTable.column),
+    which lifts the fiber table's column for every class at once; any other
+    entry lifts the field of u's entry by the same rule.  Either way the
+    fields of u are shared, and only what the head adds is counted.
     """
 
-    def __init__(self, table: "FlagTable", w: Perm, codim: int) -> None:
+    def __init__(
+        self, table: "FlagTable", w: Perm, codim: int, index: int | None = None
+    ) -> None:
         self.table = table
         self.w = w
         self.codim = codim
+        self.index = index
 
     @cached_property
     def dual(self) -> Perm:
@@ -393,12 +405,9 @@ class ClassEntry:
 
     @cached_property
     def projected_codims(self) -> tuple[int, ...]:
-        """Codimension of the projection to each step a_1, ..., a_r: the
-        sum of n - a + j - w(j) over j = 1 .. a for the step a."""
-        w, flag = self.w, self.table.flag
-        return tuple(
-            sum(flag.n - a + j - w[j - 1] for j in range(1, a + 1)) for a in flag.steps
-        )
+        """Codimension of the projection to each step a_1, ..., a_r: for the
+        step a, the number of pairs p <= a < q with w(p) < w(q)."""
+        return self._lifted("projected_codims")
 
     @cached_property
     def flats(self) -> tuple[Perm, ...]:
@@ -412,49 +421,57 @@ class ClassEntry:
 
     @cached_property
     def pair_partitions(self) -> tuple[tuple[int, ...], ...]:
-        """Partition of each pair flattening on its pair Grassmannian,
-        counted on w itself.
-
-        Both blocks ascend, so the flattening f sends a position p of
-        block i to p plus the number of q in block j with w(q) < w(p).
-        The part b_j + p - f(p) of p is then the number of q in block j
-        with w(q) > w(p), that is b_j - bisect_left(w[block j], w(p)).
-        The parts weakly decrease along block i; the zero parts, those of
-        the values above the last of block j, are left out."""
-        w, b = self.w, self.table.flag.bounds
-        blocks = [w[lo:hi] for lo, hi in zip(b, b[1:])]
-        out = []
-        for i, j in self.table.pairs:
-            left, right = blocks[i - 1], blocks[j - 1]
-            bj = len(right)
-            moving = left[: bisect_left(left, right[-1])]
-            out.append(tuple([bj - bisect_left(right, v) for v in moving]))
-        return tuple(out)
+        """Partition of each pair flattening on its pair Grassmannian.  The
+        part of a position p of block i is the number of q in block j with
+        w(q) > w(p); the parts weakly decrease along block i, and the zero
+        parts are left out."""
+        return self._lifted("pair_partitions")
 
     @cached_property
     def pair_codims(self) -> tuple[int, ...]:
         """Codimension of each pair flattening: the size of its partition."""
-        return tuple(sum(p) for p in self.pair_partitions)
+        return self._lifted("pair_codims")
 
     @cached_property
     def leaf_partitions(self) -> tuple[tuple[int, ...], ...]:
         """For each step a_k, the partition on the Grassmannian of
         b_k-planes in C^(n - a_(k-1)) of w(a_(k-1)+1 .. n), standardized:
         the class that the k-th leaf of the factorization reads.  The
-        spaces follow FlagTable.leaf_spaces.
+        spaces follow FlagTable.leaf_spaces.  The part of a position p of
+        block k is the number of q past a_k with w(q) > w(p); the zero
+        parts are left out."""
+        return self._lifted("leaf_partitions")
 
-        Block k ascends, so the part of a position p of block k is the
-        number of q past a_k with w(q) > w(p): one bisect_left in the
-        sorted values past a_k.  The zero parts, those of the values above
-        all of these, are left out."""
-        w, b = self.w, self.table.flag.bounds
-        out = []
-        for k in range(1, len(b) - 1):
-            left, rest = w[b[k - 1] : b[k]], sorted(w[b[k] :])
-            top = len(rest)
-            moving = left[: bisect_left(left, rest[-1])]
-            out.append(tuple([top - bisect_left(rest, v) for v in moving]))
-        return tuple(out)
+    @cached_property
+    def fiber(self) -> "ClassEntry":
+        """The entry of the fiber class u on the fiber flag's table."""
+        table = self.table
+        return table.fiber._entry(_restrict_to_fiber(self.w, table.flag.steps[0]))
+
+    def _lifted(self, field: str):
+        """The field, read from the table's column when the entry has a
+        position, else lifted from the field of the fiber entry.
+
+        The chain of fiber entries is walked with a loop, as
+        FlagTable._chain walks the fiber tables, down to the first entry
+        that has the field or a position, or to a point, whose one class
+        has no step, pair or leaf; no recursion depth grows with the
+        number of steps.  Only this entry keeps the field: a pair field
+        has r(r+1)/2 parts, so keeping it at every level of a long chain
+        would hold memory cubic in the number of steps."""
+        chain, entry = [], self
+        while entry.index is None and field not in vars(entry) and entry.table.flag.r:
+            chain.append(entry)
+            entry = entry.fiber
+        if entry.index is not None:
+            value = entry.table.column(field)[entry.index]
+        else:
+            value = vars(entry).get(field, ())  # kept, or a point's
+        lift = _LIFTS[field]
+        for entry in reversed(chain):
+            head = entry.w[: entry.table.flag.steps[0]]
+            value = lift(entry.table, (head,), (entry.fiber.w,), (value,))[0]
+        return value
 
 
 class FlagTable:
@@ -465,57 +482,103 @@ class FlagTable:
     Nothing is computed up front.  ``reps`` and ``codims`` list every
     class in lexicographic order the first time an enumeration asks,
     built from the fiber flag's table (which is kept too) without a
-    length count.  A single class gets its ClassEntry the first time a
-    route asks for it; that is where its index is validated, once, so a
-    one-off request pays only for its own classes and later reads skip
-    the check.
+    length count.  Listing builds no other per-class data: each lifted
+    field of ClassEntry gets its column, in table order, the first time a
+    route reads it (column), lifted from the fiber table's column.  A
+    single class gets its ClassEntry the first time a route asks for it;
+    that is where its index is validated, once, so a one-off request pays
+    only for its own classes, lifted from their fiber classes' entries
+    without listing any table, and later reads skip the check.  An entry
+    of a listed table takes its codimension and position from the
+    listing.
     """
 
     def __init__(self, flag: FlagType) -> None:
         self.flag = flag
         self.dimension = flag.dimension
-        blocks = range(1, flag.r + 2)
-        self.pairs = tuple((i, j) for i in blocks for j in blocks if i < j)
         b = flag.block_sizes
-        self.pair_sizes = tuple((b[i - 1], b[j - 1]) for i, j in self.pairs)
         # (b_k, n - a_(k-1)) for each step: the Grassmannian of leaf k
         self.leaf_spaces = tuple(
             (b[k], flag.n - a) for k, a in enumerate(flag.bounds[:-2])
         )
         # the positions in pairs of (k, j), j > k, for each step k: leaf k
         # pairs block k with every later block, so its codimension is the
-        # sum of theirs
+        # sum of theirs; pairs lists the r + 1 - k of them together
+        sizes = range(flag.r, 0, -1)
         self.leaf_pairs = tuple(
-            tuple(p for p, (i, _) in enumerate(self.pairs) if i == k)
-            for k in range(1, len(self.leaf_spaces) + 1)
+            range(end - size, end) for size, end in zip(sizes, accumulate(sizes))
+        )
+        # the leaves whose Grassmannian is not a projective space, the only
+        # ones whose point product the degree leaves open
+        self.lr_leaves = tuple(
+            k for k, (r, m) in enumerate(self.leaf_spaces) if r > 1 and m - r > 1
         )
         # parabolic_longest: the positions of each block in reverse
         self.block_reversal = tuple(
             p for lo, hi in pairwise(flag.bounds) for p in range(hi, lo, -1)
         )
+        # the positions of blocks 2, ..., r+1 inside the fiber class u
+        a1 = flag.bounds[1] if flag.r else 0
+        self.fiber_blocks = tuple(
+            slice(lo - a1, hi - a1) for lo, hi in pairwise(flag.bounds[1:])
+        )
         self._entries: dict[Perm, ClassEntry] = {}
+        self._columns: dict[str, tuple] = {}
+
+    # The pair data take time quadratic in the number of steps, so they
+    # are built on first use: a one-off entry makes a table for every flag
+    # of its fiber chain, and reads the pairs of the first alone.
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """Every pair of blocks i < j, in lexicographic order."""
+        blocks = range(1, self.flag.r + 2)
+        return tuple((i, j) for i in blocks for j in blocks if i < j)
+
+    @cached_property
+    def pair_sizes(self) -> tuple[tuple[int, int], ...]:
+        """(b_i, b_j) for each pair of blocks."""
+        b = self.flag.block_sizes
+        return tuple((b[i - 1], b[j - 1]) for i, j in self.pairs)
+
+    @cached_property
+    def pair_target(self) -> tuple[int, ...]:
+        """b_i * b_j, the dimension of each pair Grassmannian."""
+        return tuple(bi * bj for bi, bj in self.pair_sizes)
+
+    @cached_property
+    def lr_pairs(self) -> tuple[int, ...]:
+        """The pairs whose Grassmannian is not a projective space, the only
+        ones whose point product the degree leaves open."""
+        return tuple(k for k, (bi, bj) in enumerate(self.pair_sizes) if bi > 1 and bj > 1)
+
+    @cached_property
+    def fiber(self) -> "FlagTable":
+        """The table of the fiber flag."""
+        return flag_table(fiber_flag(self.flag))
+
+    def _chain(self, built) -> list["FlagTable"]:
+        """This table and the tables of its fiber flags, each below the
+        one before, down to the first table for which built holds, or to
+        the point's: a loop, so no recursion depth grows with the number of
+        steps."""
+        chain = [self]
+        while not built(chain[-1]) and chain[-1].flag.r:
+            chain.append(chain[-1].fiber)
+        return chain
 
     @cached_property
     def _classes(self) -> tuple[tuple[Perm, ...], tuple[int, ...]]:
         """(reps, codims), built from the tables of the fiber flags.
 
-        The chain of fiber flags is walked with a loop down to the first
-        table already built, or to the point flag, whose one class is the
-        identity of codimension 0.  Each table on the way back up is built
-        from the one below it (see _lift_classes) and kept, innermost
-        first, so no recursion depth grows with the number of steps.
+        The chain (_chain) ends at the first table already built, or at the
+        point flag, whose one class is the identity of codimension 0.  Each
+        table on the way back up is built from the one below it (see
+        _lift_classes) and kept, innermost first.
         """
-        chain = [self]
-        while chain[-1].flag.r:
-            fiber = flag_table(fiber_flag(chain[-1].flag))
-            if "_classes" in vars(fiber):
-                classes = fiber._classes
-                break
-            chain.append(fiber)
-        else:
-            point = chain.pop()
-            classes = ((tuple(range(1, point.flag.n + 1)),), (0,))
-            vars(point)["_classes"] = classes
+        chain = self._chain(lambda table: "_classes" in vars(table))
+        point = ((tuple(range(1, chain[-1].flag.n + 1)),), (0,))
+        classes = vars(chain.pop()).setdefault("_classes", point)
         for table in reversed(chain):
             classes = vars(table)["_classes"] = _lift_classes(table.flag, *classes)
         return classes
@@ -535,21 +598,58 @@ class FlagTable:
         return self._classes[1]
 
     @cached_property
+    def _index(self) -> dict[Perm, int]:
+        """The position of each class in ``reps``."""
+        return {w: p for p, w in enumerate(self.reps)}
+
+    def column(self, field: str) -> tuple:
+        """A lifted field of ClassEntry (projected_codims, pair_codims,
+        pair_partitions or leaf_partitions) for every class of ``reps``,
+        in table order.
+
+        Built the first time it is asked for, along the chain of fiber
+        tables (_chain): the point's one class has no step, pair or leaf,
+        and each table's column is lifted from the one below it
+        (_lift_column) and kept, innermost first."""
+        column = self._columns.get(field)
+        if column is None:
+            chain = self._chain(lambda table: field in table._columns)
+            column = chain.pop()._columns.setdefault(field, ((),))
+            for table in reversed(chain):
+                column = table._columns[field] = table._lift_column(field, column)
+        return column
+
+    def _lift_column(self, field: str, below: tuple) -> tuple:
+        """The column of field, lifted from the fiber table's column below:
+        each head in lexicographic order, with every fiber class, as
+        _lift_classes lists reps."""
+        heads = combinations(range(1, self.flag.n + 1), self.flag.steps[0])
+        return tuple(_LIFTS[field](self, heads, self.fiber.reps, below))
+
+    @cached_property
     def entries(self) -> tuple[ClassEntry, ...]:
-        """The entry of each class of ``reps``, with its codimension read
-        from ``codims``; these indices are valid by construction and are
-        not checked."""
-        known = self._entries
-        for w, c in zip(self.reps, self.codims):
-            if w not in known:
-                known[w] = ClassEntry(self, w, c)
-        return tuple(map(known.__getitem__, self.reps))
+        """The entry of each class of ``reps``; these indices are valid by
+        construction and are not checked."""
+        return tuple(map(self._entry, self.reps))
 
     def _entry(self, w: Perm) -> ClassEntry:
-        """entry with w unchecked, for indices valid by construction."""
+        """entry with w unchecked, for indices valid by construction.  On
+        a listed table the codimension and the position come from the
+        listing; otherwise the length of w is counted, and nothing is
+        listed."""
         entry = self._entries.get(w)
         if entry is None:
-            entry = self._entries[w] = ClassEntry(self, w, self.dimension - length(w))
+            if "_classes" in vars(self):
+                index = self._index[w]
+                entry = ClassEntry(self, w, self.codims[index], index)
+                # an entry made after a column is built reads its field
+                # there at once, without a lift
+                fields = vars(entry)
+                for field, column in self._columns.items():
+                    fields[field] = column[index]
+            else:
+                entry = ClassEntry(self, w, self.dimension - length(w))
+            self._entries[w] = entry
         return entry
 
     def entry(self, w) -> ClassEntry:
@@ -611,6 +711,107 @@ def _lift_classes(
         shift = top - sum(head)
         codims.extend([shift + c for c in fiber_codims])
     return tuple(reps), tuple(codims)
+
+
+# The lifts: each rule takes a table, a sequence of heads and a sequence
+# of fiber classes u with the field of each, and returns the field of every
+# class head + u (as _lift_classes relabels it), each head with every u in
+# turn.  With t_p = head_p - p, the number of values that the head leaves
+# below head_p, the value rest[x] of w stands above head_p exactly when
+# x > t_p, so every count below is read on u and t alone.  A listed table
+# runs a rule once, on all its heads and its whole fiber column
+# (FlagTable._lift_column), and a one-off entry on its own head and fiber
+# class (ClassEntry._lifted).
+
+
+def _gaps(head: Perm) -> tuple[int, ...]:
+    """t_p = head_p - p for each position p of the (ascending) head."""
+    return tuple([h - p for p, h in enumerate(head, 1)])
+
+
+@lru_cache(maxsize=1024)
+def _above(block: Perm, m: int) -> tuple[int, ...]:
+    """For each y = 0 .. m, the number of values of the ascending block
+    above y: size - k for each y from its (k-1)-th value up to its k-th.
+    Many fiber classes share a block, so each is counted once while it is
+    in use; the cache is bounded, since a one-off entry on a long chain
+    meets new blocks at every level."""
+    size, above, last = len(block), [], 0
+    for k, x in enumerate(block):
+        above += [size - k] * (x - last)
+        last = x
+    above += [0] * (m + 1 - last)
+    return tuple(above)
+
+
+def _above_blocks(table: FlagTable, us) -> list:
+    """For each fiber class u, the lookup y -> the number of values above
+    y of each of its blocks, that is of blocks 2, ..., r+1 of w."""
+    m, blocks = table.flag.n - table.flag.steps[0], table.fiber_blocks
+    return [[_above(u[b], m).__getitem__ for b in blocks] for u in us]
+
+
+def _lift_pair_partitions(table: FlagTable, heads, us, below) -> list:
+    """Part p of pair (1, j) is the number of values of block j - 1 of u
+    above t_p, the values of block j of w above head_p, zero parts
+    dropped; the parts weakly decrease, since t does not.  Pair (i, j)
+    with i >= 2 is u's pair (i - 1, j - 1), whose tuple is shared, not
+    recounted: the pairs of u follow those of the first block in
+    FlagTable.pairs."""
+    aboves, out = _above_blocks(table, us), []
+    for head in heads:
+        t = _gaps(head)
+        out.extend([
+            tuple([tuple(filter(None, map(above, t))) for above in blocks]) + f
+            for blocks, f in zip(aboves, below)
+        ])
+    return out
+
+
+def _lift_pair_codims(table: FlagTable, heads, us, below) -> list:
+    """The sizes of _lift_pair_partitions, with no partition built."""
+    aboves, out = _above_blocks(table, us), []
+    for head in heads:
+        t = _gaps(head)
+        out.extend([
+            tuple([sum(map(above, t)) for above in blocks]) + f
+            for blocks, f in zip(aboves, below)
+        ])
+    return out
+
+
+def _lift_projected_codims(table: FlagTable, heads, us, below) -> list:
+    """Step 1 is the codimension of the head on Gr(a_1, n), the sum of its
+    pairs (1, j).  Step i >= 2 is u's step i - 1 plus, for each t_p, the
+    values of u past that step above t_p: the head's pairs (1, j) with
+    j > i."""
+    aboves, out = _above_blocks(table, us), []
+    for head in heads:
+        t = _gaps(head)
+        for blocks, f in zip(aboves, below):
+            # tail[k]: the head's pairs with the last k + 1 blocks
+            tail = list(accumulate([sum(map(above, t)) for above in reversed(blocks)]))
+            out.append((tail[-1], *map(add, reversed(tail[:-1]), f)))
+    return out
+
+
+def _lift_leaf_partitions(table: FlagTable, heads, us, below) -> list:
+    """Leaf 1, on Gr(a_1, n), depends on the head alone: part p is the
+    number of values past a_1 above head_p, (n - a_1) - t_p, zero parts
+    dropped.  Leaf k >= 2 is u's leaf k - 1."""
+    m, out = table.flag.n - table.flag.steps[0], []
+    for head in heads:
+        first = (tuple([m - x for x in _gaps(head) if x < m]),)
+        out.extend([first + f for f in below])
+    return out
+
+
+_LIFTS = {
+    "projected_codims": _lift_projected_codims,
+    "pair_codims": _lift_pair_codims,
+    "pair_partitions": _lift_pair_partitions,
+    "leaf_partitions": _lift_leaf_partitions,
+}
 
 
 _flag_table = lru_cache(maxsize=None)(FlagTable)

@@ -483,20 +483,31 @@ def condition_iii_failure(classes: tuple[Perm, ...], flag: FlagType) -> str | No
     return _condition_iii(table.class_tuple(classes), table)
 
 
-def _condition_iii(entries: tuple[ClassEntry, ...], table: FlagTable) -> str | None:
+def _condition_iii(
+    entries: tuple[ClassEntry, ...], table: FlagTable, graded: bool = False
+) -> str | None:
     """condition_iii_failure on the checked entries of an exact-degree
     tuple, read from the pair partitions of the table.
 
     The degree, summed from the pair codimensions, decides a product of
     the wrong degree and a pair with b_i == 1 or b_j == 1, which flattens
     onto a projective space (_degree_verdict), so their partitions are
-    never read.  The witness names the pair Grassmannian as its flag
-    type prints, b_i/(b_i + b_j), without building one."""
-    for k, (bi, bj) in enumerate(table.pair_sizes):
-        verdict = _degree_verdict(sum(e.pair_codims[k] for e in entries), bi, bi + bj)
+    never read.  A tuple known to be graded, every pair of the right
+    degree (the walk of routes iii and iv lists only those), can fail
+    only at the pairs of FlagTable.lr_pairs, and only those are visited.
+    The witness names the pair Grassmannian as its flag type prints,
+    b_i/(b_i + b_j), without building one."""
+    if graded:
+        pairs, totals = table.lr_pairs, table.pair_target
+    else:
+        totals = tuple(map(sum, zip(*[e.pair_codims for e in entries])))
+        pairs = range(len(totals))
+    for k in pairs:
+        bi, bj = table.pair_sizes[k]
+        verdict = _degree_verdict(totals[k], bi, bi + bj)
         if verdict is None:
             verdict = _product_to_point(
-                tuple(e.pair_partitions[k] for e in entries), bi, bi + bj
+                tuple([e.pair_partitions[k] for e in entries]), bi, bi + bj
             )
         if not verdict:
             i, j = table.pairs[k]

@@ -153,26 +153,29 @@ def is_levi_movable(
 
 
 def _evaluate(
-    entries: tuple[ClassEntry, ...], table: FlagTable, method: str
+    entries: tuple[ClassEntry, ...], table: FlagTable, method: str, graded: bool = False
 ) -> tuple[bool | None, bool | None, bool | None, int | None, str | None]:
     """The routes the method asks for on the checked entries of an
     exact-degree tuple: (condition i, condition iii, condition iv,
     intersection number, failing witness), None for what was not
     evaluated.  This is the one place a method name selects routes.
 
-    Route i runs first, testing the grading before the oracle, so the
-    oracle runs only on a graded tuple; then iii and iv, and the witness
-    is the first failure met.  The verdicts are not compared here; see
-    _cross_check."""
+    graded says that the tuple meets the degree conditions of the
+    method's walk, as every tuple that the walk lists does: route i's
+    grading at every step, or the pair degrees of routes iii and iv.
+    Route i runs first, testing the grading (unless graded) before the
+    oracle, so the oracle runs only on a graded tuple.  Then iii and iv
+    run, and the witness is the first failure met.  The verdicts are not
+    compared here; see _cross_check."""
     ok_i = ok_iii = ok_iv = coefficient = witness = None
     if method in ("via_i", "cross_check"):
-        witness = _grading_failure(entries, table.flag)
+        witness = None if graded else _grading_failure(entries, table.flag)
         if witness is None:
             coefficient = _intersection_number(tuple(e.w for e in entries), table.flag)
             witness = None if coefficient else "intersection number is zero"
         ok_i = witness is None
     if method in ("via_iii", "cross_check"):
-        failure = _condition_iii(entries, table)
+        failure = _condition_iii(entries, table, graded)
         ok_iii, witness = failure is None, witness or failure
     if method in ("via_iv", "cross_check"):
         failure = _condition_iv(entries, table)
@@ -246,7 +249,9 @@ def exact_degree_tuples(flag: FlagType, s: int) -> tuple[tuple[Perm, ...], ...]:
     return tuple(_walk(table, s, [()] * len(table.reps), ()))
 
 
-def _leaf_product(entries: tuple[ClassEntry, ...], table: FlagTable) -> int:
+def _leaf_product(
+    entries: tuple[ClassEntry, ...], table: FlagTable, graded: bool = False
+) -> int:
     """The product of the Littlewood-Richardson leaves of the tuple, one
     point coefficient on the Grassmannian of each step; 0 at the first
     leaf that vanishes.  For a movable tuple this is its intersection
@@ -255,13 +260,20 @@ def _leaf_product(entries: tuple[ClassEntry, ...], table: FlagTable) -> int:
     A leaf's codimension is the sum of the codimensions of its pairs
     (FlagTable.leaf_pairs), so a leaf that its degree decides
     (_degree_verdict: a projective space, or the wrong degree) reads no
-    partition."""
+    partition.  On a tuple known to be graded, every pair of the right
+    degree, so is every leaf, and only the leaves of FlagTable.lr_leaves
+    are visited."""
+    if graded:
+        leaves, totals = table.lr_leaves, table.pair_target
+    else:
+        totals = tuple(map(sum, zip(*[e.pair_codims for e in entries])))
+        leaves = range(len(table.leaf_spaces))
     coefficient = 1
-    for k, (r, m) in enumerate(table.leaf_spaces):
-        pairs = table.leaf_pairs[k]
-        verdict = _degree_verdict(sum(e.pair_codims[p] for e in entries for p in pairs), r, m)
+    for k in leaves:
+        r, m = table.leaf_spaces[k]
+        verdict = _degree_verdict(sum(map(totals.__getitem__, table.leaf_pairs[k])), r, m)
         if verdict is None:
-            verdict = _product_to_point(tuple(e.leaf_partitions[k] for e in entries), r, m)
+            verdict = _product_to_point(tuple([e.leaf_partitions[k] for e in entries]), r, m)
         coefficient *= verdict
         if not coefficient:
             break
@@ -281,12 +293,15 @@ def enumerate_levi_movable(
     a movable tuple's flattened codimensions sum to the dimension of each
     pair Grassmannian, which is part of condition (iv) and the degree of
     each pair product of condition (iii).  via_i walks the projected
-    codimensions against (a_i * (n - a_i)), its own grading test.
-    cross_check walks every exact-degree tuple.  Every candidate is then
-    decided from the entries of the flag table by _evaluate, the
-    evaluator of is_levi_movable, and cross_check raises RuntimeError
-    unless its three verdicts agree (_cross_check).  Unlike a report, no
-    oracle runs on a tuple that fails the grading.
+    codimensions against (a_i * (n - a_i)), its own grading test.  Both
+    vectors are columns of the flag table, lifted from the fiber's
+    (FlagTable.column), and a candidate of either walk is not tested
+    against its target again (graded).  cross_check walks every
+    exact-degree tuple.  Every candidate is then decided from
+    the entries of the flag table by _evaluate, the evaluator of
+    is_levi_movable, and cross_check raises RuntimeError unless its three
+    verdicts agree (_cross_check).  Unlike a report, no oracle runs on a
+    tuple that fails the grading.
 
     A movable tuple's coefficient is the product of its
     Littlewood-Richardson leaves (_leaf_product); via_i and cross_check
@@ -306,26 +321,27 @@ def enumerate_levi_movable(
     elif method == "via_i":
         candidates = _walk(
             table, s,
-            [e.projected_codims for e in table.entries],
+            table.column("projected_codims"),
             tuple(a * (flag.n - a) for a in flag.steps),
         )
     else:
         candidates = _walk(
             table, s,
-            [e.pair_codims for e in table.entries],
-            tuple(bi * bj for bi, bj in table.pair_sizes),
+            table.column("pair_codims"),
+            table.pair_target,
         )
+    graded = method != "cross_check"
     out = []
     for classes in candidates:
-        entries = tuple(map(table.entry, classes))
-        ok_i, ok_iii, ok_iv, coefficient, _ = _evaluate(entries, table, method)
+        entries = tuple(map(table._entry, classes))
+        ok_i, ok_iii, ok_iv, coefficient, _ = _evaluate(entries, table, method, graded)
         if method == "cross_check":
             _cross_check(entries, table, ok_i, ok_iii, ok_iv, coefficient)
         # one verdict was evaluated, or three that agree
         if not any((ok_i, ok_iii, ok_iv)):
             continue
         if coefficient is None:
-            coefficient = _leaf_product(entries, table)
+            coefficient = _leaf_product(entries, table, graded)
             if not coefficient:
                 raise RuntimeError(
                     f"movable tuple {classes!r} over {flag} has a vanishing leaf"

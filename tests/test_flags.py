@@ -3,7 +3,8 @@
 import copy
 import math
 import pickle
-from itertools import permutations
+from bisect import bisect_left
+from itertools import pairwise, permutations
 
 import pytest
 
@@ -423,6 +424,138 @@ def test_counted_partitions_match_the_standardized_slices(flag_types):
             assert entry.pair_partitions == pairs, (str(flag), w)
             assert entry.pair_codims == tuple(map(sum, pairs)), (str(flag), w)
             assert entry.leaf_partitions == leaves, (str(flag), w)
+
+
+LIFTED = ("projected_codims", "pair_codims", "pair_partitions", "leaf_partitions")
+
+
+def _counted_fields(w, flag):
+    """Every lifted field of the class, counted on w itself: the per-class
+    definitions that the lifts from the fiber replace, kept as the
+    reference.
+
+    Both blocks of a pair ascend, so the flattening sends a position p of
+    block i to p plus the number of q in block j with w(q) < w(p), and
+    the part b_j + p - f(p) of p is the number of q in block j with
+    w(q) > w(p), that is b_j - bisect_left(w[block j], w(p)).  The parts
+    weakly decrease along block i; the zero parts, those of the values
+    above the last of block j, are left out.  Leaf k reads the sorted
+    values past a_k the same way, and the projection to the step a has
+    codimension the sum of n - a + j - w(j) over j = 1 .. a."""
+    b = flag.bounds
+    blocks = [w[lo:hi] for lo, hi in pairwise(b)]
+
+    def parts(left, right):
+        moving = left[: bisect_left(left, right[-1])]
+        return tuple([len(right) - bisect_left(right, v) for v in moving])
+
+    pairs = tuple(
+        parts(blocks[i], blocks[j])
+        for i in range(len(blocks))
+        for j in range(i + 1, len(blocks))
+    )
+    return {
+        "projected_codims": tuple(
+            sum(flag.n - a + j - w[j - 1] for j in range(1, a + 1)) for a in flag.steps
+        ),
+        "pair_codims": tuple(map(sum, pairs)),
+        "pair_partitions": pairs,
+        "leaf_partitions": tuple(
+            parts(w[b[k - 1] : b[k]], sorted(w[b[k] :])) for k in range(1, len(b) - 1)
+        ),
+    }
+
+
+def _chain(table):
+    """The table and the tables of its fiber flags that exist."""
+    out = [table]
+    while "fiber" in vars(out[-1]):
+        out.append(out[-1].fiber)
+    return out
+
+
+def _lifted_data(table):
+    """The lifted fields built so far: columns and fields kept on entries."""
+    return [
+        (str(t.flag), name)
+        for t in _chain(table)
+        for name in (*t._columns, *(f for e in t._entries.values() for f in LIFTED if f in vars(e)))
+    ]
+
+
+@pytest.fixture
+def fresh_flag_tables():
+    flags._flag_table.cache_clear()
+    yield
+    flags._flag_table.cache_clear()
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_lifted_fields_match_the_counted_reference(n, fresh_flag_tables):
+    # every flag type with n <= 7, the point too: each field of every class
+    # of a listed table, read through its entry and its column, and of a
+    # one-off entry on a fresh table, which lists no table of its chain
+    # (every fifth class for n = 7, where a one-off entry of a long chain
+    # lifts each field again at every level)
+    for flag in (FlagType((), n), *enumerate_flag_types(n)):
+        table = flag_table(flag)
+        expected = {w: _counted_fields(w, flag) for w in table.reps}
+        for entry in table.entries:
+            assert entry.index is not None
+            assert {f: getattr(entry, f) for f in LIFTED} == expected[entry.w], (str(flag), entry.w)
+        for field in LIFTED:
+            assert table.column(field) == tuple(x[field] for x in expected.values()), (str(flag), field)
+        flags._flag_table.cache_clear()
+        table = flag_table(flag)
+        for w, fields in list(expected.items())[:: 5 if n == 7 else 1]:
+            entry = table._entry(w)
+            assert entry.index is None
+            assert {f: getattr(entry, f) for f in LIFTED} == fields, (str(flag), w)
+        assert all("_classes" not in vars(t) and not t._columns for t in _chain(table)), str(flag)
+
+
+def test_a_one_off_entry_lists_no_table(fresh_flag_tables):
+    flag = complete_flag(12)
+    w = (7, 12, 1, 11, 2, 10, 3, 9, 4, 8, 5, 6)
+    report = is_levi_movable((w, dual(w, flag)), flag)
+    assert report.movable
+    entry = flag_table(flag).entry(w)
+    assert {f: getattr(entry, f) for f in LIFTED} == _counted_fields(w, flag)
+    chain = _chain(flag_table(flag))
+    assert len(chain) == 12  # down to the point
+    assert all("_classes" not in vars(t) and not t._columns for t in chain)
+
+
+def test_listing_builds_no_pair_or_leaf_data(fresh_flag_tables):
+    table = flag_table(FlagType((1, 3, 4), 6))
+    assert len(table.entries) == len(table.reps) == 180
+    assert _lifted_data(table) == []
+    # a read builds the column it reads, along the chain, and nothing else
+    assert table.entries[100].pair_codims == table.column("pair_codims")[100]
+    assert set(_lifted_data(table)) == {
+        (f, "pair_codims") for f in ("1,3,4/6", "2,3/5", "1/3", "/2")
+    }
+
+
+def test_a_listed_table_counts_no_length(monkeypatch, fresh_flag_tables):
+    """An entry of a listed table takes its codimension from the listing;
+    a one-off entry on a table not listed counts the length of its class."""
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return length(w)
+
+    monkeypatch.setattr(flags, "length", counted)
+    flag = FlagType((2, 3), 5)
+    w = (2, 5, 4, 1, 3)
+    assert codim(w, flag) == 2 and calls == [w]
+    calls.clear()
+    flags._flag_table.cache_clear()
+    table = flag_table(flag)
+    assert [codim(v, flag) for v in table.reps] == list(table.codims)
+    assert all(table.entry(v).index == p for p, v in enumerate(table.reps))
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", range(2, 7))

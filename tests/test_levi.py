@@ -275,11 +275,11 @@ def test_wrong_leaf_partitions_are_caught(monkeypatch):
 
 @pytest.fixture
 def fresh_flag_tables():
-    # entries keep the fields they computed, pair_codims is computed from
-    # pair_partitions, and route iv keeps the point-positive tuples that
-    # route iii found on each small Grassmannian: drop all of them before
-    # that field is patched, and again afterwards so that nothing computed
-    # from a patched value reaches a later test
+    # tables keep the columns they lifted, entries the fields they read,
+    # and route iv keeps the point-positive tuples that route iii found on
+    # each small Grassmannian: drop all of them before a field is patched,
+    # and again afterwards so that nothing computed from a patched value
+    # reaches a later test
     def clear():
         flags._flag_table.cache_clear()
         grassmann._point_positive_tuples.cache_clear()
@@ -303,11 +303,26 @@ def test_wrong_pair_partitions_are_caught(fresh_flag_tables, monkeypatch):
     with pytest.raises(RuntimeError, match="disagree"):
         enumerate_levi_movable(flag, 2, "cross_check")
     assert enumerate_levi_movable(flag, 2, "via_iii") == []
-    # on a cold table the pair codimensions are summed from the wrong
-    # partitions too
-    flags._flag_table.cache_clear()
+
+
+def test_wrongly_lifted_pair_codimensions_are_caught(fresh_flag_tables, monkeypatch):
+    # the pair codimensions are lifted on their own, not summed from the
+    # partitions: a wrong lift, on cold tables, must be caught as well; on
+    # 1,3/5 reversing them swaps the pairs (1,2) and (2,3), of sizes 1 x 2
+    # and 2 x 2, while route i still reads the true projected codimensions
+    flag = FlagType((1, 3), 5)
+    lift = flags._LIFTS["pair_codims"]
+    monkeypatch.setitem(
+        flags._LIFTS, "pair_codims",
+        lambda *args: [codims[::-1] for codims in lift(*args)],
+    )
     with pytest.raises(RuntimeError, match="disagree"):
         enumerate_levi_movable(flag, 2, "cross_check")
+    # a one-off entry on a cold table is lifted by the same rule
+    flags._flag_table.cache_clear()
+    w = (2, 3, 5, 1, 4)
+    with pytest.raises(RuntimeError, match="disagree"):
+        is_levi_movable((w, dual(w, flag)), flag, "cross_check")
 
 
 def test_routes_i_and_iii_never_build_the_flattenings(monkeypatch):

@@ -194,7 +194,7 @@ def test_cor13_runs_route_i_alone(monkeypatch):
 def test_thm1_catches_a_wrong_route(monkeypatch):
     """The sweep reads the unchecked routes; a pairwise route that passes
     every tuple must make the conditions disagree."""
-    monkeypatch.setattr(levi, "_condition_iii", lambda entries, table: None)
+    monkeypatch.setattr(levi, "_condition_iii", lambda entries, table, *args: None)
     equivalence_rows.cache_clear()
     try:
         result = run_thm1(3)
