@@ -429,7 +429,12 @@ class ClassEntry:
 
     @cached_property
     def pair_codims(self) -> tuple[int, ...]:
-        """Codimension of each pair flattening: the size of its partition."""
+        """Codimension of each pair flattening: the size of its partition.
+        An entry of a listed table reads its column, lifted with no
+        partition built; any other entry sums its pair partitions, so both
+        fields are lifted in one pass."""
+        if self.index is None:
+            return tuple(map(sum, self.pair_partitions))
         return self._lifted("pair_codims")
 
     @cached_property

@@ -484,7 +484,10 @@ def condition_iii_failure(classes: tuple[Perm, ...], flag: FlagType) -> str | No
 
 
 def _condition_iii(
-    entries: tuple[ClassEntry, ...], table: FlagTable, graded: bool = False
+    entries: tuple[ClassEntry, ...],
+    table: FlagTable,
+    graded: bool = False,
+    products: dict[int, int] | None = None,
 ) -> str | None:
     """condition_iii_failure on the checked entries of an exact-degree
     tuple, read from the pair partitions of the table.
@@ -496,7 +499,9 @@ def _condition_iii(
     degree (the walk of routes iii and iv lists only those), can fail
     only at the pairs of FlagTable.lr_pairs, and only those are visited.
     The witness names the pair Grassmannian as its flag type prints,
-    b_i/(b_i + b_j), without building one."""
+    b_i/(b_i + b_j), without building one.  A products dict, when given,
+    receives the point product of each pair whose partitions were read,
+    by its position in FlagTable.pairs."""
     if graded:
         pairs, totals = table.lr_pairs, table.pair_target
     else:
@@ -509,6 +514,8 @@ def _condition_iii(
             verdict = _product_to_point(
                 tuple([e.pair_partitions[k] for e in entries]), bi, bi + bj
             )
+            if products is not None:
+                products[k] = verdict
         if not verdict:
             i, j = table.pairs[k]
             return (

@@ -153,7 +153,11 @@ def is_levi_movable(
 
 
 def _evaluate(
-    entries: tuple[ClassEntry, ...], table: FlagTable, method: str, graded: bool = False
+    entries: tuple[ClassEntry, ...],
+    table: FlagTable,
+    method: str,
+    graded: bool = False,
+    products: dict[int, int] | None = None,
 ) -> tuple[bool | None, bool | None, bool | None, int | None, str | None]:
     """The routes the method asks for on the checked entries of an
     exact-degree tuple: (condition i, condition iii, condition iv,
@@ -166,7 +170,8 @@ def _evaluate(
     Route i runs first, testing the grading (unless graded) before the
     oracle, so the oracle runs only on a graded tuple.  Then iii and iv
     run, and the witness is the first failure met.  The verdicts are not
-    compared here; see _cross_check."""
+    compared here; see _cross_check.  products goes to route iii
+    (_condition_iii), which fills it with the pair products it makes."""
     ok_i = ok_iii = ok_iv = coefficient = witness = None
     if method in ("via_i", "cross_check"):
         witness = None if graded else _grading_failure(entries, table.flag)
@@ -175,7 +180,7 @@ def _evaluate(
             witness = None if coefficient else "intersection number is zero"
         ok_i = witness is None
     if method in ("via_iii", "cross_check"):
-        failure = _condition_iii(entries, table, graded)
+        failure = _condition_iii(entries, table, graded, products)
         ok_iii, witness = failure is None, witness or failure
     if method in ("via_iv", "cross_check"):
         failure = _condition_iv(entries, table)
@@ -250,7 +255,10 @@ def exact_degree_tuples(flag: FlagType, s: int) -> tuple[tuple[Perm, ...], ...]:
 
 
 def _leaf_product(
-    entries: tuple[ClassEntry, ...], table: FlagTable, graded: bool = False
+    entries: tuple[ClassEntry, ...],
+    table: FlagTable,
+    graded: bool = False,
+    products: dict[int, int] | None = None,
 ) -> int:
     """The product of the Littlewood-Richardson leaves of the tuple, one
     point coefficient on the Grassmannian of each step; 0 at the first
@@ -262,7 +270,13 @@ def _leaf_product(
     (_degree_verdict: a projective space, or the wrong degree) reads no
     partition.  On a tuple known to be graded, every pair of the right
     degree, so is every leaf, and only the leaves of FlagTable.lr_leaves
-    are visited."""
+    are visited.
+
+    Leaf r, the last, is the Grassmannian Gr(b_r, b_r + b_(r+1)) of pair
+    (r, r+1), the last of FlagTable.pairs, and reads the same partitions.
+    products holds the pair products route iii has made (_condition_iii),
+    by position in FlagTable.pairs; when it holds that pair's, the leaf
+    takes it instead of making it again."""
     if graded:
         leaves, totals = table.lr_leaves, table.pair_target
     else:
@@ -272,6 +286,8 @@ def _leaf_product(
     for k in leaves:
         r, m = table.leaf_spaces[k]
         verdict = _degree_verdict(sum(map(totals.__getitem__, table.leaf_pairs[k])), r, m)
+        if verdict is None and products and k == len(table.leaf_spaces) - 1:
+            verdict = products.get(len(table.pairs) - 1)
         if verdict is None:
             verdict = _product_to_point(tuple([e.leaf_partitions[k] for e in entries]), r, m)
         coefficient *= verdict
@@ -304,9 +320,10 @@ def enumerate_levi_movable(
     tuple that fails the grading.
 
     A movable tuple's coefficient is the product of its
-    Littlewood-Richardson leaves (_leaf_product); via_i and cross_check
-    keep the oracle number they decided by, and cross_check raises
-    RuntimeError unless the leaf product equals it.
+    Littlewood-Richardson leaves (_leaf_product), whose last leaf takes
+    the point product that route iii made for pair (r, r+1); via_i and
+    cross_check keep the oracle number they decided by, and cross_check
+    raises RuntimeError unless the leaf product equals it.
 
     >>> from .flags import FlagType
     >>> [(t, c) for t, c in enumerate_levi_movable(FlagType((1,), 2), 2)]
@@ -334,14 +351,15 @@ def enumerate_levi_movable(
     out = []
     for classes in candidates:
         entries = tuple(map(table._entry, classes))
-        ok_i, ok_iii, ok_iv, coefficient, _ = _evaluate(entries, table, method, graded)
+        products: dict[int, int] = {}
+        ok_i, ok_iii, ok_iv, coefficient, _ = _evaluate(entries, table, method, graded, products)
         if method == "cross_check":
             _cross_check(entries, table, ok_i, ok_iii, ok_iv, coefficient)
         # one verdict was evaluated, or three that agree
         if not any((ok_i, ok_iii, ok_iv)):
             continue
         if coefficient is None:
-            coefficient = _leaf_product(entries, table, graded)
+            coefficient = _leaf_product(entries, table, graded, products)
             if not coefficient:
                 raise RuntimeError(
                     f"movable tuple {classes!r} over {flag} has a vanishing leaf"

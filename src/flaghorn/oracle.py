@@ -27,7 +27,11 @@ exponent sum carries, so a monomial product is an integer addition.  The
 prune keeps a monomial while it lies below a rearrangement
 of the staircase; in its Hall form, at most n - v exponents are v or more
 for every threshold v, and each threshold is one addition, one mask and
-one bit count.
+one bit count.  Every representative is symmetric in the variables of
+each block (the cohomology of G/P is the W_P-invariant part of that of
+G/B; Bernstein, Gelfand and Gelfand 1973), so the product is carried as
+orbit sums: one key per orbit under the symmetric groups of the carried
+blocks of size 2 and 3, and the signed sum is averaged over that group.
 
 Structure constants of a pair (structure_constants_pair) come from the
 basis expansion: products of representatives expand uniquely in the basis
@@ -39,6 +43,7 @@ are discarded.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import permutations
 from operator import lshift
 
 from .flags import (
@@ -283,14 +288,30 @@ class _Layout:
     n down to b+1, b the size of the last block, where K_v holds top - v
     in every field; the large v come first because they cut the most
     monomials.  ``over_n`` is K_n, which also catches an exponent of n or
-    more in a representative.  ``start`` is the packed x^delta_P.
+    more in a representative.
 
-    ``reps`` maps a class index to the terms (packed monomial,
-    coefficient) of the representative of its dual, packed by
-    _schubert_trimmed at this width and checked once, and ``signs`` a
-    packed full-degree monomial to its antisymmetrizer sign, 0 unless it
-    rearranges the staircase.  Both start empty and compute an entry on
-    its first lookup, so a later one is a plain dict subscript.
+    The product is carried as orbit sums under S', the product of the
+    symmetric groups of the carried blocks of size 2 and 3 (the
+    symmetrized blocks).  ``exchanges`` holds one compare-exchange
+    (lo, hi, 2^lo - 2^hi) per step of a sorting network of each such
+    block, lo and hi the lowest bits of two of its fields: adding d times
+    the step moves d from field hi to field lo, so the block's exponents
+    end in decreasing order.  ``start`` is the packed block staircase
+    delta_P on the other carried blocks alone, and ``twisted`` holds, for
+    every tau in S', the packed tau * delta_P on the symmetrized blocks
+    with the sign of tau; ``order`` is |S'|.  A complete flag has no
+    symmetrized block: S' is trivial, and ``twisted`` holds 0 with sign 1.
+
+    Four memos start empty and compute an entry on its first lookup, so a
+    later one is a plain dict subscript.  ``reps`` maps a class index to
+    the terms (packed monomial, coefficient) of the representative of its
+    dual, packed by _schubert_trimmed at this width and checked once.
+    ``keys`` maps a monomial to None when it fails a threshold, and
+    otherwise to the monomial with each symmetrized block sorted, the key
+    of its orbit.  ``signs`` maps a packed full-degree monomial of
+    x^delta_P * p to its antisymmetrizer sign, 0 unless it rearranges the
+    staircase.  ``weights`` maps a full-degree monomial m of the carried
+    product to the sum over ``twisted`` of sgn(tau) * signs[m + tau * delta].
     """
 
     def __init__(self, flag: FlagType) -> None:
@@ -306,10 +327,30 @@ class _Layout:
             (sum((top - v) << f for f in fields), n - v) for v in range(n, n - k, -1)
         )
         self.over_n = sum((top - n) << f for f in fields)
-        staircase = (e for b in flag.block_sizes[:-1] for e in range(b - 1, -1, -1))
-        self.start = sum(map(lshift, staircase, fields))
+        exchanges, start, twisted = [], 0, [(0, 1)]
+        for lo, b in zip(flag.bounds, flag.block_sizes[:-1]):
+            block = fields[lo : lo + b]
+            staircase = range(b - 1, -1, -1)
+            if b in (2, 3):
+                network = ((0, 1),) if b == 2 else ((0, 1), (1, 2), (0, 1))
+                exchanges += [
+                    (block[i], block[j], (1 << block[i]) - (1 << block[j])) for i, j in network
+                ]
+                twisted = [
+                    (t + sum(map(lshift, tau, block)), sign * _sign(tau))
+                    for t, sign in twisted
+                    for tau in permutations(staircase)
+                ]
+            else:
+                start += sum(map(lshift, staircase, block))
+        self.exchanges = tuple(exchanges)
+        self.start = start
+        self.twisted = tuple(twisted)
+        self.order = len(twisted)
         self.reps = _Memo(self._pack)
+        self.keys = _Memo(self._key)
         self.signs = _Memo(self._sign_of)
+        self.weights = _Memo(self._weight)
 
     def _pack(self, w: Perm) -> tuple[tuple[int, int], ...]:
         """The packed representative of dual(w), read from _schubert_trimmed
@@ -327,11 +368,39 @@ class _Layout:
                 )
         return tuple(terms.items())
 
+    def _passes(self, m: int) -> bool:
+        """Whether m lies below a rearrangement of the staircase: at most
+        n - v exponents are v or more, for every threshold v."""
+        guard = self.guard
+        return all(((m + K) & guard).bit_count() <= cap for K, cap in self.thresholds)
+
+    def _key(self, m: int) -> int | None:
+        """None if m fails a threshold, else m with each symmetrized block
+        sorted into decreasing order by the compare-exchanges."""
+        if not self._passes(m):
+            return None
+        mask = self.mask
+        for lo, hi, step in self.exchanges:
+            d = (m >> hi & mask) - (m >> lo & mask)
+            if d > 0:
+                m += d * step
+        return m
+
     def _sign_of(self, m: int) -> int:
         """The sign of m read by the thresholds first, then by _sign."""
-        if all(((m + K) & self.guard).bit_count() <= cap for K, cap in self.thresholds):
+        if self._passes(m):
             return _sign(tuple((m >> f) & self.mask for f in self.shifts))
         return 0
+
+    def _weight(self, m: int) -> int:
+        """0 at once when m has an exponent of n or more, tested before
+        any addition, so no field ever carries: every m + tau * delta then
+        has it too, and rearranges no staircase.  Otherwise the signed sum
+        of the signs of m + tau * delta over S'."""
+        if (m + self.over_n) & self.guard:
+            return 0
+        signs = self.signs
+        return sum(sign * signs[m + t] for t, sign in self.twisted)
 
 
 @lru_cache(maxsize=None)
@@ -395,29 +464,54 @@ def intersection_number(classes: tuple[Perm, ...], flag: FlagType) -> int:
       does not fit the layout and raises RuntimeError.  Each class's
       packed representative is read and checked once per flag type
       (_Layout.reps).
+    * The product is carried as orbit sums under S', the product of
+      the symmetric groups of the carried blocks of size 2 and 3 (the
+      symmetrized blocks).  It starts from x^delta_P on the other
+      blocks alone, which S' fixes, so with p it stays symmetric under
+      S', and it keeps one key per orbit, the monomial with each
+      symmetrized block sorted (_Layout.keys), holding the sum of the
+      coefficients over the orbit.  This is exact.  Only orbit sums of
+      the carried product matter: multiplying by a symmetric factor
+      sends the orbit sum at a key a, times a factor term b, to the
+      orbit of a + b, the same for every member of a's orbit.  The
+      thresholds count exponents, so they pass or fail a whole orbit.
+      And the signed sum is S'-invariant up to sgn: swapping exponents
+      inside a block flips the sign of a rearrangement, so the sum over
+      x^delta_S * q, delta_S the staircase on the symmetrized blocks
+      and q the carried product, equals its average over tau in S' of
+      sgn(tau) times the sum over x^(tau delta_S) * q.  Summed over an
+      orbit, that average gives each full-degree monomial m of q the
+      weight sum over tau of sgn(tau) sgn(m + tau delta_S)
+      (_Layout.weights), which is S'-invariant, and the total is
+      divided by |S'|.  A remainder breaks an invariant and raises
+      RuntimeError.  A complete flag has S' = 1 and runs the same code.
+      Blocks of size 4 or more are not symmetrized: a weight would read
+      b! signs.
     * The product of all but the last factor is built one factor at a
-      time, and after each factor every monomial that no longer lies
-      below a rearrangement of (n-1, ..., b) is dropped: later factors
-      only raise exponents.  Sorted ascending, its j-th exponent (from
-      0) must be at most b+j; in Hall form, for every v in b+1 .. n at
-      most n - v exponents are v or more.  Adding K_v, top - v in every
-      field, sets a field's guard bit exactly when its exponent is at
-      least v, and with exponents at most 2(n-1) and top >= 2n the sum
-      stays in the field, so each threshold is one addition, one mask
-      and one bit count.
+      time, and after each factor every orbit whose monomials no longer
+      lie below a rearrangement of (n-1, ..., b) is dropped: later
+      factors and the twist tau delta_S only raise exponents.  Sorted
+      ascending, the j-th exponent (from 0) must be at most b+j; in Hall
+      form, for every v in b+1 .. n at most n - v exponents are v or
+      more.  Adding K_v, top - v in every field, sets a field's guard
+      bit exactly when its exponent is at least v, and with exponents
+      at most 2(n-1) and top >= 2n the sum stays in the field, so each
+      threshold is one addition, one mask and one bit count.  The keys
+      memo applies them once per monomial met, before sorting.
     * The last factor is never multiplied out.  Each pair a + b of a
-      kept monomial and a last-factor term has full degree, where only
-      the rearrangements pass the thresholds, so the pair adds
-      sgn(a + b) * c * d, with sgn 0 off the rearrangements.  The signs
-      come from a per-flag memo (_Layout.signs) that starts empty and is filled
-      on each first lookup, by the thresholds and then _sign; it holds
-      only the full-degree monomials met, never a table of all the
+      kept key and a last-factor term has full degree and adds
+      weight(a + b) * c * d.  The weight is 0 at once when an exponent
+      is n or more, tested before any addition, so no field carries;
+      otherwise it reads the signs of a + b + tau delta_S, from a
+      per-flag memo (_Layout.signs) filled on each first lookup, by the
+      thresholds and then _sign, with 0 off the rearrangements.  Both
+      memos hold only the monomials met, never a table of all the
       rearrangements.  This is the same antisymmetrizer sum, reordered:
       no duality is used, so the oracle stays independent of the LR
       route.
 
     Structure constants are nonnegative, so a negative sum raises
-    RuntimeError.
+    RuntimeError, as does one that |S'| does not divide.
 
     >>> flag = FlagType((1, 2), 3)
     >>> intersection_number(((3, 1, 2), (3, 1, 2), (2, 3, 1)), flag)
@@ -437,31 +531,31 @@ def _intersection_number(classes: tuple[Perm, ...], flag: FlagType) -> int:
         return 1  # a flag type without steps: the manifold is a point
     *head, last = classes
     layout = _layout(flag)
-    guard, thresholds, reps = layout.guard, layout.thresholds, layout.reps
-    terms: dict[int, int] = {layout.start: 1}
+    reps, keys = layout.reps, layout.keys
+    terms: dict[int | None, int] = {layout.start: 1}
     for w in head:
         factor = reps[w]
-        product: dict[int, int] = {}
-        get = product.get
+        acc: dict[int | None, int] = {}
+        get = acc.get
         for a, c in terms.items():
             for b, d in factor:
-                m = a + b
-                product[m] = get(m, 0) + c * d
-        terms = {}
-        for m, c in product.items():
-            for K, cap in thresholds:
-                if ((m + K) & guard).bit_count() > cap:
-                    break
-            else:
-                terms[m] = c
-    signs = layout.signs
+                key = keys[a + b]
+                acc[key] = get(key, 0) + c * d
+        acc.pop(None, None)  # the orbits that failed a threshold
+        terms = acc
+    weights = layout.weights
     factor = reps[last]
     total = 0
     for a, c in terms.items():
         for b, d in factor:
-            sign = signs[a + b]
-            if sign:
-                total += sign * c * d
+            weight = weights[a + b]
+            if weight:
+                total += weight * c * d
+    total, rest = divmod(total, layout.order)
+    if rest:
+        raise RuntimeError(
+            f"signed sum for {classes!r} on {flag} is not a multiple of {layout.order}"
+        )
     if total < 0:
         raise RuntimeError(f"negative intersection number {total} for {classes!r} on {flag}")
     return total

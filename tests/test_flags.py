@@ -526,6 +526,23 @@ def test_a_one_off_entry_lists_no_table(fresh_flag_tables):
     assert all("_classes" not in vars(t) and not t._columns for t in chain)
 
 
+def test_a_one_off_entry_lifts_its_pair_fields_in_one_pass(monkeypatch, fresh_flag_tables):
+    # a one-off entry's pair codimensions are the sizes of its pair
+    # partitions, lifted once for both fields; a listed table still lifts
+    # its codimension column with no partition built
+    def refuse(*args):
+        raise AssertionError("pair codimensions lifted apart")
+
+    flag = FlagType((1, 4), 8)
+    w = (3, 1, 6, 7, 2, 4, 5, 8)
+    expected = _counted_fields(w, flag)
+    monkeypatch.setitem(flags._LIFTS, "pair_codims", refuse)
+    entry = flag_table(flag).entry(w)
+    assert entry.index is None
+    assert entry.pair_codims == expected["pair_codims"]
+    assert vars(entry)["pair_partitions"] == expected["pair_partitions"]
+
+
 def test_listing_builds_no_pair_or_leaf_data(fresh_flag_tables):
     table = flag_table(FlagType((1, 3, 4), 6))
     assert len(table.entries) == len(table.reps) == 180

@@ -306,19 +306,23 @@ def test_wrong_pair_partitions_are_caught(fresh_flag_tables, monkeypatch):
 
 
 def test_wrongly_lifted_pair_codimensions_are_caught(fresh_flag_tables, monkeypatch):
-    # the pair codimensions are lifted on their own, not summed from the
-    # partitions: a wrong lift, on cold tables, must be caught as well; on
-    # 1,3/5 reversing them swaps the pairs (1,2) and (2,3), of sizes 1 x 2
-    # and 2 x 2, while route i still reads the true projected codimensions
+    # a listed table lifts the pair codimensions on their own, not summed
+    # from the partitions: a wrong lift, on cold tables, must be caught as
+    # well; on 1,3/5 reversing them swaps the pairs (1,2) and (2,3), of
+    # sizes 1 x 2 and 2 x 2, while route i still reads the true projected
+    # codimensions
     flag = FlagType((1, 3), 5)
-    lift = flags._LIFTS["pair_codims"]
-    monkeypatch.setitem(
-        flags._LIFTS, "pair_codims",
-        lambda *args: [codims[::-1] for codims in lift(*args)],
-    )
+
+    def reverse(field):
+        lift = flags._LIFTS[field]
+        monkeypatch.setitem(flags._LIFTS, field, lambda *args: [f[::-1] for f in lift(*args)])
+
+    reverse("pair_codims")
     with pytest.raises(RuntimeError, match="disagree"):
         enumerate_levi_movable(flag, 2, "cross_check")
-    # a one-off entry on a cold table is lifted by the same rule
+    # a one-off entry on a cold table sums its pair partitions, lifted by
+    # the partition rule, so a wrong lift there is caught the same way
+    reverse("pair_partitions")
     flags._flag_table.cache_clear()
     w = (2, 3, 5, 1, 4)
     with pytest.raises(RuntimeError, match="disagree"):
@@ -539,3 +543,39 @@ def test_cross_check_runs_the_oracle_on_graded_tuples_only(monkeypatch):
     assert (len(graded), len(tuples)) == (341, 4635)
     enumerate_levi_movable(flag, 3, "cross_check")
     assert sorted(calls) == sorted(graded)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_the_last_leaf_is_the_last_pair(n):
+    # leaf r is Gr(b_r, b_r + b_(r+1)), the Grassmannian of pair (r, r+1),
+    # the last of FlagTable.pairs, and reads the same partitions on every
+    # class, so enumerate takes its product from route iii
+    for flag in enumerate_flag_types(n):
+        table = flag_table(flag)
+        r, m = table.leaf_spaces[-1]
+        assert table.pairs[-1] == (flag.r, flag.r + 1)
+        assert (r, m) == (table.pair_sizes[-1][0], sum(table.pair_sizes[-1]))
+        leaves, pairs = table.column("leaf_partitions"), table.column("pair_partitions")
+        assert [parts[-1] for parts in leaves] == [parts[-1] for parts in pairs], str(flag)
+
+
+@pytest.mark.parametrize(
+    "text, s, movable, products",
+    [("3/6", 3, 46, 84), ("1,3/6", 3, 113, 155), ("3/6", 4, 89, 135)],
+)
+def test_enumerate_makes_the_last_pair_product_once(monkeypatch, text, s, movable, products):
+    # one point product per candidate on a Grassmannian: route iii's, which
+    # the last leaf reuses (before, every movable tuple made it twice)
+    calls = []
+    product_to_point = grassmann._product_to_point
+
+    def counted(*args):
+        calls.append(args)
+        return product_to_point(*args)
+
+    monkeypatch.setattr(grassmann, "_product_to_point", counted)
+    monkeypatch.setattr(levi, "_product_to_point", counted)
+    flag = FlagType.parse(text)
+    found = enumerate_levi_movable(flag, s)
+    assert (len(found), len(calls)) == (movable, products)
+    assert found == enumerate_levi_movable(flag, s, "via_iv")

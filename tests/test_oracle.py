@@ -425,3 +425,83 @@ def test_point_against_fundamental_signs_one_monomial():
     oracle._layout.cache_clear()
     assert intersection_number((identity(10), longest_element(10)), flag) == 1
     assert len(oracle._layout(flag).signs) <= 1
+
+
+# s = 4 on flags whose carried blocks are all symmetrized: one block of
+# size 3, two of size 2, and two of size 2 between blocks of size 1
+@pytest.mark.parametrize("text", ["3/6", "2,4/6", "1,3,5/6"])
+def test_orbit_product_matches_the_tuple_reference_at_s4(text):
+    flag = FlagType.parse(text)
+    table = flag_table(flag)
+    rng = random.Random(f"orbits {text}")
+    for _ in range(8):
+        classes = _random_exact_degree_tuple(rng, table, 4)
+        expected = _reference_intersection_number(classes, flag)
+        assert intersection_number(classes, flag) == expected, (flag, classes)
+
+
+@pytest.mark.parametrize(
+    "text, order",
+    [("1,2,3,4,5/6", 1), ("4/8", 1), ("3/6", 6), ("2,4/6", 4), ("2,5/7", 12), ("1,4/8", 6)],
+)
+def test_symmetrized_blocks_are_the_carried_blocks_of_size_2_and_3(text, order):
+    # S' is the product of the symmetric groups of the carried blocks of
+    # size 2 and 3: a complete flag has none, and 4/8 carries one block,
+    # of size 4
+    layout = oracle._layout(FlagType.parse(text))
+    assert layout.order == len(layout.twisted) == order
+    assert sum(sign for _, sign in layout.twisted) == (1 if order == 1 else 0)
+    if order == 1:
+        assert layout.twisted == ((0, 1),) and layout.exchanges == ()
+
+
+def _first_disagreement(flag, s):
+    # the first exact-degree tuple on which intersection_number differs
+    # from the tuple reference or raises RuntimeError, else None
+    for classes in exact_degree_tuples(flag, s):
+        try:
+            got = intersection_number(classes, flag)
+        except RuntimeError:
+            got = None
+        if got != _reference_intersection_number(classes, flag):
+            return classes
+    return None
+
+
+def test_a_flipped_sign_in_twisted_is_caught(fresh_packed_reps, monkeypatch):
+    flag = FlagType.parse("3/6")
+    assert _first_disagreement(flag, 3) is None
+    oracle._layout.cache_clear()  # a fresh weights memo
+    layout = oracle._layout(flag)
+    (t, sign), *rest = layout.twisted
+    monkeypatch.setattr(layout, "twisted", ((t, -sign), *rest))
+    assert _first_disagreement(flag, 3) is not None
+
+
+def test_a_key_that_moves_an_exponent_across_blocks_is_caught(fresh_packed_reps, monkeypatch):
+    # 2,4/6 sorts x1, x2 and x3, x4 apart; sorting x2 with x3 merges
+    # monomials that lie in different orbits
+    flag = FlagType.parse("2,4/6")
+    layout = oracle._layout(flag)
+    (_, hi, _), (lo, _, _) = layout.exchanges
+    monkeypatch.setattr(layout, "exchanges", ((hi, lo, (1 << hi) - (1 << lo)),))
+    assert _first_disagreement(flag, 3) is not None
+
+
+def test_a_weight_with_an_exponent_of_n_reads_no_sign(fresh_packed_reps, monkeypatch):
+    class Refused(dict):
+        def __missing__(self, key):
+            raise AssertionError("a sign was read")
+
+    flag = FlagType.parse("2,5/7")
+    layout = oracle._layout(flag)
+    monkeypatch.setattr(layout, "signs", Refused())
+    n, fields = flag.n, layout.shifts
+    # exponents (7, 0, 5, 3, 0) and (13, 0, 0, 0, 0): some field at n or
+    # more, the largest sum of two factor terms 2(n - 1) too
+    for exponents in ((n, 0, 5, 3, 0), (2 * n - 2, 0, 0, 0, 0)):
+        m = sum(e << f for e, f in zip(exponents, fields))
+        assert layout.weights[m] == 0
+    # one below n reads the signs
+    with pytest.raises(AssertionError, match="a sign was read"):
+        layout.weights[sum(e << f for e, f in zip((n - 1, 0, 5, 3, 0), fields))]
