@@ -63,7 +63,7 @@ c1, projected, c_fiber, fiber_classes, fiber = factor_once(classes, FlagType((1,
 print("base coefficient", c1, "on the projected tuple", projected)
 print("fiber coefficient", c_fiber, "on", fiber_classes, "over", fiber)
 
-# the full recursion writes the coefficient as a product of tableau
+# the full tree writes the coefficient as a product of tableau
 # counts, one per step, on shrinking Grassmannians
 tree = factor_full(classes, FlagType((1, 2), 3), verify_with_oracle=True)
 print("tree coefficient:", tree.coefficient)

@@ -2,16 +2,20 @@
 
 A movable coefficient on a multi-step flag manifold splits as the
 product of a coefficient on the Grassmannian of the first step and a
-coefficient on the fiber manifold of the remaining steps.  Recursing on
-the fiber writes the coefficient as a product of r Littlewood-Richardson
-numbers, one for each Grassmannian of a block inside what remains of the
-ambient space.
+coefficient on the fiber manifold of the remaining steps; splitting each
+fiber in turn writes it as a product of r Littlewood-Richardson numbers,
+one for each Grassmannian of a block inside what remains of the ambient
+space.
 
-One guard checks the input of every entry point and makes the only
-movability decision on it (ValueError when the tuple is not movable).
-One split step returns the base leaf, the fiber tuple and the fiber flag
-type; the tree is the split applied recursively, and the other entry
-points are the guard plus one split.
+One guard checks the input of every entry point and decides its
+movability once (ValueError when it is not movable), keeping the pair
+products of that decision.  One loop folds the tree from the last level
+up: level k holds the k-th fiber tuple (ClassEntry.fiber), and its leaf
+is read off the root's class table, its coefficient made by levi._leaf
+as in enumerate_levi_movable.  A fiber is not decided again: its pairs
+(i - 1, j - 1) are the pairs (i, j) above it (flags._LIFTS), which the
+guard read; a vanishing leaf raises RuntimeError.  The other entry
+points read the first two levels.
 """
 
 from __future__ import annotations
@@ -19,17 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .flags import (
+    ClassEntry,
     FlagType,
     _project_to_step,
-    _restrict_to_fiber,
-    check_class_tuple,
     dual,
-    fiber_flag,
     flag_table,
     grassmannian_flag,
 )
-from .grassmann import Partition, _product_to_point, format_partition
-from .levi import is_levi_movable
+from .grassmann import Partition, format_partition
+from .levi import _evaluate, _leaf, is_levi_movable
 from .oracle import intersection_number
 from .perm import Perm
 
@@ -90,49 +92,49 @@ class FactorizationTree:
         }
 
 
-def _movable(classes, flag: FlagType) -> tuple[Perm, ...]:
-    """The guard of every entry point: the checked tuple, or ValueError
-    when it is malformed, the flag is a point, or the tuple is not
-    Levi-movable."""
-    classes = check_class_tuple(classes, flag)
+_Levels = list[tuple[ClassEntry, ...]]  # a tuple's entries, then each fiber tuple's
+
+
+def _movable(classes, flag: FlagType) -> tuple[_Levels, dict[int, int]]:
+    """The guard of every entry point: ValueError when the tuple is
+    malformed, the flag is a point, or the tuple is not Levi-movable.
+    The tuple is checked once (FlagTable.class_tuple) and route iii
+    decides it once (levi._evaluate).  Returns the r + 1 levels, down the
+    fiber entries (ClassEntry.fiber) to the point, and the decision's
+    pair products."""
+    table = flag_table(flag)
+    levels = [table.class_tuple(classes)]
     if flag.r < 1:
         raise ValueError("a point manifold has nothing to factor")
-    report = is_levi_movable(classes, flag)
-    if not report.movable:
-        raise ValueError(
-            f"tuple is not Levi-movable on {flag}: {report.failing_witness}"
-        )
-    return classes
+    products: dict[int, int] = {}
+    _, movable, _, _, witness = _evaluate(levels[0], table, "via_iii", products=products)
+    if not movable:
+        raise ValueError(f"tuple is not Levi-movable on {flag}: {witness}")
+    for _ in range(flag.r):
+        levels.append(tuple([e.fiber for e in levels[-1]]))
+    return levels, products
 
 
-def _split(
-    classes: tuple[Perm, ...], flag: FlagType
-) -> tuple[GrassmannianFactor, tuple[Perm, ...], FlagType]:
-    """The split across the first step: the base leaf on the Grassmannian
-    of a_1-planes, the fiber tuple and the fiber flag type.  The classes
-    passed the guard (or are the fiber of a tuple that did), so the
-    unchecked maps are used; the base partitions are the first leaf
-    partitions of the class table."""
-    a1 = flag.steps[0]
-    projected = tuple(_project_to_step(w, a1) for w in classes)
-    table = flag_table(flag)
-    partitions = tuple(table._entry(w).leaf_partitions[0] for w in classes)
-    base = GrassmannianFactor(
-        grassmannian_flag(a1, flag.n),
-        projected,
-        partitions,
-        _product_to_point(partitions, a1, flag.n),
+def _node(entries: tuple[ClassEntry, ...]) -> tuple[tuple[Perm, ...], FlagType]:
+    """The classes of one level and their flag type."""
+    return tuple([e.w for e in entries]), entries[0].table.flag
+
+
+def _base(levels: _Levels, products: dict[int, int], k: int) -> GrassmannianFactor:
+    """The leaf of level k on the Grassmannian of its first step: the
+    level's projected classes, and the partitions and coefficient of the
+    root's leaf k.  RuntimeError when the leaf vanishes."""
+    root = levels[0][0].table
+    r, m = root.leaf_spaces[k]
+    coefficient = _leaf(levels[0], root, k, root.pair_target, products)
+    if not coefficient:
+        raise RuntimeError(f"movable {_node(levels[0])[0]!r} over {root.flag} has a vanishing leaf")
+    return GrassmannianFactor(
+        grassmannian_flag(r, m),
+        tuple([_project_to_step(e.w, r) for e in levels[k]]),
+        tuple([e.leaf_partitions[k] for e in levels[0]]),
+        coefficient,
     )
-    fclasses = tuple(_restrict_to_fiber(w, a1) for w in classes)
-    return base, fclasses, fiber_flag(flag)
-
-
-def _fiber_failure(fclasses: tuple[Perm, ...], fflag: FlagType) -> str | None:
-    """None when the fiber tuple is movable (a point fiber is, vacuously),
-    else the witness of the failure."""
-    if fflag.r == 0:
-        return None
-    return is_levi_movable(fclasses, fflag).failing_witness
 
 
 def factor_once(
@@ -148,46 +150,33 @@ def factor_once(
     >>> factor_once(((2, 3, 1), (2, 1, 3)), FlagType((1, 2), 3))
     (1, ((2, 1, 3), (2, 1, 3)), 1, ((2, 1), (1, 2)), FlagType(steps=(1,), n=2))
     """
-    base, fclasses, fflag = _split(_movable(classes, flag), flag)
-    c_fiber = intersection_number(fclasses, fflag)
-    return base.coefficient, base.classes, c_fiber, fclasses, fflag
+    levels, products = _movable(classes, flag)
+    base = _base(levels, products, 0)
+    fclasses, fflag = _node(levels[1])
+    return base.coefficient, base.classes, intersection_number(fclasses, fflag), fclasses, fflag
 
 
 def factor_full(
     classes: tuple[Perm, ...], flag: FlagType, verify_with_oracle: bool = False
 ) -> FactorizationTree:
-    """Full recursion to Littlewood-Richardson leaves.  The tree has one
-    level per step; the coefficient of the root is the product of all
-    leaf coefficients and equals the intersection number of the input.
-    With verify_with_oracle every node is cross-checked against the
-    polynomial oracle (RuntimeError on mismatch)."""
-    return _factor_tree(_movable(classes, flag), flag, verify_with_oracle)
-
-
-def _factor_tree(
-    classes: tuple[Perm, ...], flag: FlagType, verify: bool
-) -> FactorizationTree:
-    """The split applied recursively; assumes the tuple is movable on
-    flag (the root is validated by factor_full, fibers inherit
-    movability from the root, re-checked here as an internal
-    invariant)."""
-    base, fclasses, fflag = _split(classes, flag)
-    fiber = None
-    coefficient = base.coefficient
-    if fflag.r:
-        failure = _fiber_failure(fclasses, fflag)
-        if failure is not None:
+    """Full factorization into Littlewood-Richardson leaves.  The tree has
+    one level per step, folded from the last up; the coefficient of the
+    root is the product of all leaf coefficients and equals the
+    intersection number of the input.  With verify_with_oracle every
+    node is cross-checked against the polynomial oracle (RuntimeError on
+    mismatch)."""
+    levels, products = _movable(classes, flag)
+    tree = None
+    for k in reversed(range(flag.r)):
+        base = _base(levels, products, k)
+        classes, level_flag = _node(levels[k])
+        coefficient = base.coefficient * (tree.coefficient if tree else 1)
+        tree = FactorizationTree(level_flag, classes, coefficient, base, tree)
+        if verify_with_oracle and coefficient != intersection_number(classes, level_flag):
             raise RuntimeError(
-                f"fiber tuple {fclasses!r} lost movability on {fflag}: {failure}"
+                f"factored coefficient {coefficient} disagrees with the "
+                f"oracle on {classes!r} over {level_flag}"
             )
-        fiber = _factor_tree(fclasses, fflag, verify)
-        coefficient *= fiber.coefficient
-    tree = FactorizationTree(flag, classes, coefficient, base, fiber)
-    if verify and tree.coefficient != intersection_number(classes, flag):
-        raise RuntimeError(
-            f"factored coefficient {tree.coefficient} disagrees with the "
-            f"oracle on {classes!r} over {flag}"
-        )
     return tree
 
 
@@ -195,13 +184,15 @@ def check_induced_movability(
     classes: tuple[Perm, ...], flag: FlagType
 ) -> tuple[bool, bool]:
     """Whether the projected tuple stays movable on the Grassmannian of
-    the first step and the fiber tuple stays movable on the fiber
-    manifold.  Both are guaranteed for movable input; a one-step flag
-    has a point fiber, movable vacuously.  ValueError when the input
-    tuple is not movable itself."""
-    base, fclasses, fflag = _split(_movable(classes, flag), flag)
-    # on a Grassmannian, movable means a nonzero point product
-    return base.coefficient != 0, _fiber_failure(fclasses, fflag) is None
+    the first step (there, movable means a nonzero point product: leaf 0
+    of the tuple) and the fiber tuple stays movable on the fiber
+    manifold, decided afresh by is_levi_movable.  Both hold for movable
+    input; a one-step flag has a point fiber, movable vacuously.
+    ValueError when the input tuple is not movable itself."""
+    levels, products = _movable(classes, flag)
+    root = levels[0][0].table
+    base = _leaf(levels[0], root, 0, root.pair_target, products)
+    return base != 0, flag.r == 1 or is_levi_movable(*_node(levels[1])).movable
 
 
 def pairwise_factor(
@@ -213,10 +204,9 @@ def pairwise_factor(
     the reduced classes against the reductions of the dual of v, which
     are the duals of the reductions.  ValueError when (w, u, dual of v)
     is not Levi-movable."""
-    classes = _movable((w, u, dual(v, flag)), flag)
-    base, fclasses, fflag = _split(classes, flag)
+    levels, products = _movable((w, u, dual(v, flag)), flag)
     return (
-        intersection_number(classes, flag),
-        base.coefficient,
-        intersection_number(fclasses, fflag),
+        intersection_number(*_node(levels[0])),
+        _base(levels, products, 0).coefficient,
+        intersection_number(*_node(levels[1])),
     )

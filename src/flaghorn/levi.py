@@ -254,29 +254,43 @@ def exact_degree_tuples(flag: FlagType, s: int) -> tuple[tuple[Perm, ...], ...]:
     return tuple(_walk(table, s, [()] * len(table.reps), ()))
 
 
+def _leaf(
+    entries: tuple[ClassEntry, ...],
+    table: FlagTable,
+    k: int,
+    totals: tuple[int, ...],
+    products: dict[int, int] | None = None,
+) -> int:
+    """The point coefficient of leaf k of the tuple, on the Grassmannian
+    FlagTable.leaf_spaces[k], given the summed pair codimensions of the
+    tuple: the one place a leaf coefficient is made.  A leaf's
+    codimension is the sum of those of its pairs (FlagTable.leaf_pairs),
+    so a leaf that its degree decides (_degree_verdict) reads no
+    partition.  Leaf r, the last, is the Grassmannian of pair (r, r+1),
+    the last of FlagTable.pairs, and reads the same partitions: when
+    products, the pair products route iii has made (_condition_iii), hold
+    that pair's, the leaf takes it instead of making it again."""
+    r, m = table.leaf_spaces[k]
+    verdict = _degree_verdict(sum(map(totals.__getitem__, table.leaf_pairs[k])), r, m)
+    if verdict is None and products and k == len(table.leaf_spaces) - 1:
+        verdict = products.get(len(table.pairs) - 1)
+    if verdict is None:
+        verdict = _product_to_point(tuple([e.leaf_partitions[k] for e in entries]), r, m)
+    return verdict
+
+
 def _leaf_product(
     entries: tuple[ClassEntry, ...],
     table: FlagTable,
     graded: bool = False,
     products: dict[int, int] | None = None,
 ) -> int:
-    """The product of the Littlewood-Richardson leaves of the tuple, one
-    point coefficient on the Grassmannian of each step; 0 at the first
+    """The product of the Littlewood-Richardson leaves of the tuple (_leaf),
+    one point coefficient on the Grassmannian of each step; 0 at the first
     leaf that vanishes.  For a movable tuple this is its intersection
-    number (the factorization of factor_full).
-
-    A leaf's codimension is the sum of the codimensions of its pairs
-    (FlagTable.leaf_pairs), so a leaf that its degree decides
-    (_degree_verdict: a projective space, or the wrong degree) reads no
-    partition.  On a tuple known to be graded, every pair of the right
-    degree, so is every leaf, and only the leaves of FlagTable.lr_leaves
-    are visited.
-
-    Leaf r, the last, is the Grassmannian Gr(b_r, b_r + b_(r+1)) of pair
-    (r, r+1), the last of FlagTable.pairs, and reads the same partitions.
-    products holds the pair products route iii has made (_condition_iii),
-    by position in FlagTable.pairs; when it holds that pair's, the leaf
-    takes it instead of making it again."""
+    number (the factorization of factor_full).  On a tuple known to be
+    graded, every pair of the right degree, so is every leaf, and only
+    the leaves of FlagTable.lr_leaves are visited."""
     if graded:
         leaves, totals = table.lr_leaves, table.pair_target
     else:
@@ -284,13 +298,7 @@ def _leaf_product(
         leaves = range(len(table.leaf_spaces))
     coefficient = 1
     for k in leaves:
-        r, m = table.leaf_spaces[k]
-        verdict = _degree_verdict(sum(map(totals.__getitem__, table.leaf_pairs[k])), r, m)
-        if verdict is None and products and k == len(table.leaf_spaces) - 1:
-            verdict = products.get(len(table.pairs) - 1)
-        if verdict is None:
-            verdict = _product_to_point(tuple([e.leaf_partitions[k] for e in entries]), r, m)
-        coefficient *= verdict
+        coefficient *= _leaf(entries, table, k, totals, products)
         if not coefficient:
             break
     return coefficient

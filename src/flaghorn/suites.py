@@ -40,7 +40,7 @@ from .flags import (
     grassmannian_flag,
 )
 from .grassmann import partition_from_perm, product_to_point
-from .levi import _reported, enumerate_levi_movable, exact_degree_tuples
+from .levi import _reported, enumerate_levi_movable, exact_degree_tuples, is_levi_movable
 from .oracle import _Memo, _intersection_number, intersection_number
 from .perm import Perm, _standardize, flatten, length
 
@@ -225,9 +225,9 @@ def run_thm2(max_n: int | None = None) -> SuiteResult:
                 f"{flag}: leaf spaces {[str(l.space) for l in leaves]} differ "
                 f"from {[str(e) for e in expected_spaces]}"
             )
-        # the tree re-checked the movability of every fiber; on the
-        # Grassmannian of the first step movable means a nonzero product
-        if c1 == 0:
+        # on a Grassmannian movable means a nonzero product, which the
+        # tree asserts of every leaf; every fiber level is decided here
+        if not all(is_levi_movable(t.classes, t.flag).movable for t in tree.levels()[1:]):
             result.failures.append(
                 f"{flag}: a reduction of {classes!r} lost movability"
             )

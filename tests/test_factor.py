@@ -1,9 +1,11 @@
 """Factorization of movable coefficients into Littlewood-Richardson leaves."""
 
 import json
+import sys
 
 import pytest
 
+from flaghorn import grassmann
 from flaghorn.factor import (
     FactorizationTree,
     GrassmannianFactor,
@@ -19,11 +21,11 @@ from flaghorn.flags import (
     enumerate_flag_types,
     enumerate_minimal_reps,
     fiber_flag,
-    flag_table,
     grassmannian_flag,
     project_to_step,
     restrict_to_fiber,
 )
+from flaghorn.grassmann import partition_from_perm
 from flaghorn.levi import enumerate_levi_movable
 from flaghorn.oracle import intersection_number
 
@@ -114,22 +116,63 @@ def test_factor_full_leaf_invariants(flag):
 
 
 def test_leaf_partitions_are_the_factor_full_leaves():
-    # the tree reads the first leaf of each level's fiber table and the
-    # enumerate coefficient reads every leaf off the root table; they must
-    # agree on every movable tuple with n <= 5
+    # the tree reads every leaf off the root table; the reference walks
+    # the public maps down the fibers instead: restrict to the fiber k
+    # times, then project to the first step of that fiber and read the
+    # partition on its Grassmannian Gr(b_k, n - a_(k-1)).  Every movable
+    # tuple with n <= 5
     seen = 0
     for n in range(2, 6):
         for flag in enumerate_flag_types(n):
-            table = flag_table(flag)
             for s in (2, 3):
                 for classes, _ in enumerate_levi_movable(flag, s):
                     leaves = factor_full(classes, flag).leaf_factors()
-                    entries = [table.entry(w) for w in classes]
-                    for k, leaf in enumerate(leaves):
-                        assert leaf.partitions == tuple(e.leaf_partitions[k] for e in entries)
-                        assert (leaf.space.steps[0], leaf.space.n) == table.leaf_spaces[k]
+                    assert len(leaves) == flag.r
+                    level, fflag = classes, flag
+                    for leaf in leaves:
+                        r, m = fflag.steps[0], fflag.n
+                        projected = tuple(project_to_step(w, fflag, 1) for w in level)
+                        assert leaf.space == grassmannian_flag(r, m)
+                        assert leaf.classes == projected
+                        assert leaf.partitions == tuple(
+                            partition_from_perm(w, r, m) for w in projected
+                        )
+                        level = tuple(restrict_to_fiber(w, fflag) for w in level)
+                        fflag = fiber_flag(fflag)
                     seen += 1
     assert seen == 986
+
+
+@pytest.mark.parametrize(
+    "flag,classes",
+    [
+        (grassmannian_flag(2, 4), ((2, 4, 1, 3),) * 4),
+        (
+            grassmannian_flag(3, 8),
+            ((1, 3, 5, 2, 4, 6, 7, 8),) + ((5, 7, 8, 1, 2, 3, 4, 6),) * 3,
+        ),
+    ],
+)
+def test_factor_full_makes_one_point_product_on_a_grassmannian(monkeypatch, flag, classes):
+    # the guard's decision makes the one pair product of a Grassmannian,
+    # and the one leaf, whose partitions are the pair's, takes it
+    right = grassmann._product_to_point
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return right(*args)
+
+    callers = [
+        module for name, module in list(sys.modules.items())
+        if name.startswith("flaghorn.") and getattr(module, "_product_to_point", None) is right
+    ]
+    assert grassmann in callers
+    for module in callers:
+        monkeypatch.setattr(module, "_product_to_point", counted)
+    tree = factor_full(classes, flag)
+    assert len(calls) == 1
+    assert tree.coefficient == intersection_number(classes, flag) == 2
 
 
 def test_factor_full_rejects_bad_input():
@@ -157,11 +200,50 @@ def test_tree_to_dict_shape():
 
 
 def test_check_induced_movability():
-    for flag in (F3, FlagType((1, 2), 4), FlagType((1, 3), 4)):
-        for classes, _ in enumerate_levi_movable(flag, 2):
-            assert check_induced_movability(classes, flag) == (True, True)
+    for flag in (F3, FlagType((1, 2), 4), FlagType((1, 3), 4), FlagType((1, 2, 3), 4)):
+        for s in (2, 3):
+            for classes, _ in enumerate_levi_movable(flag, s):
+                assert check_induced_movability(classes, flag) == (True, True)
     with pytest.raises(ValueError):
         check_induced_movability(BLOCKED_TRIPLE, F3)
+
+
+def test_a_vanishing_leaf_of_a_movable_tuple_raises(monkeypatch):
+    import flaghorn.factor as factor
+
+    monkeypatch.setattr(factor, "_leaf", lambda *args: 0)
+    flag = FlagType((1, 2), 4)
+    classes = next(iter(enumerate_levi_movable(flag, 3)))[0]
+    with pytest.raises(RuntimeError, match="has a vanishing leaf"):
+        factor_full(classes, flag)
+    assert check_induced_movability(classes, flag) == (False, True)
+
+
+def test_check_induced_movability_decides_the_fiber(monkeypatch):
+    """The fiber value is a decision of its own: a fiber that
+    is_levi_movable refuses reads as not movable, except past a one-step
+    flag, whose fiber is a point."""
+    import dataclasses
+
+    import flaghorn.factor as factor
+
+    right = factor.is_levi_movable
+    decided = []
+
+    def refuse(classes, flag, method="via_iii"):
+        decided.append(flag)
+        report = right(classes, flag, method)
+        return dataclasses.replace(report, condition_iii=False, failing_witness="refused")
+
+    monkeypatch.setattr(factor, "is_levi_movable", refuse)
+    flag = FlagType((1, 2), 4)
+    classes = next(iter(enumerate_levi_movable(flag, 3)))[0]
+    assert check_induced_movability(classes, flag) == (True, False)
+    assert decided == [fiber_flag(flag)]
+    grassmannian = grassmannian_flag(2, 4)
+    classes = next(iter(enumerate_levi_movable(grassmannian, 3)))[0]
+    assert check_induced_movability(classes, grassmannian) == (True, True)
+    assert decided == [fiber_flag(flag)]
 
 
 def test_pairwise_factor_identity():

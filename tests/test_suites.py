@@ -1,6 +1,8 @@
 """The named verification suites at reduced bounds (the acceptance module
 runs them at full bounds)."""
 
+import dataclasses
+
 import pytest
 
 from flaghorn import levi, suites
@@ -16,6 +18,7 @@ from flaghorn.suites import (
     run_duality,
     run_lengths,
     run_thm1,
+    run_thm2,
     run_suite,
 )
 
@@ -202,6 +205,24 @@ def test_thm1_catches_a_wrong_route(monkeypatch):
         equivalence_rows.cache_clear()
     assert not result.passed
     assert any("(i=False, iii=True, iv=False)" in f for f in result.failures)
+
+
+def test_thm2_decides_every_fiber_level(monkeypatch):
+    """The factorization tree does not decide its fibers again, so the
+    suite does, through is_levi_movable; a decision that refuses every
+    fiber must show as a lost reduction of each multi-step tuple."""
+    right = suites.is_levi_movable
+
+    def refuse(classes, flag, method="via_iii"):
+        report = right(classes, flag, method)
+        return dataclasses.replace(report, condition_iii=False, failing_witness="refused")
+
+    monkeypatch.setattr(suites, "is_levi_movable", refuse)
+    result = run_thm2(4)
+    assert not result.passed
+    lost = [f for f in result.failures if "lost movability" in f]
+    assert lost and len(lost) == len(result.failures)
+    assert len(lost) == sum(flag.r > 1 for flag, _, _ in movable_rows(4))
 
 
 def test_duality_catches_a_wrong_dual(monkeypatch):
