@@ -14,6 +14,17 @@ integers, one field of bits per variable (_schubert_trimmed): the
 oracle reads the packed terms directly, and schubert_polynomial unpacks
 the same terms into a SparsePolynomial.
 
+An intersection number is first tested pair by pair: the product of two
+classes w and v vanishes unless dual(v) <= w in Bruhat order, because the
+intersection of a Schubert variety with an opposite one, a Richardson
+variety, is nonempty exactly then (Richardson, Intersections of double
+cosets in algebraic groups, 1992; Brion, Lectures on the geometry of flag
+varieties, 2005, on Richardson varieties).  On minimal coset
+representatives the order is read by the tableau criterion at the steps
+alone (Bjorner and Brenti, Combinatorics of Coxeter Groups, section 2.6).
+A pair that fails proves the whole product zero; a tuple whose every pair
+passes may still be zero, and the polynomial product decides it.
+
 Intersection numbers come from one product of representatives, pruned as
 it grows, and the antisymmetrizer formula for the top divided difference
 (see intersection_number); no product is expanded in the basis, no
@@ -302,7 +313,7 @@ class _Layout:
     with the sign of tau; ``order`` is |S'|.  A complete flag has no
     symmetrized block: S' is trivial, and ``twisted`` holds 0 with sign 1.
 
-    Four memos start empty and compute an entry on its first lookup, so a
+    Five memos start empty and compute an entry on its first lookup, so a
     later one is a plain dict subscript.  ``reps`` maps a class index to
     the terms (packed monomial, coefficient) of the representative of its
     dual, packed by _schubert_trimmed at this width and checked once.
@@ -312,6 +323,14 @@ class _Layout:
     x^delta_P * p to its antisymmetrizer sign, 0 unless it rearranges the
     staircase.  ``weights`` maps a full-degree monomial m of the carried
     product to the sum over ``twisted`` of sgn(tau) * signs[m + tau * delta].
+
+    ``bruhat`` maps a class index w to two packed integers for the
+    pairwise vanishing test (_vanishes): the entries of sorted(w[:a]) for
+    every step a, one field each, with every field's guard bit set
+    (``bruhat_guard`` holds them all), and the same entries of dual(w)
+    without the guard bits.  Entries are at most n < top, so subtracting
+    the second integer of v from the first of w clears a guard bit
+    exactly when some entry of dual(v) exceeds that of w.
     """
 
     def __init__(self, flag: FlagType) -> None:
@@ -347,6 +366,8 @@ class _Layout:
         self.start = start
         self.twisted = tuple(twisted)
         self.order = len(twisted)
+        self.bruhat_guard = sum(top << f for f in range(0, sum(flag.steps) * width, width))
+        self.bruhat = _Memo(self._bruhat)
         self.reps = _Memo(self._pack)
         self.keys = _Memo(self._key)
         self.signs = _Memo(self._sign_of)
@@ -367,6 +388,17 @@ class _Layout:
                     f"{flag} is not in x1..x{k} with exponents below {flag.n}"
                 )
         return tuple(terms.items())
+
+    def _bruhat(self, w: Perm) -> tuple[int, int]:
+        """The sorted prefixes of w at the steps, packed with the guard
+        bits set, and those of dual(w), packed without them."""
+        steps, width = self.flag.steps, self.width
+
+        def prefixes(u: Perm) -> int:
+            entries = [x for a in steps for x in sorted(u[:a])]
+            return sum(x << (j * width) for j, x in enumerate(entries))
+
+        return self.bruhat_guard + prefixes(w), prefixes(_dual(w, self.flag))
 
     def _passes(self, m: int) -> bool:
         """Whether m lies below a rearrangement of the staircase: at most
@@ -513,19 +545,53 @@ def intersection_number(classes: tuple[Perm, ...], flag: FlagType) -> int:
     Structure constants are nonnegative, so a negative sum raises
     RuntimeError, as does one that |S'| does not divide.
 
+    Before any of this, once the tuple is checked, each unordered pair of
+    classes is tested (_vanishes): the product of w and v is zero unless
+    dual(v) <= w in Bruhat order, the nonemptiness of their Richardson
+    variety (Richardson 1992; Brion, Lectures on the geometry of flag
+    varieties).  A failing pair answers 0 with no representative built.
+    The test decides only zeros: a tuple whose every pair passes, zero or
+    not, is decided by the polynomial product above.
+
     >>> flag = FlagType((1, 2), 3)
     >>> intersection_number(((3, 1, 2), (3, 1, 2), (2, 3, 1)), flag)
     1
+    >>> intersection_number(((1, 3, 2), (2, 3, 1)), flag)
+    0
     """
-    return _intersection_number(check_class_tuple(classes, flag), flag)
+    classes = check_class_tuple(classes, flag)
+    return 0 if _vanishes(classes, flag) else _intersection_number(classes, flag)
+
+
+def _vanishes(classes: tuple[Perm, ...], flag: FlagType) -> bool:
+    """Whether some pair of the checked classes proves their product zero:
+    w_i, w_j with dual(w_j) not below w_i in Bruhat order.
+
+    On minimal coset representatives, v <= w exactly when, at every step
+    a, sorted(v[:a]) <= sorted(w[:a]) entry by entry (the tableau
+    criterion; Bjorner and Brenti, Combinatorics of Coxeter Groups,
+    section 2.6).  Each unordered pair is tested one way only: dual
+    reverses the order, so dual(w_j) <= w_i exactly when dual(w_i) <= w_j.
+    A pair costs one subtraction and one mask of the packed prefixes
+    (_Layout.bruhat).  False says nothing: the product may still vanish.
+    """
+    layout = _layout(flag)
+    bruhat, guard = layout.bruhat, layout.bruhat_guard
+    packed = [bruhat[w] for w in classes]
+    return any(
+        (upper - lower) & guard != guard
+        for i, (upper, _) in enumerate(packed)
+        for _, lower in packed[i + 1 :]
+    )
 
 
 def _intersection_number(classes: tuple[Perm, ...], flag: FlagType) -> int:
-    """intersection_number with the classes unchecked: the packed product
-    for a tuple of valid class indices, as plain tuples of ints, whose
-    codimensions sum to the dimension of the manifold.  For callers
-    whose classes come from a table walk or from checked table entries;
-    anything else goes through intersection_number, which checks first.
+    """intersection_number with the classes unchecked and no pairwise
+    test: the packed product for a tuple of valid class indices, as plain
+    tuples of ints, whose codimensions sum to the dimension of the
+    manifold.  For callers whose classes come from a table walk or from
+    checked table entries; anything else goes through
+    intersection_number, which checks first.
     """
     if not classes:
         return 1  # a flag type without steps: the manifold is a point

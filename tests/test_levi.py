@@ -256,6 +256,20 @@ def test_check_cross_check_compares_the_leaf_product(monkeypatch):
         is_levi_movable(MOVABLE_PAIR, F3, "cross_check")
 
 
+def test_cross_check_compares_the_pairwise_bruhat_test(monkeypatch):
+    # a test that finds zero where the oracle does not raises, on a movable
+    # tuple and on the blocked triple, whose number is 1; a zero tuple
+    # proves nothing wrong
+    monkeypatch.setattr(levi, "_vanishes", lambda classes, flag: True)
+    for classes in (MOVABLE_PAIR, BLOCKED_TRIPLE):
+        with pytest.raises(RuntimeError, match="pairwise Bruhat test finds"):
+            is_levi_movable(classes, F3, "cross_check")
+    with pytest.raises(RuntimeError, match="pairwise Bruhat test finds"):
+        enumerate_levi_movable(F3, 2, "cross_check")
+    report = is_levi_movable(((1, 3, 2), (2, 3, 1)), F3, "cross_check")
+    assert (report.movable, report.coefficient) == (False, 0)
+
+
 def test_wrong_leaf_partitions_are_caught(monkeypatch):
     # 2,3/5 has the leaf Gr(2,5), whose partitions are read, and the
     # projective leaf Gr(1,3), which its degree decides

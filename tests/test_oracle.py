@@ -189,16 +189,128 @@ def test_intersection_number_degree_mismatch():
 
 def test_intersection_number_checks_then_calls_its_core(monkeypatch):
     f3 = complete_flag(3)
+    tested = []
+    vanishes = oracle._vanishes
+    monkeypatch.setattr(oracle, "_vanishes", lambda c, f: tested.append(c) or vanishes(c, f))
     with pytest.raises(ValueError, match="does not index a Schubert class"):
         intersection_number(((3, 2, 1), (3, 2, 1)), FlagType((1,), 3))
     with pytest.raises(ValueError, match="codimensions sum to 2, expected 3"):
         intersection_number(((2, 3, 1), (2, 3, 1)), f3)
-    # a checked tuple goes to the one core, as plain tuples of ints
+    assert tested == []  # bad input raises before any pair is tested
+    # a checked tuple is tested pair by pair, then goes to the one core, as
+    # plain tuples of ints
     seen = []
     monkeypatch.setattr(oracle, "_intersection_number", lambda c, f: seen.append(c) or 7)
     assert intersection_number([[2.0, 3, 1], (2, True, 3)], f3) == 7
-    assert seen == [((2, 3, 1), (2, 1, 3))]
+    assert seen == tested == [((2, 3, 1), (2, 1, 3))]
     assert type(seen[0][0][0]) is int and type(seen[0][1][0]) is int
+    # a tuple that the pairwise test rejects never reaches the core
+    assert intersection_number(((1, 3, 2), (2, 3, 1)), f3) == 0
+    assert seen == [((2, 3, 1), (2, 1, 3))]
+    assert tested[-1] == ((1, 3, 2), (2, 3, 1))
+
+
+# (n, tuple sizes): every exact-degree tuple of every flag type on C^n at
+# each size
+VANISHING_SWEEP = ((2, (2, 3, 4)), (3, (2, 3, 4)), (4, (2, 3, 4)), (5, (2, 3)), (6, (2,)))
+
+
+def _vanishing_sweep(sweep):
+    # (tuples, tuples that the pairwise test rejects, rejected tuples whose
+    # polynomial product is nonzero)
+    tuples = rejected = wrong = 0
+    for n, sizes in sweep:
+        for flag in enumerate_flag_types(n):
+            for s in sizes:
+                for classes in exact_degree_tuples(flag, s):
+                    tuples += 1
+                    if oracle._vanishes(classes, flag):
+                        rejected += 1
+                        wrong += oracle._intersection_number(classes, flag) != 0
+    return tuples, rejected, wrong
+
+
+def test_the_pairwise_test_rejects_only_zero_tuples():
+    # 95,280 of the 101,471 tuples are zero; the test proves 90,907 of them
+    assert _vanishing_sweep(VANISHING_SWEEP) == (101471, 90907, 0)
+
+
+def _misjudged_pairs(n):
+    # the exact-degree pairs (w, v) over every flag type on C^n that the
+    # pairwise test misjudges: it must reject exactly those with v != dual(w)
+    return [
+        (str(flag), w, v)
+        for flag in enumerate_flag_types(n)
+        for w, v in exact_degree_tuples(flag, 2)
+        if oracle._vanishes((w, v), flag) == (v == dual(w, flag))
+    ]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_the_pairwise_test_accepts_exactly_the_dual_pairs(n):
+    # dual(v) <= w with length(dual(v)) = length(w) means dual(v) = w
+    assert _misjudged_pairs(n) == []
+
+
+def test_a_pairwise_test_that_reads_w_for_its_dual_is_caught(fresh_packed_reps, monkeypatch):
+    bruhat = oracle._Layout._bruhat
+
+    def undualized(layout, w):
+        upper, _ = bruhat(layout, w)
+        return upper, upper - layout.bruhat_guard
+
+    monkeypatch.setattr(oracle._Layout, "_bruhat", undualized)
+    assert _vanishing_sweep(((3, (2, 3)), (4, (2,))))[2] > 0
+
+
+def test_a_pairwise_test_that_drops_a_step_is_caught(fresh_packed_reps, monkeypatch):
+    bruhat = oracle._Layout._bruhat
+
+    def first_step_dropped(layout, w):
+        upper, lower = bruhat(layout, w)
+        low = layout.flag.steps[0] * layout.width
+        return upper, lower >> low << low
+
+    monkeypatch.setattr(oracle._Layout, "_bruhat", first_step_dropped)
+    assert _misjudged_pairs(4) != []
+
+
+def _mirror(w):
+    # w0 * w * w0
+    return tuple(len(w) + 1 - x for x in reversed(w))
+
+
+def _mirror_disagreements(image):
+    # (tuples, tuples whose image is not a tuple of classes of the mirrored
+    # flag, or whose number differs there) over every flag type with n <= 5
+    # at s = 2, 3
+    tuples = wrong = 0
+    for n in range(2, 6):
+        for flag in enumerate_flag_types(n):
+            mirrored = FlagType(tuple(n - a for a in reversed(flag.steps)), n)
+            for s in (2, 3):
+                for classes in exact_degree_tuples(flag, s):
+                    tuples += 1
+                    try:
+                        images = check_class_tuple(tuple(map(image, classes)), mirrored)
+                    except ValueError:
+                        wrong += 1
+                        continue
+                    expected = oracle._intersection_number(images, mirrored)
+                    wrong += intersection_number(classes, flag) != expected
+    return tuples, wrong
+
+
+def test_intersection_numbers_are_kept_by_flag_duality():
+    # V -> V^perp maps Fl(a_1..a_r; n) onto Fl(n-a_r..n-a_1; n), the class
+    # of w to that of w0 w w0; the oracle's polynomials are not symmetric
+    # under it, so the mirrored product is a different computation
+    assert _mirror_disagreements(_mirror) == (24457, 0)
+
+
+def test_a_wrong_mirror_is_caught():
+    # w0 * w alone is not a class of the mirrored flag, or not the right one
+    assert _mirror_disagreements(lambda w: tuple(len(w) + 1 - x for x in w))[1] > 0
 
 
 @pytest.mark.parametrize("n", range(2, 5))
