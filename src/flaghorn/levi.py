@@ -42,7 +42,7 @@ from .flags import (
     flag_table,
 )
 from .grassmann import _condition_iii, _condition_iv, _degree_verdict, _product_to_point
-from .oracle import _intersection_number, _vanishes, structure_constants_pair
+from .oracle import _exceeds_degree, _intersection_number, _vanishes, structure_constants_pair
 from .perm import Perm
 
 __all__ = [
@@ -211,11 +211,17 @@ def _cross_check(
     ok_iv: bool,
     coefficient: int | None,
 ) -> None:
-    """RuntimeError unless the three verdicts agree, the pairwise Bruhat
-    test (oracle._vanishes) passes every tuple with a nonzero oracle
-    number, and, on a movable tuple, the product of its
-    Littlewood-Richardson leaves equals its oracle number."""
+    """RuntimeError unless the three verdicts agree, the projected degree
+    bound (oracle._exceeds_degree) and the pairwise Bruhat test
+    (oracle._vanishes) pass every tuple with a nonzero oracle number, and,
+    on a movable tuple, the product of its Littlewood-Richardson leaves
+    equals its oracle number."""
     classes, flag = tuple(e.w for e in entries), table.flag
+    if coefficient and _exceeds_degree(classes, flag):
+        raise RuntimeError(
+            f"the projected degree bound finds {classes!r} zero over {flag}, "
+            f"the oracle {coefficient}"
+        )
     if coefficient and _vanishes(classes, flag):
         raise RuntimeError(
             f"the pairwise Bruhat test finds {classes!r} zero over {flag}, "

@@ -14,16 +14,26 @@ integers, one field of bits per variable (_schubert_trimmed): the
 oracle reads the packed terms directly, and schubert_polynomial unpacks
 the same terms into a SparsePolynomial.
 
-An intersection number is first tested pair by pair: the product of two
-classes w and v vanishes unless dual(v) <= w in Bruhat order, because the
-intersection of a Schubert variety with an opposite one, a Richardson
-variety, is nonempty exactly then (Richardson, Intersections of double
-cosets in algebraic groups, 1992; Brion, Lectures on the geometry of flag
-varieties, 2005, on Richardson varieties).  On minimal coset
-representatives the order is read by the tableau criterion at the steps
-alone (Bjorner and Brenti, Combinatorics of Coxeter Groups, section 2.6).
-A pair that fails proves the whole product zero; a tuple whose every pair
-passes may still be zero, and the polynomial product decides it.
+An intersection number runs two tests before any product, and each
+decides only zeros.  The fundamental class, the unit of the ring, is
+dropped first.  Then the projected degree bound: the projected Schubert
+varieties of Gr(a_i, n) meet whenever the Schubert varieties do, and by
+Kleiman's transversality (Kleiman, The transversality of a general
+translate, Compositio Math. 1974) generic translates of them meet in
+dimension a_i(n - a_i) minus the sum of their codimensions, so a nonzero
+product needs that sum at most a_i(n - a_i) at every step.  Then the
+pairwise test: the product of two classes w and v vanishes unless
+dual(v) <= w in Bruhat order, because the intersection of a Schubert
+variety with an opposite one, a Richardson variety, is nonempty exactly
+then (Richardson, Intersections of double cosets in algebraic groups,
+1992; Brion, Lectures on the geometry of flag varieties, 2005, on
+Richardson varieties).  On minimal coset representatives the order is
+read by the tableau criterion at the steps alone (Bjorner and Brenti,
+Combinatorics of Coxeter Groups, section 2.6).  A tuple that fails
+either test is zero; a tuple that passes both may still be zero, and the
+polynomial product decides it.  The cited statements are from memory;
+the tests check that neither rejects a nonzero tuple, exhaustively on
+small flags.
 
 Intersection numbers come from one product of representatives, pruned as
 it grows, and the antisymmetrizer formula for the top divided difference
@@ -63,6 +73,7 @@ from .flags import (
     check_class_tuple,
     flag_table,
     is_minimal_rep,
+    parabolic_longest,
 )
 from .perm import Perm, check_permutation, length, pad, perm_from_lehmer, trim
 from .poly import Monomial, SparsePolynomial, _order_key
@@ -324,6 +335,18 @@ class _Layout:
     staircase.  ``weights`` maps a full-degree monomial m of the carried
     product to the sum over ``twisted`` of sgn(tau) * signs[m + tau * delta].
 
+    ``degrees`` maps a class index w to one packed integer for the
+    projected degree bound (_exceeds_degree): pc_i(w), the codimension of
+    its projection to Gr(a_i, n), in field i of ``degree_width`` =
+    dim.bit_length() + 1 bits.  ``degree_cap`` holds a_i(n - a_i) in
+    field i with the field's top bit, its guard bit, set (``degree_guard``
+    holds them all).  pc_i(w) is at most the codimension of w, so over a
+    tuple of classes whose codimensions sum to dim no field sum exceeds
+    dim, and the cap minus the sum clears a guard bit exactly when some
+    step's sum exceeds a_i(n - a_i), without a borrow between fields.
+    The fundamental class, ``unit``, is the one class of degree 0, the
+    dual w0 * w_P of the point class.
+
     ``bruhat`` maps a class index w to two packed integers for the
     pairwise vanishing test (_vanishes): the entries of sorted(w[:a]) for
     every step a, one field each, with every field's guard bit set
@@ -366,6 +389,14 @@ class _Layout:
         self.start = start
         self.twisted = tuple(twisted)
         self.order = len(twisted)
+        self.unit = tuple(n + 1 - p for p in parabolic_longest(flag))  # w0 * w_P
+        self.degree_width = dim_width = flag.dimension.bit_length() + 1
+        dim_top, dim_fields = 1 << (dim_width - 1), range(0, flag.r * dim_width, dim_width)
+        self.degree_guard = sum(dim_top << f for f in dim_fields)
+        self.degree_cap = self.degree_guard + sum(
+            (a * (n - a)) << f for a, f in zip(flag.steps, dim_fields)
+        )
+        self.degrees = _Memo(self._degree)
         self.bruhat_guard = sum(top << f for f in range(0, sum(flag.steps) * width, width))
         self.bruhat = _Memo(self._bruhat)
         self.reps = _Memo(self._pack)
@@ -388,6 +419,17 @@ class _Layout:
                     f"{flag} is not in x1..x{k} with exponents below {flag.n}"
                 )
         return tuple(terms.items())
+
+    def _degree(self, w: Perm) -> int:
+        """pc_i(w) = a_i(n - a_i) + a_i(a_i + 1)/2 - (w(1) + ... + w(a_i))
+        for every step a_i, packed.  The pairs p <= a_i < q with
+        w(p) > w(q) number w(1) + ... + w(a_i) - a_i(a_i + 1)/2, and pc_i
+        counts the other pairs across the step."""
+        n, width = self.flag.n, self.degree_width
+        return sum(
+            (a * (n - a) + a * (a + 1) // 2 - sum(w[:a])) << (i * width)
+            for i, a in enumerate(self.flag.steps)
+        )
 
     def _bruhat(self, w: Perm) -> tuple[int, int]:
         """The sorted prefixes of w at the steps, packed with the guard
@@ -545,13 +587,21 @@ def intersection_number(classes: tuple[Perm, ...], flag: FlagType) -> int:
     Structure constants are nonnegative, so a negative sum raises
     RuntimeError, as does one that |S'| does not divide.
 
-    Before any of this, once the tuple is checked, each unordered pair of
-    classes is tested (_vanishes): the product of w and v is zero unless
-    dual(v) <= w in Bruhat order, the nonemptiness of their Richardson
-    variety (Richardson 1992; Brion, Lectures on the geometry of flag
-    varieties).  A failing pair answers 0 with no representative built.
-    The test decides only zeros: a tuple whose every pair passes, zero or
-    not, is decided by the polynomial product above.
+    Before any of this, once the tuple is checked, the fundamental class,
+    the one class of codimension 0 and the unit of the ring, is dropped,
+    and two tests run in this order, the cheaper first; either answers 0
+    with no representative built.
+    * The projected degree bound (_exceeds_degree): the projected
+      codimensions of the classes sum to at most a_i(n - a_i) at every
+      step a_i, else the product is zero (the projected Schubert
+      varieties of Gr(a_i, n) would meet in negative dimension; Kleiman,
+      Compositio Math. 1974).  One addition per class.
+    * The pairwise test (_vanishes): the product of w and v is zero
+      unless dual(v) <= w in Bruhat order, the nonemptiness of their
+      Richardson variety (Richardson 1992; Brion, Lectures on the
+      geometry of flag varieties).  One subtraction per pair.
+    Both decide only zeros: a tuple that passes both, zero or not, is
+    decided by the polynomial product above.
 
     >>> flag = FlagType((1, 2), 3)
     >>> intersection_number(((3, 1, 2), (3, 1, 2), (2, 3, 1)), flag)
@@ -560,7 +610,32 @@ def intersection_number(classes: tuple[Perm, ...], flag: FlagType) -> int:
     0
     """
     classes = check_class_tuple(classes, flag)
-    return 0 if _vanishes(classes, flag) else _intersection_number(classes, flag)
+    unit = _layout(flag).unit
+    if unit in classes:
+        classes = tuple(w for w in classes if w != unit)
+    if _exceeds_degree(classes, flag) or _vanishes(classes, flag):
+        return 0
+    return _intersection_number(classes, flag)
+
+
+def _exceeds_degree(classes: tuple[Perm, ...], flag: FlagType) -> bool:
+    """Whether the projected codimensions of the checked classes sum past
+    dim Gr(a_i, n) = a_i(n - a_i) at some step a_i, which proves their
+    product zero.
+
+    Generic translates of the Schubert varieties that meet project to
+    generic translates of the projected Schubert varieties of Gr(a_i, n),
+    which then meet too; by Kleiman's transversality (Kleiman, The
+    transversality of a general translate, Compositio Math. 1974) these
+    meet in dimension a_i(n - a_i) minus the sum of their codimensions,
+    so a nonzero product needs that sum at most a_i(n - a_i) at every
+    step.  A tuple costs one addition per class and one mask of the
+    packed degrees (_Layout.degrees).  False says nothing: the product
+    may still vanish.
+    """
+    layout = _layout(flag)
+    degrees, guard = layout.degrees, layout.degree_guard
+    return (layout.degree_cap - sum(degrees[w] for w in classes)) & guard != guard
 
 
 def _vanishes(classes: tuple[Perm, ...], flag: FlagType) -> bool:

@@ -270,6 +270,20 @@ def test_cross_check_compares_the_pairwise_bruhat_test(monkeypatch):
     assert (report.movable, report.coefficient) == (False, 0)
 
 
+def test_cross_check_compares_the_projected_degree_bound(monkeypatch):
+    # a bound that finds zero where the oracle does not raises with its own
+    # message, on a movable tuple and on the blocked triple; a zero tuple
+    # proves nothing wrong
+    monkeypatch.setattr(levi, "_exceeds_degree", lambda classes, flag: True)
+    for classes in (MOVABLE_PAIR, BLOCKED_TRIPLE):
+        with pytest.raises(RuntimeError, match="projected degree bound finds"):
+            is_levi_movable(classes, F3, "cross_check")
+    with pytest.raises(RuntimeError, match="projected degree bound finds"):
+        enumerate_levi_movable(F3, 2, "cross_check")
+    report = is_levi_movable(((1, 3, 2), (2, 3, 1)), F3, "cross_check")
+    assert (report.movable, report.coefficient) == (False, 0)
+
+
 def test_wrong_leaf_partitions_are_caught(monkeypatch):
     # 2,3/5 has the leaf Gr(2,5), whose partitions are read, and the
     # projective leaf Gr(1,3), which its degree decides

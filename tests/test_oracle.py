@@ -189,25 +189,76 @@ def test_intersection_number_degree_mismatch():
 
 def test_intersection_number_checks_then_calls_its_core(monkeypatch):
     f3 = complete_flag(3)
-    tested = []
-    vanishes = oracle._vanishes
+    bounded, tested = [], []
+    exceeds, vanishes = oracle._exceeds_degree, oracle._vanishes
+    monkeypatch.setattr(oracle, "_exceeds_degree", lambda c, f: bounded.append(c) or exceeds(c, f))
     monkeypatch.setattr(oracle, "_vanishes", lambda c, f: tested.append(c) or vanishes(c, f))
     with pytest.raises(ValueError, match="does not index a Schubert class"):
         intersection_number(((3, 2, 1), (3, 2, 1)), FlagType((1,), 3))
     with pytest.raises(ValueError, match="codimensions sum to 2, expected 3"):
         intersection_number(((2, 3, 1), (2, 3, 1)), f3)
-    assert tested == []  # bad input raises before any pair is tested
-    # a checked tuple is tested pair by pair, then goes to the one core, as
-    # plain tuples of ints
+    assert bounded == tested == []  # bad input raises before any test
+    # a checked tuple is tested by the degree bound, then pair by pair, then
+    # goes to the one core, as plain tuples of ints
     seen = []
     monkeypatch.setattr(oracle, "_intersection_number", lambda c, f: seen.append(c) or 7)
     assert intersection_number([[2.0, 3, 1], (2, True, 3)], f3) == 7
-    assert seen == tested == [((2, 3, 1), (2, 1, 3))]
+    assert seen == tested == bounded == [((2, 3, 1), (2, 1, 3))]
     assert type(seen[0][0][0]) is int and type(seen[0][1][0]) is int
-    # a tuple that the pairwise test rejects never reaches the core
-    assert intersection_number(((1, 3, 2), (2, 3, 1)), f3) == 0
+    # a tuple that only the degree bound rejects reaches neither the
+    # pairwise test nor the core
+    flag = FlagType((1, 2), 3)
+    for classes in (((2, 3, 1),) * 3, ((1, 3, 2), (2, 3, 1))):
+        assert intersection_number(classes, flag) == 0
+        assert bounded[-1] == classes
+    assert seen == tested == [((2, 3, 1), (2, 1, 3))]
+    # a non-dual pair of Gr(2,4), where the bound never rejects, is rejected
+    # by the pairwise test and never reaches the core
+    assert intersection_number(((1, 4, 2, 3), (2, 3, 1, 4)), FlagType((2,), 4)) == 0
+    assert tested[-1] == bounded[-1] == ((1, 4, 2, 3), (2, 3, 1, 4))
     assert seen == [((2, 3, 1), (2, 1, 3))]
-    assert tested[-1] == ((1, 3, 2), (2, 3, 1))
+
+
+def test_the_unit_is_dropped_before_the_tests_and_the_product(monkeypatch):
+    # sigma_1^4 = 2 on Gr(2,4), padded with copies of the fundamental class,
+    # the one class of codimension 0: only the four divisors are tested and
+    # multiplied, so the pairwise test no longer grows with the padding
+    flag = FlagType((2,), 4)
+    unit = dual((1, 2, 3, 4), flag)
+    assert (unit, oracle._layout(flag).unit) == ((3, 4, 1, 2), (3, 4, 1, 2))
+    divisor = (2, 4, 1, 3)
+    reached = []
+    for name in ("_exceeds_degree", "_vanishes", "_intersection_number"):
+        real = getattr(oracle, name)
+        monkeypatch.setattr(
+            oracle, name, lambda c, f, name=name, real=real: reached.append((name, c)) or real(c, f)
+        )
+    for k in (1, 3, 40_000):
+        reached.clear()
+        classes = (unit,) * (k // 2) + (divisor,) * 4 + (unit,) * (k - k // 2)
+        assert intersection_number(classes, flag) == 2
+        assert reached == [
+            ("_exceeds_degree", (divisor,) * 4),
+            ("_vanishes", (divisor,) * 4),
+            ("_intersection_number", (divisor,) * 4),
+        ]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_the_packed_degrees_are_the_projected_codimensions(n):
+    # pc_i(w) read from the prefix sums of w, a computation of its own, is
+    # the field that flags lifts from the fiber, on every class with n <= 7
+    classes = 0
+    for flag in enumerate_flag_types(n):
+        layout, table = oracle._layout(flag), flag_table(flag)
+        mask = (1 << layout.degree_width) - 1
+        for w, codims in zip(table.reps, table.column("projected_codims")):
+            packed = layout.degrees[w]
+            fields = tuple(packed >> (i * layout.degree_width) & mask for i in range(flag.r))
+            assert (fields, packed >> (flag.r * layout.degree_width)) == (codims, 0), (str(flag), w)
+            assert (packed == 0) == (w == layout.unit), (str(flag), w)
+            classes += 1
+    assert classes == {2: 2, 3: 12, 4: 74, 5: 540, 6: 4682, 7: 47292}[n]
 
 
 # (n, tuple sizes): every exact-degree tuple of every flag type on C^n at
@@ -216,23 +267,30 @@ VANISHING_SWEEP = ((2, (2, 3, 4)), (3, (2, 3, 4)), (4, (2, 3, 4)), (5, (2, 3)), 
 
 
 def _vanishing_sweep(sweep):
-    # (tuples, tuples that the pairwise test rejects, rejected tuples whose
+    # (tuples, tuples that the pairwise test rejects, tuples that the degree
+    # bound rejects, tuples that either rejects, rejected tuples whose
     # polynomial product is nonzero)
-    tuples = rejected = wrong = 0
+    tuples = pairwise = degree = either = wrong = 0
     for n, sizes in sweep:
         for flag in enumerate_flag_types(n):
             for s in sizes:
                 for classes in exact_degree_tuples(flag, s):
                     tuples += 1
-                    if oracle._vanishes(classes, flag):
-                        rejected += 1
+                    vanishes = oracle._vanishes(classes, flag)
+                    exceeds = oracle._exceeds_degree(classes, flag)
+                    pairwise += vanishes
+                    degree += exceeds
+                    if vanishes or exceeds:
+                        either += 1
                         wrong += oracle._intersection_number(classes, flag) != 0
-    return tuples, rejected, wrong
+    return tuples, pairwise, degree, either, wrong
 
 
 def test_the_pairwise_test_rejects_only_zero_tuples():
-    # 95,280 of the 101,471 tuples are zero; the test proves 90,907 of them
-    assert _vanishing_sweep(VANISHING_SWEEP) == (101471, 90907, 0)
+    # and so does the degree bound: 95,280 of the 101,471 tuples are zero;
+    # the pairwise test proves 90,907 of them, the degree bound 91,345, and
+    # the two together 94,776
+    assert _vanishing_sweep(VANISHING_SWEEP) == (101471, 90907, 91345, 94776, 0)
 
 
 def _misjudged_pairs(n):
@@ -260,7 +318,7 @@ def test_a_pairwise_test_that_reads_w_for_its_dual_is_caught(fresh_packed_reps, 
         return upper, upper - layout.bruhat_guard
 
     monkeypatch.setattr(oracle._Layout, "_bruhat", undualized)
-    assert _vanishing_sweep(((3, (2, 3)), (4, (2,))))[2] > 0
+    assert _vanishing_sweep(((3, (2, 3)), (4, (2,))))[4] > 0
 
 
 def test_a_pairwise_test_that_drops_a_step_is_caught(fresh_packed_reps, monkeypatch):
@@ -273,6 +331,29 @@ def test_a_pairwise_test_that_drops_a_step_is_caught(fresh_packed_reps, monkeypa
 
     monkeypatch.setattr(oracle._Layout, "_bruhat", first_step_dropped)
     assert _misjudged_pairs(4) != []
+
+
+def test_a_degree_bound_one_below_the_grassmannian_is_caught(fresh_packed_reps, monkeypatch):
+    init = oracle._Layout.__init__
+
+    def cap_lowered(layout, flag):
+        init(layout, flag)
+        layout.degree_cap -= sum(1 << (i * layout.degree_width) for i in range(flag.r))
+
+    monkeypatch.setattr(oracle._Layout, "__init__", cap_lowered)
+    assert _vanishing_sweep(((3, (2, 3)), (4, (2,))))[4] > 0
+
+
+def test_a_degree_bound_that_sums_the_suffix_is_caught(fresh_packed_reps, monkeypatch):
+    def suffix_summed(layout, w):
+        n, width = layout.flag.n, layout.degree_width
+        return sum(
+            (a * (n - a) + a * (a + 1) // 2 - sum(w[a:])) << (i * width)
+            for i, a in enumerate(layout.flag.steps)
+        )
+
+    monkeypatch.setattr(oracle._Layout, "_degree", suffix_summed)
+    assert _vanishing_sweep(((3, (2, 3)), (4, (2,))))[4] > 0
 
 
 def _mirror(w):
