@@ -191,25 +191,35 @@ def grassmannian_flag(r: int, n: int) -> FlagType:
 
 
 def is_minimal_rep(w: Perm, flag: FlagType) -> bool:
-    """True if w indexes a Schubert class of the flag manifold, i.e. w
-    ascends at every position that is not a step.
+    """True if w indexes a Schubert class of the flag manifold, i.e. w is
+    a permutation of 1..n that ascends at every position that is not a
+    step; False for anything else.
 
     >>> is_minimal_rep((3, 1, 2), FlagType((1,), 3))
     True
     >>> is_minimal_rep((3, 2, 1), FlagType((1,), 3))
     False
+    >>> is_minimal_rep((1, 1, 2), FlagType((1,), 3))
+    False
     """
-    flag = flag_table(flag).flag  # ValueError unless a flag type
-    if len(w) != flag.n:
+    table = flag_table(flag)  # ValueError unless a flag type
+    try:
+        w = check_permutation(w)
+    except ValueError:
         return False
-    steps = set(flag.steps)
-    return all(w[i - 1] < w[i] for i in range(1, flag.n) if i not in steps)
+    return _ascends(w, table)
+
+
+def _ascends(w: Perm, table: "FlagTable") -> bool:
+    """is_minimal_rep on a permutation w, read at the table's ascent
+    positions."""
+    return len(w) == table.flag.n and all(w[i - 1] < w[i] for i in table.ascents)
 
 
 def check_minimal_rep(w: Perm, flag: FlagType) -> Perm:
     """Validate w as a class index for the flag type; ValueError otherwise."""
     w = check_permutation(w)
-    if not is_minimal_rep(w, flag):
+    if not _ascends(w, flag_table(flag)):
         raise ValueError(f"{w!r} does not index a Schubert class on {flag}")
     return w
 
@@ -518,6 +528,11 @@ class FlagTable:
         self.lr_leaves = tuple(
             k for k, (r, m) in enumerate(self.leaf_spaces) if r > 1 and m - r > 1
         )
+        # the positions i < n that are not steps, where a class ascends:
+        # w(i) < w(i + 1)
+        self.ascents = tuple(
+            i for lo, hi in pairwise(flag.bounds) for i in range(lo + 1, hi)
+        )
         # parabolic_longest: the positions of each block in reverse
         self.block_reversal = tuple(
             p for lo, hi in pairwise(flag.bounds) for p in range(hi, lo, -1)
@@ -665,12 +680,14 @@ class FlagTable:
         spells it."""
         try:
             w = tuple(w)
-            return self._entries[w]
-        except (KeyError, TypeError):  # a class not seen yet, or not a sequence
-            pass
-        # every later caller gets this tuple back, so it holds plain ints
-        # even when the first caller passed equal floats or bools
-        return self._entry(tuple(map(int, check_minimal_rep(w, self.flag))))
+            entry = self._entries.get(w)
+        except TypeError:  # not a sequence, or not of hashable entries
+            entry = None
+        if entry is None:  # a class not seen yet, or not a class
+            # every later caller gets this tuple back, so it holds plain
+            # ints even when the first caller passed equal floats or bools
+            entry = self._entry(tuple(map(int, check_minimal_rep(w, self.flag))))
+        return entry
 
     def class_tuple(self, classes) -> tuple[ClassEntry, ...]:
         """Entries of a tuple of class indices whose codimensions sum to

@@ -242,8 +242,10 @@ def _cross_check(
 
 
 def _check_size(s: int) -> None:
-    """Reject a tuple size below 2, or one too large to index a list,
-    before any work starts."""
+    """Reject a tuple size that is not an int, one below 2, or one too
+    large to index a list, before any work starts."""
+    if not isinstance(s, int):
+        raise ValueError(f"the tuple size must be an integer, got s={s!r}")
     if s < 2:
         raise ValueError(f"need at least two classes, got s={s}")
     if s > sys.maxsize:

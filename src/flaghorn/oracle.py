@@ -70,10 +70,8 @@ from operator import lshift
 from .flags import (
     FlagType,
     _dual,
-    check_class_tuple,
     flag_table,
     is_minimal_rep,
-    parabolic_longest,
 )
 from .perm import Perm, check_permutation, length, pad, perm_from_lehmer, trim
 from .poly import Monomial, SparsePolynomial, _order_key
@@ -298,6 +296,21 @@ class _Memo(dict):
         return value
 
 
+class _Records(dict):
+    """A dict that builds a missing class record from the key on the
+    first lookup and keeps it under the record's own class index, the
+    tuple of plain ints, whatever object the key was."""
+
+    def __init__(self, build) -> None:
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        record = self.build(key)
+        self[record[0]] = record
+        return record
+
+
 class _Layout:
     """The packed layout of intersection_number on one flag type, with
     the memos that depend on it.
@@ -325,7 +338,8 @@ class _Layout:
     symmetrized block: S' is trivial, and ``twisted`` holds 0 with sign 1.
 
     Five memos start empty and compute an entry on its first lookup, so a
-    later one is a plain dict subscript.  ``reps`` maps a class index to
+    later one is a plain dict subscript.  ``records`` maps a class index
+    to its record, described below.  ``reps`` maps a class index to
     the terms (packed monomial, coefficient) of the representative of its
     dual, packed by _schubert_trimmed at this width and checked once.
     ``keys`` maps a monomial to None when it fails a threshold, and
@@ -335,30 +349,38 @@ class _Layout:
     staircase.  ``weights`` maps a full-degree monomial m of the carried
     product to the sum over ``twisted`` of sgn(tau) * signs[m + tau * delta].
 
-    ``degrees`` maps a class index w to one packed integer for the
-    projected degree bound (_exceeds_degree): pc_i(w), the codimension of
-    its projection to Gr(a_i, n), in field i of ``degree_width`` =
-    dim.bit_length() + 1 bits.  ``degree_cap`` holds a_i(n - a_i) in
-    field i with the field's top bit, its guard bit, set (``degree_guard``
-    holds them all).  pc_i(w) is at most the codimension of w, so over a
-    tuple of classes whose codimensions sum to dim no field sum exceeds
-    dim, and the cap minus the sum clears a guard bit exactly when some
-    step's sum exceeds a_i(n - a_i), without a borrow between fields.
-    The fundamental class, ``unit``, is the one class of degree 0, the
-    dual w0 * w_P of the point class.
+    The record of a class w is (w, codim, degree, upper, lower), built
+    once per class by _record from its table entry, which checks w the
+    first time any route meets it (FlagTable.entry).  ``records`` is keyed
+    by w, a tuple of plain ints, whatever sequence spelled it (_Records).
+    The fundamental class, the unit, is the one class of codimension 0.
 
-    ``bruhat`` maps a class index w to two packed integers for the
-    pairwise vanishing test (_vanishes): the entries of sorted(w[:a]) for
-    every step a, one field each, with every field's guard bit set
-    (``bruhat_guard`` holds them all), and the same entries of dual(w)
-    without the guard bits.  Entries are at most n < top, so subtracting
-    the second integer of v from the first of w clears a guard bit
-    exactly when some entry of dual(v) exceeds that of w.
+    ``degree`` packs the projected degree bound (_exceeds_degree): pc_i(w),
+    the codimension of its projection to Gr(a_i, n), in field i of
+    ``degree_width`` = dim.bit_length() + 1 bits (``degree_fields`` holds
+    the lowest bit of each field, and ``degree_base`` the part of pc_i that
+    w does not change).  ``degree_cap`` holds a_i(n - a_i) in field i with
+    the field's top bit, its guard bit, set (``degree_guard`` holds them
+    all).  pc_i(w) is at most the codimension of w, so over a tuple of
+    classes whose codimensions sum to dim no field sum exceeds dim, and the
+    cap minus the sum clears a guard bit exactly when some step's sum
+    exceeds a_i(n - a_i), without a borrow between fields.  The unit's
+    degree is 0.
+
+    ``upper`` and ``lower`` pack the pairwise vanishing test (_vanishes):
+    the entries of sorted(w[:a]) for every step a, one field of ``width``
+    bits each (``bruhat_fields`` holds their lowest bits), with every
+    field's guard bit set (``bruhat_guard`` holds them all), and the same
+    entries of dual(w) without the guard bits (``bruhat_top`` holds n + 1
+    in every field).  Entries are at most n < top, so subtracting the
+    lower of v from the upper of w clears a guard bit exactly when some
+    entry of dual(v) exceeds that of w.
     """
 
     def __init__(self, flag: FlagType) -> None:
         n = flag.n
         self.flag = flag
+        self.table = flag_table(flag)
         self.k = k = n - flag.block_sizes[-1]
         self.width = width = _width(n)
         top = 1 << (width - 1)
@@ -389,16 +411,21 @@ class _Layout:
         self.start = start
         self.twisted = tuple(twisted)
         self.order = len(twisted)
-        self.unit = tuple(n + 1 - p for p in parabolic_longest(flag))  # w0 * w_P
         self.degree_width = dim_width = flag.dimension.bit_length() + 1
         dim_top, dim_fields = 1 << (dim_width - 1), range(0, flag.r * dim_width, dim_width)
         self.degree_guard = sum(dim_top << f for f in dim_fields)
         self.degree_cap = self.degree_guard + sum(
             (a * (n - a)) << f for a, f in zip(flag.steps, dim_fields)
         )
-        self.degrees = _Memo(self._degree)
-        self.bruhat_guard = sum(top << f for f in range(0, sum(flag.steps) * width, width))
-        self.bruhat = _Memo(self._bruhat)
+        self.degree_fields = dim_fields
+        # a_i(n - a_i) + a_i(a_i + 1)/2 in field i, the first two terms of pc_i
+        self.degree_base = sum(
+            (a * (n - a) + a * (a + 1) // 2) << f for a, f in zip(flag.steps, dim_fields)
+        )
+        self.bruhat_fields = fields = range(0, sum(flag.steps) * width, width)
+        self.bruhat_guard = sum(top << f for f in fields)
+        self.bruhat_top = sum((n + 1) << f for f in fields)
+        self.records = _Records(self._record)
         self.reps = _Memo(self._pack)
         self.keys = _Memo(self._key)
         self.signs = _Memo(self._sign_of)
@@ -420,27 +447,39 @@ class _Layout:
                 )
         return tuple(terms.items())
 
-    def _degree(self, w: Perm) -> int:
-        """pc_i(w) = a_i(n - a_i) + a_i(a_i + 1)/2 - (w(1) + ... + w(a_i))
-        for every step a_i, packed.  The pairs p <= a_i < q with
-        w(p) > w(q) number w(1) + ... + w(a_i) - a_i(a_i + 1)/2, and pc_i
-        counts the other pairs across the step."""
-        n, width = self.flag.n, self.degree_width
-        return sum(
-            (a * (n - a) + a * (a + 1) // 2 - sum(w[:a])) << (i * width)
-            for i, a in enumerate(self.flag.steps)
+    def _record(self, w: Perm) -> tuple[Perm, int, int, int, int]:
+        """(w, codim, degree, upper, lower) of the class indexed by w,
+        read from its table entry, which validates w once (ValueError
+        unless w indexes a class).
+
+        One sort of the prefix w(1..a) at each step a gives the rest.
+        * Its sum gives pc_i(w) = a_i(n - a_i) + a_i(a_i + 1)/2 -
+          (w(1) + ... + w(a_i)): the pairs p <= a_i < q with w(p) > w(q)
+          number w(1) + ... + w(a_i) - a_i(a_i + 1)/2, and pc_i counts the
+          other pairs across the step.
+        * Its entries, in order, are the fields of upper.
+        * The fields of lower follow with no lookup of dual(w): the block
+          reversal w_P fixes every step, so dual(w)(1..a) =
+          n + 1 - w(w_P(1..a)) takes the values n + 1 - x over the x of the
+          prefix, and sorted, they are n + 1 minus its sorted entries in
+          reverse order.
+        """
+        entry = self.table.entry(w)
+        w = entry.w
+        entries, duals, sums = [], [], []
+        for a in self.flag.steps:
+            prefix = sorted(w[:a])
+            entries += prefix
+            duals += prefix[::-1]
+            sums.append(sum(prefix))
+        fields = self.bruhat_fields
+        return (
+            w,
+            entry.codim,
+            self.degree_base - sum(map(lshift, sums, self.degree_fields)),
+            self.bruhat_guard + sum(map(lshift, entries, fields)),
+            self.bruhat_top - sum(map(lshift, duals, fields)),
         )
-
-    def _bruhat(self, w: Perm) -> tuple[int, int]:
-        """The sorted prefixes of w at the steps, packed with the guard
-        bits set, and those of dual(w), packed without them."""
-        steps, width = self.flag.steps, self.width
-
-        def prefixes(u: Perm) -> int:
-            entries = [x for a in steps for x in sorted(u[:a])]
-            return sum(x << (j * width) for j, x in enumerate(entries))
-
-        return self.bruhat_guard + prefixes(w), prefixes(_dual(w, self.flag))
 
     def _passes(self, m: int) -> bool:
         """Whether m lies below a rearrangement of the staircase: at most
@@ -587,10 +626,13 @@ def intersection_number(classes: tuple[Perm, ...], flag: FlagType) -> int:
     Structure constants are nonnegative, so a negative sum raises
     RuntimeError, as does one that |S'| does not divide.
 
-    Before any of this, once the tuple is checked, the fundamental class,
-    the one class of codimension 0 and the unit of the ring, is dropped,
-    and two tests run in this order, the cheaper first; either answers 0
-    with no representative built.
+    Before any of this, each class is read from its record
+    (_Layout.records), built once per class from its table entry, which
+    checks the class the first time any route meets it; the codimensions
+    are summed from the records.  The fundamental class, the one class of
+    codimension 0 and the unit of the ring, is dropped, and two tests run
+    in this order, the cheaper first; either answers 0 with no
+    representative built.
     * The projected degree bound (_exceeds_degree): the projected
       codimensions of the classes sum to at most a_i(n - a_i) at every
       step a_i, else the product is zero (the projected Schubert
@@ -609,10 +651,18 @@ def intersection_number(classes: tuple[Perm, ...], flag: FlagType) -> int:
     >>> intersection_number(((1, 3, 2), (2, 3, 1)), flag)
     0
     """
-    classes = check_class_tuple(classes, flag)
-    unit = _layout(flag).unit
-    if unit in classes:
-        classes = tuple(w for w in classes if w != unit)
+    table = flag_table(flag)  # ValueError unless a flag type
+    records = _layout(flag).records
+    try:
+        classes = tuple(classes)
+        found = [records[w] for w in classes]  # a new class is checked here
+    except TypeError:  # not a sequence, or a class that is no dict key
+        found = None
+    if found is None or sum([record[1] for record in found]) != table.dimension:
+        # the table reads any sequence as a class and checks the
+        # codimension sum; ValueError on bad input
+        found = [records[entry.w] for entry in table.class_tuple(classes)]
+    classes = tuple([record[0] for record in found if record[1]])
     if _exceeds_degree(classes, flag) or _vanishes(classes, flag):
         return 0
     return _intersection_number(classes, flag)
@@ -630,12 +680,12 @@ def _exceeds_degree(classes: tuple[Perm, ...], flag: FlagType) -> bool:
     meet in dimension a_i(n - a_i) minus the sum of their codimensions,
     so a nonzero product needs that sum at most a_i(n - a_i) at every
     step.  A tuple costs one addition per class and one mask of the
-    packed degrees (_Layout.degrees).  False says nothing: the product
+    packed degrees (_Layout.records).  False says nothing: the product
     may still vanish.
     """
     layout = _layout(flag)
-    degrees, guard = layout.degrees, layout.degree_guard
-    return (layout.degree_cap - sum(degrees[w] for w in classes)) & guard != guard
+    records, guard = layout.records, layout.degree_guard
+    return (layout.degree_cap - sum([records[w][2] for w in classes])) & guard != guard
 
 
 def _vanishes(classes: tuple[Perm, ...], flag: FlagType) -> bool:
@@ -645,19 +695,22 @@ def _vanishes(classes: tuple[Perm, ...], flag: FlagType) -> bool:
     On minimal coset representatives, v <= w exactly when, at every step
     a, sorted(v[:a]) <= sorted(w[:a]) entry by entry (the tableau
     criterion; Bjorner and Brenti, Combinatorics of Coxeter Groups,
-    section 2.6).  Each unordered pair is tested one way only: dual
-    reverses the order, so dual(w_j) <= w_i exactly when dual(w_i) <= w_j.
-    A pair costs one subtraction and one mask of the packed prefixes
-    (_Layout.bruhat).  False says nothing: the product may still vanish.
+    section 2.6).  Each unordered pair is tested one way only, each class
+    against the duals of the classes before it: dual reverses the order,
+    so dual(w_j) <= w_i exactly when dual(w_i) <= w_j.  A pair costs one
+    subtraction and one mask of the packed prefixes (_Layout.records).
+    False says nothing: the product may still vanish.
     """
     layout = _layout(flag)
-    bruhat, guard = layout.bruhat, layout.bruhat_guard
-    packed = [bruhat[w] for w in classes]
-    return any(
-        (upper - lower) & guard != guard
-        for i, (upper, _) in enumerate(packed)
-        for _, lower in packed[i + 1 :]
-    )
+    records, guard = layout.records, layout.bruhat_guard
+    lowers: list[int] = []
+    for w in classes:
+        _, _, _, upper, lower = records[w]
+        for earlier in lowers:
+            if (upper - earlier) & guard != guard:
+                return True
+        lowers.append(lower)
+    return False
 
 
 def _intersection_number(classes: tuple[Perm, ...], flag: FlagType) -> int:

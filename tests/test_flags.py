@@ -8,7 +8,8 @@ from itertools import pairwise, permutations
 
 import pytest
 
-from flaghorn import flags
+from flaghorn import flags, oracle
+from flaghorn.factor import factor_full
 from flaghorn.flags import (
     FlagType,
     _dual,
@@ -115,6 +116,36 @@ def test_minimal_rep_predicate():
     assert not is_minimal_rep((1, 2), g)
     with pytest.raises(ValueError):
         check_minimal_rep((3, 2, 1), g)
+
+
+@pytest.mark.parametrize(
+    "w",
+    [(5, 6, 7), (1, 1, 2), (0, 1, 2), ("a", "b", "c"), 5, None],
+    ids=["(5,6,7)", "(1,1,2)", "(0,1,2)", "letters", "5", "None"],
+)
+def test_a_non_permutation_is_not_a_minimal_rep(w):
+    # each ascends where 1/3 asks, or is no sequence at all: False, never
+    # True or TypeError, as check_minimal_rep refuses it
+    g = grassmannian_flag(1, 3)
+    assert is_minimal_rep(w, g) is False
+    with pytest.raises(ValueError):
+        check_minimal_rep(w, g)
+
+
+def test_a_minimal_rep_may_be_spelled_with_floats_bools_or_a_list():
+    # equal to a class index, as check_minimal_rep accepts it
+    g = grassmannian_flag(1, 3)
+    for w in ((3.0, 1, 2), (3, True, 2), [3, 1, 2]):
+        assert is_minimal_rep(w, g) is True
+        assert check_minimal_rep(w, g) == (3, 1, 2)
+
+
+def test_check_minimal_rep_checks_the_permutation_once(monkeypatch):
+    calls = []
+    real = flags.check_permutation
+    monkeypatch.setattr(flags, "check_permutation", lambda w: calls.append(w) or real(w))
+    assert check_minimal_rep((3, 1, 2), grassmannian_flag(1, 3)) == (3, 1, 2)
+    assert calls == [(3, 1, 2)]
 
 
 def test_enumerate_minimal_reps_pinned():
@@ -245,6 +276,9 @@ def test_per_class_results_are_plain_ints(spelled, w):
 
 
 def test_per_class_functions_check_a_class_once(monkeypatch):
+    # and so do the oracle, the movability routes and the factorization,
+    # on a movable triple that holds the class: each reads it through its
+    # table entry
     flag = FlagType((1, 2), 4)
     calls = []
     check = flags.check_minimal_rep
@@ -258,6 +292,8 @@ def test_per_class_functions_check_a_class_once(monkeypatch):
     for w in ((3, 1, 2, 4), [3, 1, 2, 4]):
         calls.clear()
         flags._flag_table.cache_clear()
+        oracle._layout.cache_clear()
+        classes = ((2, 4, 1, 3), w, (4, 3, 1, 2))
         try:
             for _ in range(3):
                 dual(w, flag)
@@ -266,9 +302,13 @@ def test_per_class_functions_check_a_class_once(monkeypatch):
                 projected_codim(w, flag, 1)
                 flatten_pair(w, flag, 1, 3)
                 restrict_to_fiber(w, flag)
+                assert intersection_number(classes, flag) == 1
+                assert is_levi_movable(classes, flag).movable
+                assert factor_full(classes, flag).coefficient == 1
         finally:
             flags._flag_table.cache_clear()
-        assert calls == [(3, 1, 2, 4)]
+            oracle._layout.cache_clear()
+        assert calls == [(3, 1, 2, 4), (2, 4, 1, 3), (4, 3, 1, 2)]
 
 
 @pytest.mark.parametrize(

@@ -119,6 +119,14 @@ def test_tuple_size_beyond_sys_maxsize_is_refused_before_any_work(walk):
         walk(F3, 10**20)
 
 
+@pytest.mark.parametrize("s", [2.0, 2.5, "3", None], ids=["2.0", "2.5", "'3'", "None"])
+@pytest.mark.parametrize("walk", [exact_degree_tuples, enumerate_levi_movable])
+def test_a_tuple_size_that_is_not_an_int_is_a_value_error(walk, s):
+    # not a TypeError from the walker or from comparing with 2
+    with pytest.raises(ValueError, match="the tuple size must be an integer"):
+        walk(F3, s)
+
+
 def _brute_force_tuples(flag, s):
     """The reference: filter every sorted multiset of classes by degree."""
     reps = enumerate_minimal_reps(flag)

@@ -15,6 +15,7 @@ from flaghorn.flags import (
     FlagType,
     _dual,
     check_class_tuple,
+    codim,
     complete_flag,
     dual,
     enumerate_flag_types,
@@ -219,13 +220,58 @@ def test_intersection_number_checks_then_calls_its_core(monkeypatch):
     assert seen == [((2, 3, 1), (2, 1, 3))]
 
 
+def _plain_keys(layout):
+    # every key of the records memo is its record's class index, a tuple of
+    # plain ints
+    return all(
+        type(w) is tuple and all(type(x) is int for x in w) and record[0] is w
+        for w, record in layout.records.items()
+    )
+
+
+def test_a_class_given_as_an_iterator_is_checked_and_answered(fresh_packed_reps):
+    # the memo is keyed by the class tuple, never by the object passed
+    f3 = complete_flag(3)
+    layout = oracle._layout(f3)
+    for _ in range(3):
+        classes = (iter((2, 3, 1)), (x for x in (2, 1, 3)))
+        assert intersection_number(classes, f3) == 1
+        assert intersection_number((w for w in ((2, 3, 1), (2, 1, 3))), f3) == 1
+        assert sorted(layout.records) == [(2, 1, 3), (2, 3, 1)]
+    assert _plain_keys(layout)
+    with pytest.raises(ValueError, match="does not index a Schubert class"):
+        intersection_number((iter((3, 2, 1)), iter((1, 2, 3))), FlagType((1,), 3))
+
+
+def test_lists_floats_and_bools_are_read_as_their_class(fresh_packed_reps):
+    f3 = complete_flag(3)
+    layout = oracle._layout(f3)
+    for classes in ([[2.0, 3, 1], (2, True, 3)], [(2.0, 3.0, 1.0), [2, 1, 3]], ((2, 3, 1), (2, 1, 3))):
+        assert intersection_number(classes, f3) == 1
+    assert sorted(layout.records) == [(2, 1, 3), (2, 3, 1)]
+    assert _plain_keys(layout)
+
+
+@pytest.mark.parametrize(
+    "flag", ["1/3", None, ((1,), 3), [1, 3], {"n": 3}], ids=["text", "None", "tuple", "list", "dict"]
+)
+def test_a_flag_that_is_not_a_flag_type_is_refused_before_any_layout(fresh_packed_reps, monkeypatch, flag):
+    def refused(layout, flag):
+        raise AssertionError(f"a layout was built for {flag!r}")
+
+    monkeypatch.setattr(oracle._Layout, "__init__", refused)
+    with pytest.raises(ValueError, match="not a flag type"):
+        intersection_number(((1, 2, 3), (3, 1, 2)), flag)
+
+
 def test_the_unit_is_dropped_before_the_tests_and_the_product(monkeypatch):
     # sigma_1^4 = 2 on Gr(2,4), padded with copies of the fundamental class,
     # the one class of codimension 0: only the four divisors are tested and
     # multiplied, so the pairwise test no longer grows with the padding
     flag = FlagType((2,), 4)
     unit = dual((1, 2, 3, 4), flag)
-    assert (unit, oracle._layout(flag).unit) == ((3, 4, 1, 2), (3, 4, 1, 2))
+    # its record: codimension 0, and no projected degree at any step
+    assert oracle._layout(flag).records[unit][:3] == ((3, 4, 1, 2), 0, 0)
     divisor = (2, 4, 1, 3)
     reached = []
     for name in ("_exceeds_degree", "_vanishes", "_intersection_number"):
@@ -244,21 +290,64 @@ def test_the_unit_is_dropped_before_the_tests_and_the_product(monkeypatch):
         ]
 
 
+def _reference_degree(layout, w):
+    # pc_i(w) = a_i(n - a_i) + a_i(a_i + 1)/2 - (w(1) + ... + w(a_i)) for
+    # every step a_i, packed in fields of degree_width bits
+    n, width = layout.flag.n, layout.degree_width
+    return sum(
+        (a * (n - a) + a * (a + 1) // 2 - sum(w[:a])) << (i * width)
+        for i, a in enumerate(layout.flag.steps)
+    )
+
+
+def _reference_bruhat(layout, w):
+    # the sorted prefixes of w at the steps, packed with the guard bits
+    # set, and those of dual(w), read from dual(w), packed without them
+    steps, width = layout.flag.steps, layout.width
+
+    def prefixes(u):
+        entries = [x for a in steps for x in sorted(u[:a])]
+        return sum(x << (j * width) for j, x in enumerate(entries))
+
+    return layout.bruhat_guard + prefixes(w), prefixes(_dual(w, layout.flag))
+
+
+# the classes of every flag type on C^n, n = 2 .. 7: 52,602 in all
+CLASS_COUNTS = {2: 2, 3: 12, 4: 74, 5: 540, 6: 4682, 7: 47292}
+
+
 @pytest.mark.parametrize("n", range(2, 8))
 def test_the_packed_degrees_are_the_projected_codimensions(n):
-    # pc_i(w) read from the prefix sums of w, a computation of its own, is
-    # the field that flags lifts from the fiber, on every class with n <= 7
+    # pc_i(w) read from the sorted prefixes of w, a computation of its own,
+    # is the field that flags lifts from the fiber, on every class with
+    # n <= 7, and it packs to 0 exactly on the unit
     classes = 0
     for flag in enumerate_flag_types(n):
         layout, table = oracle._layout(flag), flag_table(flag)
         mask = (1 << layout.degree_width) - 1
+        unit = dual(identity(n), flag)
         for w, codims in zip(table.reps, table.column("projected_codims")):
-            packed = layout.degrees[w]
+            packed = layout.records[w][2]
             fields = tuple(packed >> (i * layout.degree_width) & mask for i in range(flag.r))
             assert (fields, packed >> (flag.r * layout.degree_width)) == (codims, 0), (str(flag), w)
-            assert (packed == 0) == (w == layout.unit), (str(flag), w)
+            assert (packed == 0) == (w == unit), (str(flag), w)
             classes += 1
-    assert classes == {2: 2, 3: 12, 4: 74, 5: 540, 6: 4682, 7: 47292}[n]
+    assert classes == CLASS_COUNTS[n]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_every_record_matches_the_reference_definitions(n):
+    # the record of each class, built from one sort of each prefix, against
+    # the codimension of its table entry, the prefix sums of w, and the
+    # sorted prefixes of w and of dual(w), on every class with n <= 7
+    classes = 0
+    for flag in enumerate_flag_types(n):
+        layout = oracle._layout(flag)
+        for w in flag_table(flag).reps:
+            expected = (w, codim(w, flag), _reference_degree(layout, w), *_reference_bruhat(layout, w))
+            assert layout.records[w] == expected, (str(flag), w)
+            classes += 1
+    assert classes == CLASS_COUNTS[n]
 
 
 # (n, tuple sizes): every exact-degree tuple of every flag type on C^n at
@@ -310,26 +399,43 @@ def test_the_pairwise_test_accepts_exactly_the_dual_pairs(n):
     assert _misjudged_pairs(n) == []
 
 
+def _patch_records(monkeypatch, change):
+    # every record built from here on has its fields (w, codim, degree,
+    # upper, lower) passed through change, with the layout
+    record = oracle._Layout._record
+    monkeypatch.setattr(
+        oracle._Layout, "_record", lambda layout, w: change(layout, *record(layout, w))
+    )
+
+
 def test_a_pairwise_test_that_reads_w_for_its_dual_is_caught(fresh_packed_reps, monkeypatch):
-    bruhat = oracle._Layout._bruhat
+    def undualized(layout, w, codim, degree, upper, lower):
+        return w, codim, degree, upper, upper - layout.bruhat_guard
 
-    def undualized(layout, w):
-        upper, _ = bruhat(layout, w)
-        return upper, upper - layout.bruhat_guard
-
-    monkeypatch.setattr(oracle._Layout, "_bruhat", undualized)
+    _patch_records(monkeypatch, undualized)
     assert _vanishing_sweep(((3, (2, 3)), (4, (2,))))[4] > 0
 
 
 def test_a_pairwise_test_that_drops_a_step_is_caught(fresh_packed_reps, monkeypatch):
-    bruhat = oracle._Layout._bruhat
-
-    def first_step_dropped(layout, w):
-        upper, lower = bruhat(layout, w)
+    def first_step_dropped(layout, w, codim, degree, upper, lower):
         low = layout.flag.steps[0] * layout.width
-        return upper, lower >> low << low
+        return w, codim, degree, upper, lower >> low << low
 
-    monkeypatch.setattr(oracle._Layout, "_bruhat", first_step_dropped)
+    _patch_records(monkeypatch, first_step_dropped)
+    assert _misjudged_pairs(4) != []
+
+
+def test_dual_prefixes_left_unreversed_are_caught(fresh_packed_reps, monkeypatch):
+    # n + 1 minus the sorted prefix of w, in its own order: the prefix of
+    # dual(w) sorted the wrong way round
+    def unreversed(layout, w, codim, degree, upper, lower):
+        mask, top = (1 << layout.width) - 1, layout.flag.n + 1
+        entries = [(upper - layout.bruhat_guard) >> f & mask for f in layout.bruhat_fields]
+        lower = sum((top - x) << f for x, f in zip(entries, layout.bruhat_fields))
+        return w, codim, degree, upper, lower
+
+    _patch_records(monkeypatch, unreversed)
+    assert _vanishing_sweep(((3, (2, 3)), (4, (2,))))[4] > 0
     assert _misjudged_pairs(4) != []
 
 
@@ -345,14 +451,15 @@ def test_a_degree_bound_one_below_the_grassmannian_is_caught(fresh_packed_reps, 
 
 
 def test_a_degree_bound_that_sums_the_suffix_is_caught(fresh_packed_reps, monkeypatch):
-    def suffix_summed(layout, w):
+    def suffix_summed(layout, w, codim, degree, upper, lower):
         n, width = layout.flag.n, layout.degree_width
-        return sum(
+        degree = sum(
             (a * (n - a) + a * (a + 1) // 2 - sum(w[a:])) << (i * width)
             for i, a in enumerate(layout.flag.steps)
         )
+        return w, codim, degree, upper, lower
 
-    monkeypatch.setattr(oracle._Layout, "_degree", suffix_summed)
+    _patch_records(monkeypatch, suffix_summed)
     assert _vanishing_sweep(((3, (2, 3)), (4, (2,))))[4] > 0
 
 
