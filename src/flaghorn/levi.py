@@ -31,6 +31,7 @@ the associated triple is Levi-movable and zeroes it otherwise.
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -241,15 +242,18 @@ def _cross_check(
             )
 
 
-def _check_size(s: int) -> None:
-    """Reject a tuple size that is not an int, one below 2, or one too
-    large to index a list, before any work starts."""
-    if not isinstance(s, int):
-        raise ValueError(f"the tuple size must be an integer, got s={s!r}")
-    if s < 2:
+def _check_size(s: int) -> int:
+    """The tuple size as an int; reject one that is not an integer, one
+    below 2, or one too large to index a list, before any work starts."""
+    try:
+        size = operator.index(s)
+    except TypeError:
+        raise ValueError(f"the tuple size must be an integer, got s={s!r}") from None
+    if size < 2:
         raise ValueError(f"need at least two classes, got s={s}")
-    if s > sys.maxsize:
+    if size > sys.maxsize:
         raise ValueError(f"tuple size s={s} exceeds the largest list size {sys.maxsize}")
+    return size
 
 
 def exact_degree_tuples(flag: FlagType, s: int) -> tuple[tuple[Perm, ...], ...]:
@@ -263,7 +267,7 @@ def exact_degree_tuples(flag: FlagType, s: int) -> tuple[tuple[Perm, ...], ...]:
     >>> exact_degree_tuples(FlagType((1,), 2), 3)
     (((1, 2), (2, 1), (2, 1)),)
     """
-    _check_size(s)
+    s = _check_size(s)
     table = flag_table(flag)
     return tuple(_walk(table, s, [()] * len(table.reps), ()))
 
@@ -351,7 +355,7 @@ def enumerate_levi_movable(
     >>> [(t, c) for t, c in enumerate_levi_movable(FlagType((1,), 2), 2)]
     [(((1, 2), (2, 1)), 1)]
     """
-    _check_size(s)
+    s = _check_size(s)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     table = flag_table(flag)

@@ -296,21 +296,6 @@ class _Memo(dict):
         return value
 
 
-class _Records(dict):
-    """A dict that builds a missing class record from the key on the
-    first lookup and keeps it under the record's own class index, the
-    tuple of plain ints, whatever object the key was."""
-
-    def __init__(self, build) -> None:
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, key):
-        record = self.build(key)
-        self[record[0]] = record
-        return record
-
-
 class _Layout:
     """The packed layout of intersection_number on one flag type, with
     the memos that depend on it.
@@ -352,7 +337,9 @@ class _Layout:
     The record of a class w is (w, codim, degree, upper, lower), built
     once per class by _record from its table entry, which checks w the
     first time any route meets it (FlagTable.entry).  ``records`` is keyed
-    by w, a tuple of plain ints, whatever sequence spelled it (_Records).
+    by w as the table holds it, a tuple of plain ints: its callers pass
+    classes read from table entries (FlagTable.class_tuple), never the
+    caller's object.
     The fundamental class, the unit, is the one class of codimension 0.
 
     ``degree`` packs the projected degree bound (_exceeds_degree): pc_i(w),
@@ -425,7 +412,7 @@ class _Layout:
         self.bruhat_fields = fields = range(0, sum(flag.steps) * width, width)
         self.bruhat_guard = sum(top << f for f in fields)
         self.bruhat_top = sum((n + 1) << f for f in fields)
-        self.records = _Records(self._record)
+        self.records = _Memo(self._record)
         self.reps = _Memo(self._pack)
         self.keys = _Memo(self._key)
         self.signs = _Memo(self._sign_of)
@@ -626,13 +613,13 @@ def intersection_number(classes: tuple[Perm, ...], flag: FlagType) -> int:
     Structure constants are nonnegative, so a negative sum raises
     RuntimeError, as does one that |S'| does not divide.
 
-    Before any of this, each class is read from its record
-    (_Layout.records), built once per class from its table entry, which
-    checks the class the first time any route meets it; the codimensions
-    are summed from the records.  The fundamental class, the one class of
-    codimension 0 and the unit of the ring, is dropped, and two tests run
-    in this order, the cheaper first; either answers 0 with no
-    representative built.
+    Before any of this, each class is read from its table entry, which
+    checks the class the first time any route meets it, and the
+    codimensions are summed from the entries.  The fundamental class, the
+    one class of codimension 0 and the unit of the ring, is dropped, and
+    two tests run in this order, the cheaper first, each reading the
+    class's record (_Layout.records), built once per class; either
+    answers 0 with no representative built.
     * The projected degree bound (_exceeds_degree): the projected
       codimensions of the classes sum to at most a_i(n - a_i) at every
       step a_i, else the product is zero (the projected Schubert
@@ -651,18 +638,10 @@ def intersection_number(classes: tuple[Perm, ...], flag: FlagType) -> int:
     >>> intersection_number(((1, 3, 2), (2, 3, 1)), flag)
     0
     """
-    table = flag_table(flag)  # ValueError unless a flag type
-    records = _layout(flag).records
-    try:
-        classes = tuple(classes)
-        found = [records[w] for w in classes]  # a new class is checked here
-    except TypeError:  # not a sequence, or a class that is no dict key
-        found = None
-    if found is None or sum([record[1] for record in found]) != table.dimension:
-        # the table reads any sequence as a class and checks the
-        # codimension sum; ValueError on bad input
-        found = [records[entry.w] for entry in table.class_tuple(classes)]
-    classes = tuple([record[0] for record in found if record[1]])
+    # ValueError unless a flag type, a sequence of class indices and a
+    # codimension sum equal to the dimension; each class is read once
+    entries = flag_table(flag).class_tuple(classes)
+    classes = tuple([entry.w for entry in entries if entry.codim])
     if _exceeds_degree(classes, flag) or _vanishes(classes, flag):
         return 0
     return _intersection_number(classes, flag)

@@ -615,3 +615,15 @@ def test_enumerate_makes_the_last_pair_product_once(monkeypatch, text, s, movabl
     found = enumerate_levi_movable(flag, s)
     assert (len(found), len(calls)) == (movable, products)
     assert found == enumerate_levi_movable(flag, s, "via_iv")
+
+
+class _Two:
+    """An integer-like size: an object with __index__ and nothing else."""
+
+    def __index__(self):
+        return 2
+
+
+@pytest.mark.parametrize("walk", [exact_degree_tuples, enumerate_levi_movable])
+def test_an_integer_like_tuple_size_is_read_as_its_index(walk):
+    assert tuple(walk(F3, _Two())) == tuple(walk(F3, 2))

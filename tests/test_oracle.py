@@ -224,23 +224,30 @@ def _plain_keys(layout):
     # every key of the records memo is its record's class index, a tuple of
     # plain ints
     return all(
-        type(w) is tuple and all(type(x) is int for x in w) and record[0] is w
+        type(w) is tuple and all(type(x) is int for x in w) and record[0] == w
         for w, record in layout.records.items()
     )
 
 
 def test_a_class_given_as_an_iterator_is_checked_and_answered(fresh_packed_reps):
-    # the memo is keyed by the class tuple, never by the object passed
+    # the memo is keyed by the class tuple, never by the object passed; an
+    # iterator can be read only once, and a list is no dict key, so each
+    # class is read once, through its table entry
     f3 = complete_flag(3)
     layout = oracle._layout(f3)
     for _ in range(3):
         classes = (iter((2, 3, 1)), (x for x in (2, 1, 3)))
         assert intersection_number(classes, f3) == 1
         assert intersection_number((w for w in ((2, 3, 1), (2, 1, 3))), f3) == 1
+        assert intersection_number((iter((2, 3, 1)), [2, 1, 3]), f3) == 1
+        assert intersection_number(([2, 3, 1], (x for x in (2, 1, 3))), f3) == 1
         assert sorted(layout.records) == [(2, 1, 3), (2, 3, 1)]
     assert _plain_keys(layout)
     with pytest.raises(ValueError, match="does not index a Schubert class"):
         intersection_number((iter((3, 2, 1)), iter((1, 2, 3))), FlagType((1,), 3))
+    for classes in ((iter((2, 3, 1)), iter((3, 1, 2))), (iter((2, 3, 1)), [3, 1, 2])):
+        with pytest.raises(ValueError, match="codimensions sum to 2, expected 3"):
+            intersection_number(classes, f3)
 
 
 def test_lists_floats_and_bools_are_read_as_their_class(fresh_packed_reps):
