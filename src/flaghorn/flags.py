@@ -30,7 +30,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations, pairwise
-from operator import add, le
+from operator import add, itemgetter, le, lshift
 
 from .perm import (
     Perm,
@@ -718,18 +718,23 @@ def _lift_classes(
     head ascends, and head_j stands before the head_j - j smaller values
     of rest, so length(w) = sum(head_j - j) + length(u) and the
     codimension of w is a_1 (n - a_1) - sum(head_j - j) + codim(u).
+    Each fiber class gets one getter of its positions, made once and
+    applied to the rest of every head.
     """
     n, a1 = flag.n, flag.steps[0]
     values = range(1, n + 1)
     # a_1 (n - a_1) - sum(head_j - j), with sum(j) = a_1 (a_1 + 1) / 2
     top = a1 * (n - a1) + a1 * (a1 + 1) // 2
+    # an itemgetter of one position returns the value, not a 1-tuple: a
+    # fiber of one position has the one class (1,)
+    getters = [itemgetter(*u) for u in fiber_reps] if n - a1 > 1 else [lambda rest: rest[1:]]
     reps: list[Perm] = []
     codims: list[int] = []
     for head in combinations(values, a1):
         taken = set(head)
         # rest[i] is the i-th value left, so rest[0] is never read
         rest = (0, *[v for v in values if v not in taken])
-        reps.extend([head + tuple(map(rest.__getitem__, u)) for u in fiber_reps])
+        reps.extend([head + getter(rest) for getter in getters])
         shift = top - sum(head)
         codims.extend([shift + c for c in fiber_codims])
     return tuple(reps), tuple(codims)
@@ -873,50 +878,58 @@ def _walk(
     class from what is left clears a guard bit exactly when some
     coordinate would go negative, so a single subtraction and mask test
     every coordinate at once.  A branch is also cut as soon as the
-    codimension left exceeds what the open slots can hold, and the last
-    slot is looked up by the packed vector left.  Once nothing is left,
-    every open slot takes the fundamental class, the only class of
-    codimension 0 (its vector is 0) and the last one: at most dimension
-    many classes are ever chosen, whatever s.  Table classes are valid by
-    construction and are not checked again.
+    codimension left exceeds what the open slots can hold.  A node with
+    two open slots pushes nothing: it takes each class in turn and looks
+    the last slot up by the packed vector that class leaves.  Once
+    nothing is left, every open slot takes the fundamental class, the
+    only class of codimension 0 (its vector is 0, so it packs to 0) and
+    the last one: at most dimension many classes are ever chosen,
+    whatever s.  Table classes are valid by construction and are not
+    checked again.
     """
     full = (table.dimension, *target)
     width = max(full).bit_length() + 1
-    guard = sum(1 << (k * width + width - 1) for k in range(len(full)))
-
-    def pack(vector: tuple[int, ...]) -> int:
-        return sum(x << (k * width) for k, x in enumerate(vector))
-
-    # the classes that can fill a slot: codimension > 0, vector within target
+    shifts = range(0, len(full) * width, width)
+    guard = sum(1 << (shift + width - 1) for shift in shifts)
+    # the classes that can fill a slot: codimension > 0, vector within
+    # target; the fundamental class follows them in ws, under key 0, so
+    # the last slot looks it up like any other class, and no slot before
+    # the last scans it
     ws, cs, ks = [], [], []
     for w, c, vector in zip(table.reps, table.codims, vectors):
         if c and all(map(le, vector, target)):
             ws.append(w)
             cs.append(c)
-            ks.append(pack((c, *vector)))
+            ks.append(sum(map(lshift, (c, *vector), shifts)))
     # ceiling[p]: the largest codimension among the classes p, p+1, ...
     ceiling = list(accumulate(reversed(cs), max))[::-1]
-    by_key: dict[int, list[int]] = {}
+    by_key: dict[int, list[int]] = {0: [len(ks)]}
     for p, key in enumerate(ks):
         by_key.setdefault(key, []).append(p)
     fundamental = table.reps[-1:]
+    ws += fundamental
     out: list[tuple[Perm, ...]] = []
     # (classes so far, first class allowed next, codimension left,
-    #  packed vector left, open slots)
-    stack = [((), 0, table.dimension, pack(full), s)]
+    #  packed vector left, open slots >= 2)
+    stack = [((), 0, table.dimension, sum(map(lshift, full, shifts)), s)]
     while stack:
         prefix, start, left, rest, slots = stack.pop()
         if rest == 0:
             out.append(prefix + fundamental * slots)
-        elif slots == 1:
-            last = by_key.get(rest, [])
-            out.extend(prefix + (ws[p],) for p in last[bisect_left(last, start):])
+        elif slots == 2:
+            # the last slot holds a class p or later whose key is what
+            # the class p leaves; what leaves some coordinate negative
+            # packs to no key, since each field stays below its guard bit
+            for p in [p for p, key in enumerate(ks[start:], start) if rest - key in by_key]:
+                last = by_key[rest - ks[p]]
+                head = prefix + (ws[p],)
+                out.extend([head + (ws[q],) for q in last[bisect_left(last, p):]])
         else:
             room, open_rest = slots - 1, rest | guard
             # pushed in reverse, so popped in lexicographic order
             stack.extend(
                 (prefix + (ws[p],), p, left - cs[p], rest - ks[p], room)
-                for p in reversed(range(start, len(ws)))
+                for p in reversed(range(start, len(ks)))
                 if left - cs[p] <= room * ceiling[p]
                 and (open_rest - ks[p]) & guard == guard
             )

@@ -239,81 +239,29 @@ def run_thm2(max_n: int | None = None) -> SuiteResult:
     return _finish(result, sum(per_flag.values()), "movable tuples", max_n)
 
 
-def _length_memos() -> tuple[_Memo, _Memo, _Memo, _Memo]:
-    """Fresh memos of length(w) by permutation, of the length of the
-    projection of a permutation to the step value a by (permutation, a),
-    of the length of the standardization of a pair slice by the slice's
-    values, and of the fiber restriction of a permutation past the first
-    step a_1 by (permutation, a_1).  Each is keyed by the full input of
-    its map, never by a part of it such as the permutation alone, which
-    would hide a map that goes wrong on the rest; each map is looked up
-    on a miss, so a replaced map is the one applied."""
+def _length_records() -> tuple[_Memo, _Memo, _Memo]:
+    """Fresh memos of the records the lengths suite reads.
+
+    perms[w] is (length(w), the length of the projection of w to each
+    step value a = 0 .. len(w)); fibers[w, a1] is (perms of the fiber
+    restriction of w past the first step a1, the head w[:a1]); flats[v]
+    is the length of the standardization of the values v of a pair
+    slice.  Each record covers the full input of its maps: a projection
+    record holds every step value, and a fiber record is keyed by the
+    first step too, since a record keyed by part of the input would hide
+    a map that goes wrong on the rest.  The length of a permutation met
+    before is not counted again, and each map is looked up when a record
+    is first made, so a replaced map is the one applied."""
     lengths = _Memo(length)
-    return (
-        lengths,
-        _Memo(lambda key: lengths[_project_to_step(*key)]),
-        _Memo(lambda values: lengths[_standardize(values)]),
-        _Memo(lambda key: _restrict_to_fiber(*key)),
-    )
-
-
-def _fiber_length_sides(
-    flag: FlagType,
-    lengths: _Memo,
-    proj_lengths: _Memo,
-    flat_lengths: _Memo,
-    fibers: _Memo,
-):
-    """The two sides of the fiber length identities for classes of the
-    flag type, with the first step, the fiber steps and the blocks read
-    once per flag.
-
-    Returns sides(w, top) for a valid class index w (not checked again).
-    It gives the fiber length identity as (length of the fiber
-    restriction, length(w) minus the length of the projection to the
-    first step), and for each step i = 1 .. r-1 the projected form as
-    (length of the fiber restriction projected to fiber step i, length
-    of the projection of w to step i+1 minus that to the first step plus
-    the lengths of the pair flattenings of block 1 against blocks
-    2 .. i+top).  The validated reading has top = 1, the rejected one
-    top = 0.
-
-    Each class is read in one pass over the steps.  All four maps run
-    through the caller's memos (see _length_memos): each fiber
-    restriction runs once per distinct (permutation, first step), each
-    projection once per distinct (permutation, step value), each pair
-    slice head + w[lo:hi] is standardized once per distinct slice, and
-    the length of a permutation met before is not counted again.
-    Classes of different flag types share these inputs (for n <= 6 the
-    5,310 fiber restrictions reach 1,492 distinct inputs, and 18,330
-    projections reach 4,166), which is why the memos outlive one flag.
-    Both sides stay computations through distinct maps, not readings of
-    one shared inversion table."""
-    a1 = flag.steps[0]
-    # step i of the fiber and step i+1 of w, with block i+1 of w: the
-    # blocks 2 .. r that the pair sums of both readings reach
-    steps = tuple(zip(
-        fiber_flag(flag).steps,
-        flag.steps[1:],
-        zip(flag.bounds[1:-2], flag.bounds[2:-1]),
+    perms = _Memo(lambda w: (
+        lengths[w],
+        tuple([lengths[_project_to_step(w, a)] for a in range(len(w) + 1)]),
     ))
-
-    def sides(w: Perm, top: int):
-        fiber = fibers[w, a1]
-        first = proj_lengths[w, a1]
-        head = w[:a1]
-        pair_sum = 0
-        projected = []
-        for f, a, (lo, hi) in steps:
-            before = pair_sum
-            pair_sum += flat_lengths[head + w[lo:hi]]
-            projected.append((
-                proj_lengths[fiber, f],
-                proj_lengths[w, a] - first + (pair_sum if top else before),
-            ))
-        return (lengths[fiber], lengths[w] - first), projected
-
-    return sides
+    return (
+        perms,
+        _Memo(lambda key: (perms[_restrict_to_fiber(*key)], key[0][:key[1]])),
+        _Memo(lambda values: lengths[_standardize(values)]),
+    )
 
 
 def run_lengths(max_n: int | None = None) -> SuiteResult:
@@ -321,21 +269,32 @@ def run_lengths(max_n: int | None = None) -> SuiteResult:
     every flag type up to the ambient bound (default 6).
 
     The classes come from enumerate_minimal_reps, so they are valid by
-    construction and the maps run unchecked.  Each identity compares two
-    computations through distinct maps: the fiber restriction (then
-    projected on the fiber) against projections of the class and its
-    pair flattenings.
+    construction and the maps run unchecked.  The fiber length identity
+    compares the length of the fiber restriction with length(w) minus
+    the length of the projection of w to the first step; the projected
+    form compares, at each step i = 1 .. r-1, the length of the fiber
+    restriction projected to fiber step i with the length of the
+    projection of w to step i+1, minus that to the first step, plus the
+    lengths of the pair flattenings of block 1 against blocks 2 .. i+1.
+    The two sides still go through distinct maps, the fiber restriction
+    (then projected on the fiber) against projections of the class and
+    its pair flattenings, not readings of one shared inversion table.
 
     The projected form needs an index convention for how far the pair
     flattening sum runs; the validated reading sums blocks 2 .. i+1.
     The reading that stops at block i fails already on the complete flag
     manifold of C^3, which this suite also pins down.
 
-    Each run keeps its own four memos, of lengths, projected lengths,
-    pair flattening lengths and fiber restrictions, so a permutation's
-    length is counted, and a class restricted to its fiber, once per run
-    however many flag types reach it.  Nothing is cached at module
-    level: ``enumerate`` and ``query`` take lengths of far larger
+    Each run keeps its own records (_length_records): one per
+    permutation, with its length and the lengths of its projections to
+    every step value, and one per class and first step, with the record
+    of its fiber restriction and its head.  A class then costs one fiber
+    lookup and one permutation lookup, and each step past the first one
+    pair-flattening lookup and two indexings; a permutation is
+    restricted, projected and counted once per run however many flag
+    types reach it (for n <= 6 the 5,310 classes reach 1,492 distinct
+    fiber restrictions and 873 permutations).  Nothing is cached at
+    module level: ``enumerate`` and ``query`` take lengths of far larger
     permutations, which an unbounded cache would keep alive, and a cache
     that outlived the run would answer for a map that has since been
     replaced."""
@@ -343,19 +302,30 @@ def run_lengths(max_n: int | None = None) -> SuiteResult:
     result = SuiteResult("lengths", True)
     checked = 0
     projected_checked = 0
-    memos = _length_memos()
+    perms, fibers, flats = _length_records()
     for n in range(2, bound + 1):
         for flag in enumerate_flag_types(n):
-            sides = _fiber_length_sides(flag, *memos)
+            a1 = flag.steps[0]
+            # step i of the fiber and step i+1 of w, with block i+1 of w:
+            # the blocks 2 .. r that the pair sums reach
+            steps = tuple(zip(
+                fiber_flag(flag).steps, flag.steps[1:], flag.bounds[1:-2], flag.bounds[2:-1],
+            ))
             for w in enumerate_minimal_reps(flag):
                 checked += 1
-                (lhs, rhs), projected = sides(w, 1)
-                if lhs != rhs:
+                (fiber_length, fiber_proj), head = fibers[w, a1]
+                w_length, proj = perms[w]
+                first = proj[a1]
+                if fiber_length != w_length - first:
                     result.failures.append(
-                        f"{flag}, w={w!r}: fiber length {lhs} != {rhs}"
+                        f"{flag}, w={w!r}: fiber length {fiber_length} != "
+                        f"{w_length - first}"
                     )
-                projected_checked += len(projected)
-                for i, (got, want) in enumerate(projected, start=1):
+                projected_checked += len(steps)
+                pair_sum = 0
+                for i, (f, a, lo, hi) in enumerate(steps, start=1):
+                    pair_sum += flats[head + w[lo:hi]]
+                    got, want = fiber_proj[f], proj[a] - first + pair_sum
                     if got != want:
                         result.failures.append(
                             f"{flag}, w={w!r}, step {i}: projected fiber "
@@ -369,9 +339,13 @@ def run_lengths(max_n: int | None = None) -> SuiteResult:
         f"{projected_checked} instances"
     )
     if bound >= 3:
+        # step i = 1 of the fiber (1)/2 against step 2 of w, on fresh
+        # records: the rejected reading sums blocks 2 .. i, none here
         w, flag = (3, 2, 1), FlagType((1, 2), 3)
-        sides = _fiber_length_sides(flag, *_length_memos())
-        _, [(actual, literal)] = sides(w, 0)
+        perms, fibers, _ = _length_records()
+        (_, fiber_proj), _ = fibers[w, 1]
+        proj = perms[w][1]
+        actual, literal = fiber_proj[1], proj[2] - proj[1]
         if literal == actual:
             result.failures.append(
                 "the rejected index reading (blocks 2..i) unexpectedly "
@@ -433,16 +407,18 @@ def run_duality(max_n: int | None = None) -> SuiteResult:
     other class of complementary length in zero.  Also pins the value of
     one fixed standardization bit-exactly.  The complementary pairs come
     from the tuple walker, so their classes are valid by construction and
-    go to the oracle unchecked."""
+    go to the oracle unchecked; the dual of each class is read once per
+    flag type, not once per pair."""
     bound = 5 if max_n is None else max_n
     result = SuiteResult("duality", True)
     checked = 0
     for n in range(2, bound + 1):
         pairs = 0
         for flag in enumerate_flag_types(n):
+            duals = _Memo(lambda w: _dual(w, flag))
             for w, v in exact_degree_tuples(flag, 2):
                 pairs += 1
-                expected = 1 if _dual(w, flag) == v else 0
+                expected = 1 if duals[w] == v else 0
                 got = _intersection_number((w, v), flag)
                 if got != expected:
                     result.failures.append(

@@ -139,10 +139,12 @@ def _brute_force_tuples(flag, s):
 
 
 def test_exact_degree_tuples_cover_all_sorted_multisets():
+    # s = 4 reaches nodes with two open slots below a nonempty prefix
     cases = [
         (flag, s) for n in range(1, 6) for flag in enumerate_flag_types(n) for s in (2, 3)
     ]
     cases += [(flag, 2) for flag in enumerate_flag_types(6)]
+    cases += [(flag, 4) for n in range(1, 5) for flag in enumerate_flag_types(n)]
     for flag, s in cases:
         expected = _brute_force_tuples(flag, s)
         assert exact_degree_tuples(flag, s) == expected, (str(flag), s)
@@ -225,7 +227,9 @@ def test_enumerate_equals_the_filter_route():
 
 
 def test_walker_targets_filter_the_exact_degree_tuples():
-    for flag, s in SWEEP:
+    # s = 4 also fills the last two slots below a prefix that leaves
+    # nothing, with the fundamental class
+    for flag, s in SWEEP + [(flag, 4) for n in range(2, 5) for flag in enumerate_flag_types(n)]:
         table = flag_table(flag)
         pair_target = tuple(bi * bj for bi, bj in table.pair_sizes)
         step_target = tuple(a * (flag.n - a) for a in flag.steps)

@@ -120,11 +120,11 @@ def test_lengths_memo_lives_for_one_run(monkeypatch):
 
 def test_lengths_memos_are_keyed_by_the_full_input(monkeypatch):
     """Each class is restricted to its fiber once per distinct
-    (permutation, first step), and the run still passes: a restriction
-    memo keyed by the permutation alone would hand a class the fiber of
+    (permutation, first step), and the run still passes: a fiber record
+    keyed by the permutation alone would hand a class the fiber of
     another flag type's first step.  A projection that sorts the prefix
-    but leaves the suffix as it is must make the suite fail: a memo keyed
-    by the prefix alone would answer with the length of the right
+    but leaves the suffix as it is must make the suite fail: a record
+    keyed by the prefix alone would answer with the length of the right
     projection and hide it."""
     restricted = []
     right = suites._restrict_to_fiber
@@ -146,6 +146,38 @@ def test_lengths_memos_are_keyed_by_the_full_input(monkeypatch):
     result = run_lengths(4)
     assert not result.passed
     assert "1,2/3, w=(1, 3, 2): fiber length 1 != 0" in result.failures
+
+
+def test_lengths_counts_each_permutation_once_per_run(monkeypatch):
+    """The sweep counts the length of each distinct permutation once,
+    whether it is a class, a fiber restriction, a projection or a
+    standardized pair slice: for n <= 6 that is every permutation of 1 to
+    6 letters.  The rejected reading runs on fresh records and counts the
+    six permutations it reads once more."""
+    counted = []
+    right = suites.length
+    monkeypatch.setattr(suites, "length", lambda w: counted.append(w) or right(w))
+    check_passing(run_lengths(), "lengths")
+    assert len(set(counted)) == 873 == 1 + 2 + 6 + 24 + 120 + 720
+    assert counted[:873] == list(dict.fromkeys(counted[:873]))
+    assert sorted(counted[873:]) == [(1, 2), (1, 2, 3), (2, 1), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
+
+
+def test_lengths_catches_a_projection_wrong_at_one_step_value(monkeypatch):
+    """A projection that leaves the suffix unsorted at the step value 2
+    alone must fail the suite on the classes it gets wrong, both where 2
+    is the first step and where it is a later one: a record that read one
+    step value for another would hide it."""
+    right = suites._project_to_step
+    monkeypatch.setattr(
+        suites, "_project_to_step",
+        lambda w, a: tuple(sorted(w[:a])) + w[a:] if a == 2 else right(w, a),
+    )
+    result = run_lengths(4)
+    assert not result.passed
+    assert "2,3/4, w=(1, 2, 4, 3): fiber length 1 != 0" in result.failures
+    assert "1,2,3/4, w=(4, 3, 2, 1), step 1: projected fiber length 2 != 3" in result.failures
+    assert len(result.failures) == 24
 
 
 def test_cor13_checks_the_oracle_numbers(monkeypatch):
