@@ -34,9 +34,9 @@ from operator import add, itemgetter, le, lshift
 
 from .perm import (
     Perm,
+    _integer,
     _standardize,
     check_permutation,
-    flatten,
     length,
 )
 
@@ -123,7 +123,7 @@ class FlagType:
         >>> FlagType((1, 2), 4).block(3)
         (3, 4)
         """
-        b = self.bounds
+        b, i = self.bounds, _integer(i, "the block index")
         if not 1 <= i <= self.r + 1:
             raise ValueError(f"block index {i} outside 1..{self.r + 1}")
         return tuple(range(b[i - 1] + 1, b[i] + 1))
@@ -284,7 +284,7 @@ def project_to_step(w: Perm, flag: FlagType, i: int) -> Perm:
     >>> project_to_step((3, 2, 1), FlagType((1, 2), 3), 2)
     (2, 3, 1)
     """
-    w = flag_table(flag).entry(w).w
+    w, i = flag_table(flag).entry(w).w, _integer(i, "the step index")
     if not 1 <= i <= flag.r:
         raise ValueError(f"step index {i} outside 1..{flag.r}")
     return _project_to_step(w, flag.steps[i - 1])
@@ -303,7 +303,7 @@ def projected_codim(w: Perm, flag: FlagType, i: int) -> int:
     >>> projected_codim((2, 3, 1), FlagType((1, 2), 3), 1)
     1
     """
-    entry = flag_table(flag).entry(w)
+    entry, i = flag_table(flag).entry(w), _integer(i, "the step index")
     if not 1 <= i <= flag.r:
         raise ValueError(f"step index {i} outside 1..{flag.r}")
     return entry.projected_codims[i - 1]
@@ -318,15 +318,18 @@ def flatten_pair(w: Perm, flag: FlagType, i: int, j: int) -> Perm:
     (2, 1)
     """
     w = flag_table(flag).entry(w).w
+    i, j = _integer(i, "the block index i"), _integer(j, "the block index j")
     if not 1 <= i < j <= flag.r + 1:
         raise ValueError(f"need 1 <= i < j <= {flag.r + 1}, got ({i}, {j})")
-    return flatten(w, flag.block(i) + flag.block(j))
+    b = flag.bounds  # w is checked, so its slices standardize unchecked
+    return _standardize(w[b[i - 1] : b[i]] + w[b[j - 1] : b[j]])
 
 
 def pair_grassmannian(flag: FlagType, i: int, j: int) -> FlagType:
     """The Grassmannian of b_i-planes in C^(b_i + b_j) that receives the
     pair flattening of blocks i < j."""
     flag = flag_table(flag).flag  # ValueError unless a flag type
+    i, j = _integer(i, "the block index i"), _integer(j, "the block index j")
     if not 1 <= i < j <= flag.r + 1:
         raise ValueError(f"need 1 <= i < j <= {flag.r + 1}, got ({i}, {j})")
     b = flag.block_sizes

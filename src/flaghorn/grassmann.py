@@ -34,7 +34,7 @@ from .flags import (
     flag_table,
     grassmannian_flag,
 )
-from .perm import Perm
+from .perm import Perm, _integer
 
 Partition = tuple[int, ...]
 
@@ -155,7 +155,7 @@ def perm_from_partition(p: Partition, r: int, n: int) -> Perm:
     >>> perm_from_partition((1,), 2, 4)
     (2, 4, 1, 3)
     """
-    p = check_partition(p)
+    p, r, n = check_partition(p), _integer(r, "r"), _integer(n, "n")
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
     if not fits_rectangle(p, r, n - r):
@@ -251,6 +251,7 @@ def lr_expand(lam: Partition, mu: Partition, rows: int, cols: int) -> dict[Parti
     2
     """
     lam, mu = check_partition(lam), check_partition(mu)
+    rows, cols = _integer(rows, "rows"), _integer(cols, "cols")
     if rows < 0 or cols < 0:
         raise ValueError(f"need a rectangle of nonnegative sides, got {rows} x {cols}")
     for p in (lam, mu):
@@ -363,6 +364,7 @@ def product_to_point(partitions: tuple[Partition, ...], r: int, n: int) -> int:
     >>> product_to_point(((1,),) * 4, 2, 4)
     2
     """
+    r, n = _integer(r, "r"), _integer(n, "n")
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
     cols = n - r

@@ -31,7 +31,6 @@ the associated triple is Levi-movable and zeroes it otherwise.
 
 from __future__ import annotations
 
-import operator
 import sys
 from dataclasses import dataclass
 
@@ -44,7 +43,7 @@ from .flags import (
 )
 from .grassmann import _condition_iii, _condition_iv, _degree_verdict, _product_to_point
 from .oracle import _exceeds_degree, _intersection_number, _vanishes, structure_constants_pair
-from .perm import Perm
+from .perm import Perm, _integer
 
 __all__ = [
     "MovabilityReport",
@@ -87,17 +86,15 @@ class MovabilityReport:
 def condition_i_detail(
     classes: tuple[Perm, ...], flag: FlagType
 ) -> tuple[bool, int, str | None]:
-    """Oracle route: (verdict, intersection number, failure witness).
-
-    The tuple passes when its intersection number is nonzero and, for
-    every step a_i, the projected codimensions sum to a_i * (n - a_i),
-    the dimension of the one-step manifold.  The intersection number is
-    computed even when the grading fails, and a zero number is the
-    witness ahead of a grading failure (_reported).
-    """
-    table = flag_table(flag)
-    ok_i, _, _, coefficient, witness = _reported(table.class_tuple(classes), table, "via_i")
-    return ok_i, coefficient, witness
+    """Oracle route: (verdict, intersection number, failure witness), as
+    is_levi_movable(classes, flag, "via_i") reports them: the tuple
+    passes when its intersection number is nonzero and, for every step
+    a_i, the projected codimensions sum to a_i * (n - a_i), the dimension
+    of the one-step manifold.  The number is computed even when the
+    grading fails, and a zero number is the witness ahead of a grading
+    failure."""
+    report = is_levi_movable(classes, flag, "via_i")
+    return report.condition_i, report.coefficient, report.failing_witness
 
 
 def _grading_failure(entries: tuple[ClassEntry, ...], flag: FlagType) -> str | None:
@@ -123,8 +120,7 @@ def check_condition_i(classes: tuple[Perm, ...], flag: FlagType) -> bool:
     >>> check_condition_i(((3, 1, 2), (3, 1, 2), (2, 3, 1)), FlagType((1, 2), 3))
     False
     """
-    ok, _, _ = condition_i_detail(classes, flag)
-    return ok
+    return condition_i_detail(classes, flag)[0]
 
 
 def is_levi_movable(
@@ -143,7 +139,12 @@ def is_levi_movable(
     entries = table.class_tuple(classes)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
-    ok_i, ok_iii, ok_iv, coefficient, witness = _reported(entries, table, method)
+    ok_i, ok_iii, ok_iv, coefficient, witness = _evaluate(entries, table, method)
+    if ok_i is False and coefficient is None:
+        # route i of a report carries its number also past a failed grading
+        coefficient = _intersection_number(tuple(e.w for e in entries), table.flag)
+        if coefficient == 0:
+            witness = "intersection number is zero"
     if method == "cross_check":
         _cross_check(entries, table, ok_i, ok_iii, ok_iv, coefficient)
     return MovabilityReport(
@@ -189,21 +190,6 @@ def _evaluate(
     return ok_i, ok_iii, ok_iv, coefficient, witness
 
 
-def _reported(
-    entries: tuple[ClassEntry, ...], table: FlagTable, method: str
-) -> tuple[bool | None, bool | None, bool | None, int | None, str | None]:
-    """_evaluate as a single-tuple report states it: route i always
-    carries the intersection number.  When the grading failed, so the
-    oracle did not run, it runs here, and a zero number becomes the
-    witness in place of the grading failure."""
-    ok_i, ok_iii, ok_iv, coefficient, witness = _evaluate(entries, table, method)
-    if ok_i is False and coefficient is None:
-        coefficient = _intersection_number(tuple(e.w for e in entries), table.flag)
-        if coefficient == 0:
-            witness = "intersection number is zero"
-    return ok_i, ok_iii, ok_iv, coefficient, witness
-
-
 def _cross_check(
     entries: tuple[ClassEntry, ...],
     table: FlagTable,
@@ -245,10 +231,7 @@ def _cross_check(
 def _check_size(s: int) -> int:
     """The tuple size as an int; reject one that is not an integer, one
     below 2, or one too large to index a list, before any work starts."""
-    try:
-        size = operator.index(s)
-    except TypeError:
-        raise ValueError(f"the tuple size must be an integer, got s={s!r}") from None
+    size = _integer(s, "the tuple size")
     if size < 2:
         raise ValueError(f"need at least two classes, got s={s}")
     if size > sys.maxsize:

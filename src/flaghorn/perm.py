@@ -12,6 +12,7 @@ used across the package; nothing here mutates its input.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect
 from collections.abc import Iterable, Sequence
 from itertools import repeat
@@ -60,6 +61,14 @@ def check_permutation(values: Sequence[int]) -> Perm:
     if not valid:
         raise ValueError(f"not a permutation of 1..{len(w)}: {w!r}")
     return w
+
+
+def _integer(value, name: str) -> int:
+    """value as an int (operator.index); ValueError, not TypeError, if not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def identity(n: int) -> Perm:
@@ -121,6 +130,7 @@ def inverse(w: Perm) -> Perm:
     >>> inverse((2, 3, 1))
     (3, 1, 2)
     """
+    w = check_permutation(w)
     out = [0] * len(w)
     for i, v in enumerate(w, start=1):
         out[v - 1] = i
@@ -133,6 +143,7 @@ def compose(w: Perm, u: Perm) -> Perm:
     >>> compose((2, 1, 3), (2, 1, 3))
     (1, 2, 3)
     """
+    w, u = check_permutation(w), check_permutation(u)
     if len(w) != len(u):
         raise ValueError("cannot compose permutations of different sizes")
     return tuple(w[u[i] - 1] for i in range(len(u)))
@@ -150,6 +161,7 @@ def flatten(w: Perm, positions: Iterable[int]) -> Perm:
     >>> flatten((3, 1, 2), (1, 3))
     (2, 1)
     """
+    w = check_permutation(w)
     pos = sorted(positions)
     if not pos:
         raise ValueError("cannot flatten on an empty set of positions")

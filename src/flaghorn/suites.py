@@ -8,10 +8,10 @@ identity on every instance, with zero tolerance:
   cor13     on complete flag manifolds every movable tuple has
             intersection number exactly 1, read off the route-i walk
             of the graded tuples;
-  thm2      every movable tuple factors: base times fiber coefficient
-            equals the oracle number, full trees multiply out to it over
-            the stated Grassmannian leaves, and both reductions stay
-            movable;
+  thm2      every movable tuple, read off the route-i walk as for
+            cor13, factors: base times fiber coefficient equals the
+            oracle number, full trees multiply out to it over the stated
+            Grassmannian leaves, and both reductions stay movable;
   lengths   the fiber restriction length identities, including the
             projected form with its validated index convention;
   lr-oracle Littlewood-Richardson point products agree with the
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .factor import factor_full
 from .flags import (
@@ -40,7 +39,7 @@ from .flags import (
     grassmannian_flag,
 )
 from .grassmann import partition_from_perm, product_to_point
-from .levi import _reported, enumerate_levi_movable, exact_degree_tuples, is_levi_movable
+from .levi import _evaluate, enumerate_levi_movable, exact_degree_tuples, is_levi_movable
 from .oracle import _Memo, _intersection_number, intersection_number
 from .perm import Perm, _standardize, flatten, length
 
@@ -96,20 +95,20 @@ def _finish(
     return result
 
 
-@lru_cache(maxsize=None)
 def equivalence_rows(
     flag: FlagType, s: int
-) -> tuple[tuple[tuple[Perm, ...], bool, bool, bool, int], ...]:
+) -> tuple[tuple[tuple[Perm, ...], bool, bool, bool, int | None], ...]:
     """One row per unordered exact-degree s-tuple on the flag manifold:
     (classes, oracle route verdict, pairwise point-product verdict,
-    inequality-system verdict, intersection number).  The walked classes
-    are valid by construction, so the routes read their table entries
-    unchecked, through the one route evaluator of levi as a report states
-    it (every row carries its intersection number), without its agreement
-    test: disagreements are what the thm1 suite reports."""
+    inequality-system verdict, intersection number), from the route
+    evaluator of levi (_evaluate) on the unchecked table entries of the
+    walked classes, without its agreement test: disagreements are what
+    the thm1 suite reports.  The number is None exactly on the rows that
+    fail route i's grading (projected codimensions summing to
+    a_i * (n - a_i) at every step), where the oracle need not run."""
     table = flag_table(flag)
     return tuple(
-        (classes, *_reported(tuple(map(table._entry, classes)), table, "cross_check")[:4])
+        (classes, *_evaluate(tuple(map(table._entry, classes)), table, "cross_check")[:4])
         for classes in exact_degree_tuples(flag, s)
     )
 
@@ -121,15 +120,15 @@ def _sweep_flags(max_n: int | None) -> tuple[FlagType, ...]:
 def movable_rows(
     max_n: int | None = None,
 ) -> list[tuple[FlagType, tuple[Perm, ...], int]]:
-    """Every movable tuple found by the equivalence sweep, with its
-    intersection number."""
-    out = []
-    for flag in _sweep_flags(max_n):
-        for s in SWEEP_SIZES:
-            for classes, ok_i, _, _, coefficient in equivalence_rows(flag, s):
-                if ok_i:
-                    out.append((flag, classes, coefficient))
-    return out
+    """Every movable tuple of the equivalence sweep with its intersection
+    number, from the route-i walk (enumerate_levi_movable), which keeps
+    the oracle number it decided each tuple by."""
+    return [
+        (flag, classes, coefficient)
+        for flag in _sweep_flags(max_n)
+        for s in SWEEP_SIZES
+        for classes, coefficient in enumerate_levi_movable(flag, s, "via_i")
+    ]
 
 
 def run_thm1(max_n: int | None = None) -> SuiteResult:
@@ -189,10 +188,10 @@ def run_cor13(max_n: int | None = None) -> SuiteResult:
 
 
 def run_thm2(max_n: int | None = None) -> SuiteResult:
-    """Factorization identities over every movable tuple of the sweep:
-    the one-step split multiplies back to the oracle number, the full
-    tree multiplies out to it across the expected Grassmannian leaves,
-    and the projected and fiber tuples remain movable."""
+    """Factorization identities over every movable tuple of the sweep
+    (movable_rows, the route-i walk): the one-step split multiplies back
+    to the oracle number, the full tree multiplies out to it across the
+    expected Grassmannian leaves, and both reductions remain movable."""
     result = SuiteResult("thm2", True)
     per_flag: dict[FlagType, int] = {}
     for flag, classes, coefficient in movable_rows(max_n):

@@ -635,6 +635,14 @@ def test_project_to_step_pinned():
     assert project_to_step((3, 2, 1), f3, 2) == (2, 3, 1)
     with pytest.raises(ValueError):
         project_to_step((3, 2, 1), f3, 3)
+    # an index that is not an integer is a ValueError, not a TypeError
+    for call in (
+        lambda: project_to_step((3, 2, 1), f3, 1.0),
+        lambda: projected_codim((3, 2, 1), f3, 1.0),
+        lambda: f3.block(1.0),
+    ):
+        with pytest.raises(ValueError):
+            call()
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -658,6 +666,10 @@ def test_flatten_pair_pinned():
         flatten_pair((2, 3, 1), f3, 2, 2)
     with pytest.raises(ValueError):
         pair_grassmannian(f3, 1, 4)
+    with pytest.raises(ValueError):
+        flatten_pair((2, 3, 1), f3, 1.0, 2)
+    with pytest.raises(ValueError):
+        pair_grassmannian(f3, 1.0, 3)
 
 
 @pytest.mark.parametrize("n", range(2, 6))

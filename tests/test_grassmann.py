@@ -130,8 +130,16 @@ def test_partition_pinned_values():
         lambda: product_to_point(((),), 3, 2),
         lambda: lr_expand((), (), -1, 2),
         lambda: lr_expand((), (), 2, -1),
+        # a size that is not an integer is a ValueError too, neither a
+        # TypeError nor a coefficient of 0
+        lambda: perm_from_partition((1,), 2.0, 4),
+        lambda: product_to_point(((1,),), 1.5, 4),
+        lambda: lr_expand((1,), (1,), 2.0, 2),
     ],
-    ids=["perm_from_partition", "product_to_point", "lr_expand_rows", "lr_expand_cols"],
+    ids=[
+        "perm_from_partition", "product_to_point", "lr_expand_rows", "lr_expand_cols",
+        "perm_from_partition_float", "product_to_point_float", "lr_expand_float",
+    ],
 )
 def test_a_rectangle_with_r_outside_0_to_n_is_a_value_error(call):
     with pytest.raises(ValueError):

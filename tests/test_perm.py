@@ -79,6 +79,15 @@ def test_inverse_and_compose():
     assert compose(inverse(w), w) == identity(5)
     u = (3, 1, 2, 5, 4)
     assert inverse(compose(w, u)) == compose(inverse(u), inverse(w))
+    # arguments that are not permutations are a ValueError, never a bare
+    # IndexError or a made-up answer
+    for call in (
+        lambda: inverse((3, 1)),
+        lambda: inverse((2, 2)),
+        lambda: compose((1, 2), (3, 1)),
+    ):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_compose_acts_right_to_left():
@@ -120,6 +129,8 @@ def test_flatten_rejects_bad_positions():
         flatten((2, 1, 3), (0, 2))
     with pytest.raises(ValueError):
         flatten((2, 1, 3), (2, 4))
+    with pytest.raises(ValueError):
+        flatten((2, 2, 1), (1, 2))
 
 
 def _standardize_by_rank_dict(values):

@@ -5,8 +5,9 @@ import dataclasses
 
 import pytest
 
-from flaghorn import levi, suites
-from flaghorn.flags import FlagType
+from flaghorn import factor, levi, suites
+from flaghorn.factor import factor_full
+from flaghorn.flags import FlagType, projected_codim
 from flaghorn.suites import (
     SUITES,
     THM1_FLAGS,
@@ -17,6 +18,7 @@ from flaghorn.suites import (
     run_cor13,
     run_duality,
     run_lengths,
+    run_lr_oracle,
     run_thm1,
     run_thm2,
     run_suite,
@@ -84,9 +86,24 @@ def test_equivalence_rows_structure():
 
 def test_movable_rows_reduced():
     rows = movable_rows(3)
-    assert [(flag, classes) for flag, classes, _ in rows]
     assert all(flag.n <= 3 for flag, _, _ in rows)
     assert len(rows) == 6  # three pairs and three triples on the one flag with n = 3
+    # movable_rows reads the route-i walk, so it must list exactly the rows
+    # of the equivalence sweep on which route i holds, numbers included; a
+    # row carries no number exactly where route i's grading fails
+    for max_n in (3, 4, None):
+        swept = []
+        for flag in [f for f in THM1_FLAGS if max_n is None or f.n <= max_n]:
+            for s in suites.SWEEP_SIZES:
+                for classes, ok_i, _, _, coefficient in equivalence_rows(flag, s):
+                    graded = all(
+                        sum(projected_codim(w, flag, i) for w in classes) == a * (flag.n - a)
+                        for i, a in enumerate(flag.steps, start=1)
+                    )
+                    assert (coefficient is None) == (not graded), (flag, classes)
+                    if ok_i:
+                        swept.append((flag, classes, coefficient))
+        assert movable_rows(max_n) == swept, max_n
 
 
 @pytest.mark.parametrize(
@@ -187,11 +204,7 @@ def test_cor13_checks_the_oracle_numbers(monkeypatch):
     monkeypatch.setattr(
         levi, "_intersection_number", lambda classes, flag: right(classes, flag) + 1
     )
-    equivalence_rows.cache_clear()
-    try:
-        result = run_cor13()
-    finally:
-        equivalence_rows.cache_clear()
+    result = run_cor13()
     assert not result.passed
     assert (
         "1,2/3 s=2: movable tuple ((1, 2, 3), (3, 2, 1)) has coefficient 2, "
@@ -208,11 +221,7 @@ def test_cor13_runs_route_i_alone(monkeypatch):
 
     monkeypatch.setattr(levi, "_condition_iii", refuse)
     monkeypatch.setattr(levi, "_condition_iv", refuse)
-    equivalence_rows.cache_clear()
-    try:
-        result = run_cor13()
-    finally:
-        equivalence_rows.cache_clear()
+    result = run_cor13()
     check_passing(result, "cor13")
     assert result.lines == [
         f"{flag} s={s}: {count} movable tuples, all coefficient 1"
@@ -230,11 +239,7 @@ def test_thm1_catches_a_wrong_route(monkeypatch):
     """The sweep reads the unchecked routes; a pairwise route that passes
     every tuple must make the conditions disagree."""
     monkeypatch.setattr(levi, "_condition_iii", lambda entries, table, *args: None)
-    equivalence_rows.cache_clear()
-    try:
-        result = run_thm1(3)
-    finally:
-        equivalence_rows.cache_clear()
+    result = run_thm1(3)
     assert not result.passed
     assert any("(i=False, iii=True, iv=False)" in f for f in result.failures)
 
@@ -257,6 +262,45 @@ def test_thm2_decides_every_fiber_level(monkeypatch):
     assert len(lost) == sum(flag.r > 1 for flag, _, _ in movable_rows(4))
 
 
+def _plus_one(right):
+    return lambda *args: right(*args) + 1
+
+
+def _factor_checked_by_the_oracle():
+    with pytest.raises(RuntimeError) as info:
+        factor_full(((2, 3, 1), (2, 1, 3)), FlagType((1, 2), 3), verify_with_oracle=True)
+    return [str(info.value)]
+
+
+@pytest.mark.parametrize(
+    "module,name,wrong,run,texts",
+    [
+        (suites, "intersection_number", _plus_one, lambda: run_thm2(3).failures,
+         ["split of ((1, 2, 3), (3, 2, 1)) gives 1 * 2 != 1"]),
+        (factor, "_leaf", _plus_one, lambda: run_thm2(3).failures,
+         ["tree over ((1, 2, 3), (3, 2, 1)) multiplies to 4, oracle says 1"]),
+        (suites, "grassmannian_flag", lambda right: lambda r, n: right(r, n + 1),
+         lambda: run_thm2(3).failures,
+         ["leaf spaces ['1/3', '1/2'] differ from ['1/4', '1/3']"]),
+        (suites, "product_to_point", _plus_one, lambda: run_lr_oracle(4).failures,
+         ["gives LR 2, oracle 1", "4th power of the codimension-1 class gives 3, expected 2"]),
+        (suites, "flatten", lambda right: lambda w, positions: (1, 2, 3),
+         lambda: run_duality(2).failures, ["gives (1, 2, 3), expected (1, 3, 2)"]),
+        (factor, "intersection_number", _plus_one, _factor_checked_by_the_oracle,
+         ["factored coefficient 1 disagrees with the oracle on ((2, 1), (1, 2)) over 1/2"]),
+    ],
+    ids=["thm2-split", "thm2-tree", "thm2-leaf-spaces", "lr-oracle", "duality-flatten",
+         "factor-full-oracle"],
+)
+def test_a_wrong_map_fires_its_failure_branch(monkeypatch, module, name, wrong, run, texts):
+    """Each check of thm2, lr-oracle and duality, and the oracle check of
+    factor_full, must report a map that goes wrong, naming the instance."""
+    monkeypatch.setattr(module, name, wrong(getattr(module, name)))
+    failures = run()
+    for text in texts:
+        assert any(text in failure for failure in failures), (text, failures)
+
+
 def test_duality_catches_a_wrong_dual(monkeypatch):
     """The suite takes duals unchecked; a dual map that returns the class
     itself must make a pairing miss its expected value."""
@@ -277,12 +321,8 @@ def test_suites_reach_the_oracle_core(monkeypatch):
 
     monkeypatch.setattr(suites, "_intersection_number", wrong)
     monkeypatch.setattr(levi, "_intersection_number", wrong)
-    equivalence_rows.cache_clear()
-    try:
-        duality = run_duality(4)
-        thm1 = run_thm1(4)
-    finally:
-        equivalence_rows.cache_clear()
+    duality = run_duality(4)
+    thm1 = run_thm1(4)
     assert not duality.passed
     assert "1/2: pairing of (1, 2) with (2, 1) gives 2, expected 1" in duality.failures
     assert not thm1.passed
