@@ -27,7 +27,6 @@ dropped without a message and the exit code is still the command's own.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import os
@@ -56,7 +55,10 @@ def _json_text(doc) -> str:
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    """A header line and one line per row; no text at all without rows."""
+    """A header line and one line per row; no text at all without rows.
+    csv is imported here, since only this format needs it."""
+    import csv
+
     if not rows:
         return ""
     out = io.StringIO()

@@ -20,11 +20,10 @@ points read the first two levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .flags import (
     ClassEntry,
     FlagType,
+    _Frozen,
     _project_to_step,
     dual,
     flag_table,
@@ -45,29 +44,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GrassmannianFactor:
+class GrassmannianFactor(_Frozen):
     """One Littlewood-Richardson leaf: classes on a single Grassmannian
     whose product is coefficient times the point class."""
 
-    space: FlagType
-    classes: tuple[Perm, ...]
-    partitions: tuple[Partition, ...]
-    coefficient: int
+    __match_args__ = ("space", "classes", "partitions", "coefficient")
+
+    def __init__(self, space: FlagType, classes: tuple[Perm, ...],
+                 partitions: tuple[Partition, ...], coefficient: int) -> None:
+        self.__dict__.update(space=space, classes=classes, partitions=partitions,
+                             coefficient=coefficient)
 
 
-@dataclass(frozen=True)
-class FactorizationTree:
+class FactorizationTree(_Frozen):
     """One level of the factorization: the base holds the projection to
     the Grassmannian of the first step, the fiber holds the rest.  A
     one-step manifold is its own base and has no fiber.  The coefficient
     at every node is the base coefficient times the fiber coefficient."""
 
-    flag: FlagType
-    classes: tuple[Perm, ...]
-    coefficient: int
-    base: GrassmannianFactor
-    fiber: FactorizationTree | None
+    __match_args__ = ("flag", "classes", "coefficient", "base", "fiber")
+
+    def __init__(self, flag: FlagType, classes: tuple[Perm, ...], coefficient: int,
+                 base: GrassmannianFactor, fiber: FactorizationTree | None) -> None:
+        self.__dict__.update(flag=flag, classes=classes, coefficient=coefficient, base=base,
+                             fiber=fiber)
 
     def levels(self) -> list[FactorizationTree]:
         """The chain of nodes from this one down to the last fiber."""

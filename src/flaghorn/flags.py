@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations, pairwise
 from operator import add, itemgetter, le, lshift
@@ -65,8 +64,41 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FlagType:
+class _Record:
+    """Base of the public result classes: the fields, named in order by
+    __match_args__, show as ``Name(field=value, ...)`` and compare as a
+    tuple, with records of the same class only.  Unhashable."""
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+
+class _Frozen(_Record):
+    """A record hashed as the tuple of its fields, whose attributes cannot
+    be set or deleted; its __init__ fills ``self.__dict__``."""
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FlagType(_Frozen):
     """Steps 0 < a_1 < ... < a_r < n together with the ambient n.
 
     >>> FlagType((1, 2), 3).dimension
@@ -77,27 +109,30 @@ class FlagType:
     '2/4'
     """
 
-    steps: tuple[int, ...]
-    n: int
+    __match_args__ = ("steps", "n")
 
-    def __post_init__(self) -> None:
-        steps = tuple(self.steps)
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"ambient dimension must be an integer >= 1: {self.n!r}")
+    def __init__(self, steps: tuple[int, ...], n: int) -> None:
+        steps = tuple(steps)
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"ambient dimension must be an integer >= 1: {n!r}")
         prev = 0
         for a in steps:
-            if not isinstance(a, int) or not prev < a < self.n:
+            if not isinstance(a, int) or not prev < a < n:
                 raise ValueError(
-                    f"steps must satisfy 0 < a_1 < ... < a_r < {self.n}: {steps!r}"
+                    f"steps must satisfy 0 < a_1 < ... < a_r < {n}: {steps!r}"
                 )
             prev = a
         # plain ints, so that an equal flag spelled with bools (cached by
         # equality, as by flag_table) prints the same
-        steps, n = tuple(map(int, steps)), int(self.n)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "n", n)
+        steps, n = tuple(map(int, steps)), int(n)
         # every lru_cache keyed by a flag type hashes it, so hash it once
-        object.__setattr__(self, "_hash", hash((steps, n)))
+        self.__dict__.update(steps=steps, n=n, _hash=hash((steps, n)))
+
+    def __eq__(self, other: object) -> bool:
+        # every lru_cache lookup with an equal flag lands here: no field loop
+        if other.__class__ is self.__class__:
+            return (self.steps, self.n) == (other.steps, other.n)
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
@@ -169,6 +204,7 @@ def complete_flag(n: int) -> FlagType:
     >>> complete_flag(3)
     FlagType(steps=(1, 2), n=3)
     """
+    n = _integer(n, "the ambient dimension")
     return FlagType(tuple(range(1, n)), n)
 
 
@@ -178,7 +214,7 @@ def enumerate_flag_types(n: int) -> tuple[FlagType, ...]:
     >>> [str(f) for f in enumerate_flag_types(3)]
     ['1/3', '2/3', '1,2/3']
     """
-    out = []
+    out, n = [], _integer(n, "the ambient dimension")
     for k in range(1, n):
         for steps in combinations(range(1, n), k):
             out.append(FlagType(steps, n))
@@ -687,9 +723,7 @@ class FlagTable:
         except TypeError:  # not a sequence, or not of hashable entries
             entry = None
         if entry is None:  # a class not seen yet, or not a class
-            # every later caller gets this tuple back, so it holds plain
-            # ints even when the first caller passed equal floats or bools
-            entry = self._entry(tuple(map(int, check_minimal_rep(w, self.flag))))
+            entry = self._entry(check_minimal_rep(w, self.flag))
         return entry
 
     def class_tuple(self, classes) -> tuple[ClassEntry, ...]:

@@ -105,11 +105,12 @@ def partitions_in_rectangle(rows: int, cols: int, size: int | None = None) -> li
     >>> partitions_in_rectangle(3, 3, size=4)
     [(2, 1, 1), (2, 2), (3, 1)]
     """
+    rows, cols = _integer(rows, "rows"), _integer(cols, "cols")
     if size is None:
         return sorted(
             p for k in range(rows * cols + 1) for p in _partitions_of_size(k, rows, cols)
         )
-    return _partitions_of_size(size, rows, cols)
+    return _partitions_of_size(_integer(size, "size"), rows, cols)
 
 
 def _partitions_of_size(size: int, rows: int, cols: int) -> list[Partition]:

@@ -32,12 +32,12 @@ the associated triple is Levi-movable and zeroes it otherwise.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
 from .flags import (
     ClassEntry,
     FlagTable,
     FlagType,
+    _Frozen,
     _walk,
     flag_table,
 )
@@ -59,21 +59,22 @@ __all__ = [
 METHODS = ("via_iii", "via_i", "via_iv", "cross_check")
 
 
-@dataclass(frozen=True)
-class MovabilityReport:
+class MovabilityReport(_Frozen):
     """Outcome of a movability decision.  Condition fields left as None
     were not evaluated by the chosen method; whenever several are
     evaluated they agree, and cross_check raises rather than return a
     report with disagreeing fields."""
 
-    classes: tuple[Perm, ...]
-    flag: FlagType
-    method: str
-    condition_i: bool | None = None
-    condition_iii: bool | None = None
-    condition_iv: bool | None = None
-    coefficient: int | None = None
-    failing_witness: str | None = None
+    __match_args__ = ("classes", "flag", "method", "condition_i", "condition_iii",
+                      "condition_iv", "coefficient", "failing_witness")
+
+    def __init__(self, classes: tuple[Perm, ...], flag: FlagType, method: str,
+                 condition_i: bool | None = None, condition_iii: bool | None = None,
+                 condition_iv: bool | None = None, coefficient: int | None = None,
+                 failing_witness: str | None = None) -> None:
+        self.__dict__.update(classes=classes, flag=flag, method=method, condition_i=condition_i,
+                             condition_iii=condition_iii, condition_iv=condition_iv,
+                             coefficient=coefficient, failing_witness=failing_witness)
 
     @property
     def movable(self) -> bool:

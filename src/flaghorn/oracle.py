@@ -73,7 +73,7 @@ from .flags import (
     flag_table,
     is_minimal_rep,
 )
-from .perm import Perm, check_permutation, length, pad, perm_from_lehmer, trim
+from .perm import Perm, _integer, check_permutation, length, pad, perm_from_lehmer, trim
 from .poly import Monomial, SparsePolynomial, _order_key
 
 __all__ = [
@@ -225,7 +225,7 @@ def monk_expansion(w: Perm, r: int) -> dict[Perm, int]:
     >>> monk_expansion((2, 1, 3), 1)
     {(3, 1, 2): 1}
     """
-    w = check_permutation(w)
+    w, r = check_permutation(w), _integer(r, "the column index r")
     if r < 1:
         raise ValueError("the column index r must be at least 1")
     m = max(len(w), r) + 1

@@ -52,7 +52,8 @@ def is_permutation(values: Sequence[int]) -> bool:
 
 
 def check_permutation(values: Sequence[int]) -> Perm:
-    """Return ``values`` as a tuple, raising ValueError if not a permutation."""
+    """Return ``values`` as a tuple of plain ints (equal floats or bools
+    read as their ints), raising ValueError if not a permutation."""
     try:
         w = tuple(values)
         valid = is_permutation(w)
@@ -60,7 +61,7 @@ def check_permutation(values: Sequence[int]) -> Perm:
         raise ValueError(f"not a permutation: {values!r}") from None
     if not valid:
         raise ValueError(f"not a permutation of 1..{len(w)}: {w!r}")
-    return w
+    return tuple(map(int, w))
 
 
 def _integer(value, name: str) -> int:
@@ -77,6 +78,7 @@ def identity(n: int) -> Perm:
     >>> identity(3)
     (1, 2, 3)
     """
+    n = _integer(n, "the size")
     if n < 0:
         raise ValueError("size must be nonnegative")
     return tuple(range(1, n + 1))
@@ -88,6 +90,7 @@ def longest_element(n: int) -> Perm:
     >>> longest_element(4)
     (4, 3, 2, 1)
     """
+    n = _integer(n, "the size")
     if n < 0:
         raise ValueError("size must be nonnegative")
     return tuple(range(n, 0, -1))
@@ -162,7 +165,7 @@ def flatten(w: Perm, positions: Iterable[int]) -> Perm:
     (2, 1)
     """
     w = check_permutation(w)
-    pos = sorted(positions)
+    pos = sorted(_integer(p, "a position") for p in positions)
     if not pos:
         raise ValueError("cannot flatten on an empty set of positions")
     if len(set(pos)) != len(pos):
@@ -207,7 +210,7 @@ def perm_from_lehmer(code: Sequence[int]) -> Perm:
     >>> perm_from_lehmer((0, 1))
     (1, 3, 2)
     """
-    c = list(code)
+    c = [_integer(x, "a code entry") for x in code]
     while c and c[-1] == 0:
         c.pop()
     if any(x < 0 for x in c):
@@ -241,6 +244,7 @@ def pad(w: Perm, n: int) -> Perm:
     >>> pad((2, 1), 4)
     (2, 1, 3, 4)
     """
+    n = _integer(n, "the size")
     if n < len(w):
         raise ValueError(f"cannot pad a permutation of {len(w)} down to {n}")
     return tuple(w) + tuple(range(len(w) + 1, n + 1))

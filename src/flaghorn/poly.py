@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
+from .perm import _integer
+
 Monomial = tuple[int, ...]
 
 __all__ = ["Monomial", "SparsePolynomial", "divided_difference"]
@@ -225,6 +227,7 @@ def divided_difference(p: SparsePolynomial, i: int) -> SparsePolynomial:
     >>> str(divided_difference(x1 * x1, 1))
     'x2 + x1'
     """
+    i = _integer(i, "the divided difference index")
     if i < 1:
         raise ValueError("divided difference index must be at least 1")
     out: dict[Monomial, int] = {}

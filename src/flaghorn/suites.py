@@ -23,11 +23,11 @@ identity on every instance, with zero tolerance:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .factor import factor_full
 from .flags import (
     FlagType,
+    _Record,
     _dual,
     _project_to_step,
     _restrict_to_fiber,
@@ -41,7 +41,7 @@ from .flags import (
 from .grassmann import partition_from_perm, product_to_point
 from .levi import _evaluate, enumerate_levi_movable, exact_degree_tuples, is_levi_movable
 from .oracle import _Memo, _intersection_number, intersection_number
-from .perm import Perm, _standardize, flatten, length
+from .perm import Perm, _integer, _standardize, flatten, length
 
 __all__ = [
     "SuiteResult",
@@ -72,15 +72,18 @@ THM1_FLAGS: tuple[FlagType, ...] = (
 SWEEP_SIZES = (2, 3)
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(_Record):
     """Outcome of one suite: human-readable lines plus the failures that
-    decided the verdict (empty when passed)."""
+    decided the verdict (empty when passed).  Mutable; lines and
+    failures default to new empty lists."""
 
-    name: str
-    passed: bool
-    lines: list[str] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)
+    __match_args__ = ("name", "passed", "lines", "failures")
+
+    def __init__(self, name: str, passed: bool, lines: list[str] | None = None,
+                 failures: list[str] | None = None) -> None:
+        self.name, self.passed = name, passed
+        self.lines = [] if lines is None else lines
+        self.failures = [] if failures is None else failures
 
 
 def _finish(
@@ -455,9 +458,10 @@ def run_suite(name: str, max_n: int | None = None) -> SuiteResult:
         raise ValueError(
             f"unknown suite {name!r}, expected one of {sorted(SUITES)} or 'all'"
         )
-    return SUITES[name](max_n)
+    return SUITES[name](max_n if max_n is None else _integer(max_n, "max_n"))
 
 
 def run_all(max_n: int | None = None) -> list[SuiteResult]:
     """Run every suite in declaration order."""
+    max_n = max_n if max_n is None else _integer(max_n, "max_n")
     return [runner(max_n) for runner in SUITES.values()]

@@ -26,7 +26,7 @@ from flaghorn.flags import (
     restrict_to_fiber,
 )
 from flaghorn.grassmann import partition_from_perm
-from flaghorn.levi import enumerate_levi_movable
+from flaghorn.levi import MovabilityReport, enumerate_levi_movable
 from flaghorn.oracle import intersection_number
 
 
@@ -223,8 +223,6 @@ def test_check_induced_movability_decides_the_fiber(monkeypatch):
     """The fiber value is a decision of its own: a fiber that
     is_levi_movable refuses reads as not movable, except past a one-step
     flag, whose fiber is a point."""
-    import dataclasses
-
     import flaghorn.factor as factor
 
     right = factor.is_levi_movable
@@ -233,7 +231,11 @@ def test_check_induced_movability_decides_the_fiber(monkeypatch):
     def refuse(classes, flag, method="via_iii"):
         decided.append(flag)
         report = right(classes, flag, method)
-        return dataclasses.replace(report, condition_iii=False, failing_witness="refused")
+        return MovabilityReport(
+            report.classes, report.flag, report.method, report.condition_i,
+            condition_iii=False, condition_iv=report.condition_iv,
+            coefficient=report.coefficient, failing_witness="refused",
+        )
 
     monkeypatch.setattr(factor, "is_levi_movable", refuse)
     flag = FlagType((1, 2), 4)

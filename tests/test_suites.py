@@ -1,13 +1,12 @@
 """The named verification suites at reduced bounds (the acceptance module
 runs them at full bounds)."""
 
-import dataclasses
-
 import pytest
 
 from flaghorn import factor, levi, suites
 from flaghorn.factor import factor_full
 from flaghorn.flags import FlagType, projected_codim
+from flaghorn.levi import MovabilityReport
 from flaghorn.suites import (
     SUITES,
     THM1_FLAGS,
@@ -252,7 +251,11 @@ def test_thm2_decides_every_fiber_level(monkeypatch):
 
     def refuse(classes, flag, method="via_iii"):
         report = right(classes, flag, method)
-        return dataclasses.replace(report, condition_iii=False, failing_witness="refused")
+        return MovabilityReport(
+            report.classes, report.flag, report.method, report.condition_i,
+            condition_iii=False, condition_iv=report.condition_iv,
+            coefficient=report.coefficient, failing_witness="refused",
+        )
 
     monkeypatch.setattr(suites, "is_levi_movable", refuse)
     result = run_thm2(4)
