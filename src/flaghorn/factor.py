@@ -8,14 +8,13 @@ one for each Grassmannian of a block inside what remains of the ambient
 space.
 
 One guard checks the input of every entry point and decides its
-movability once (ValueError when it is not movable), keeping the pair
-products of that decision.  One loop folds the tree from the last level
-up: level k holds the k-th fiber tuple (ClassEntry.fiber), and its leaf
-is read off the root's class table, its coefficient made by levi._leaf
-as in enumerate_levi_movable.  A fiber is not decided again: its pairs
-(i - 1, j - 1) are the pairs (i, j) above it (flags._LIFTS), which the
-guard read; a vanishing leaf raises RuntimeError.  The other entry
-points read the first two levels.
+movability once (ValueError when it is not movable).  One loop folds the
+tree from the last level up: level k holds the k-th fiber tuple
+(ClassEntry.fiber), and its leaf is read off the root's class table, its
+coefficient made by levi._leaf as in enumerate_levi_movable.  A fiber is
+not decided again: its pairs (i - 1, j - 1) are the pairs (i, j) above
+it (flags._LIFTS), which the guard read; a vanishing leaf raises
+RuntimeError.  The other entry points read the first two levels.
 """
 
 from __future__ import annotations
@@ -95,24 +94,22 @@ class FactorizationTree(_Frozen):
 _Levels = list[tuple[ClassEntry, ...]]  # a tuple's entries, then each fiber tuple's
 
 
-def _movable(classes, flag: FlagType) -> tuple[_Levels, dict[int, int]]:
+def _movable(classes, flag: FlagType) -> _Levels:
     """The guard of every entry point: ValueError when the tuple is
     malformed, the flag is a point, or the tuple is not Levi-movable.
     The tuple is checked once (FlagTable.class_tuple) and route iii
     decides it once (levi._evaluate).  Returns the r + 1 levels, down the
-    fiber entries (ClassEntry.fiber) to the point, and the decision's
-    pair products."""
+    fiber entries (ClassEntry.fiber) to the point."""
     table = flag_table(flag)
     levels = [table.class_tuple(classes)]
     if flag.r < 1:
         raise ValueError("a point manifold has nothing to factor")
-    products: dict[int, int] = {}
-    _, movable, _, _, witness = _evaluate(levels[0], table, "via_iii", products=products)
+    _, movable, _, _, witness = _evaluate(levels[0], table, "via_iii")
     if not movable:
         raise ValueError(f"tuple is not Levi-movable on {flag}: {witness}")
     for _ in range(flag.r):
         levels.append(tuple([e.fiber for e in levels[-1]]))
-    return levels, products
+    return levels
 
 
 def _node(entries: tuple[ClassEntry, ...]) -> tuple[tuple[Perm, ...], FlagType]:
@@ -120,13 +117,13 @@ def _node(entries: tuple[ClassEntry, ...]) -> tuple[tuple[Perm, ...], FlagType]:
     return tuple([e.w for e in entries]), entries[0].table.flag
 
 
-def _base(levels: _Levels, products: dict[int, int], k: int) -> GrassmannianFactor:
+def _base(levels: _Levels, k: int) -> GrassmannianFactor:
     """The leaf of level k on the Grassmannian of its first step: the
     level's projected classes, and the partitions and coefficient of the
     root's leaf k.  RuntimeError when the leaf vanishes."""
     root = levels[0][0].table
     r, m = root.leaf_spaces[k]
-    coefficient = _leaf(levels[0], root, k, root.pair_target, products)
+    coefficient = _leaf(levels[0], root, k)
     if not coefficient:
         raise RuntimeError(f"movable {_node(levels[0])[0]!r} over {root.flag} has a vanishing leaf")
     return GrassmannianFactor(
@@ -150,8 +147,8 @@ def factor_once(
     >>> factor_once(((2, 3, 1), (2, 1, 3)), FlagType((1, 2), 3))
     (1, ((2, 1, 3), (2, 1, 3)), 1, ((2, 1), (1, 2)), FlagType(steps=(1,), n=2))
     """
-    levels, products = _movable(classes, flag)
-    base = _base(levels, products, 0)
+    levels = _movable(classes, flag)
+    base = _base(levels, 0)
     fclasses, fflag = _node(levels[1])
     return base.coefficient, base.classes, intersection_number(fclasses, fflag), fclasses, fflag
 
@@ -165,10 +162,10 @@ def factor_full(
     intersection number of the input.  With verify_with_oracle every
     node is cross-checked against the polynomial oracle (RuntimeError on
     mismatch)."""
-    levels, products = _movable(classes, flag)
+    levels = _movable(classes, flag)
     tree = None
     for k in reversed(range(flag.r)):
-        base = _base(levels, products, k)
+        base = _base(levels, k)
         classes, level_flag = _node(levels[k])
         coefficient = base.coefficient * (tree.coefficient if tree else 1)
         tree = FactorizationTree(level_flag, classes, coefficient, base, tree)
@@ -189,9 +186,8 @@ def check_induced_movability(
     manifold, decided afresh by is_levi_movable.  Both hold for movable
     input; a one-step flag has a point fiber, movable vacuously.
     ValueError when the input tuple is not movable itself."""
-    levels, products = _movable(classes, flag)
-    root = levels[0][0].table
-    base = _leaf(levels[0], root, 0, root.pair_target, products)
+    levels = _movable(classes, flag)
+    base = _leaf(levels[0], levels[0][0].table, 0)
     return base != 0, flag.r == 1 or is_levi_movable(*_node(levels[1])).movable
 
 
@@ -204,9 +200,9 @@ def pairwise_factor(
     the reduced classes against the reductions of the dual of v, which
     are the duals of the reductions.  ValueError when (w, u, dual of v)
     is not Levi-movable."""
-    levels, products = _movable((w, u, dual(v, flag)), flag)
+    levels = _movable((w, u, dual(v, flag)), flag)
     return (
         intersection_number(*_node(levels[0])),
-        _base(levels, products, 0).coefficient,
+        _base(levels, 0).coefficient,
         intersection_number(*_node(levels[1])),
     )

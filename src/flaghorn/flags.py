@@ -555,13 +555,6 @@ class FlagTable:
         self.leaf_spaces = tuple(
             (b[k], flag.n - a) for k, a in enumerate(flag.bounds[:-2])
         )
-        # the positions in pairs of (k, j), j > k, for each step k: leaf k
-        # pairs block k with every later block, so its codimension is the
-        # sum of theirs; pairs lists the r + 1 - k of them together
-        sizes = range(flag.r, 0, -1)
-        self.leaf_pairs = tuple(
-            range(end - size, end) for size, end in zip(sizes, accumulate(sizes))
-        )
         # the leaves whose Grassmannian is not a projective space, the only
         # ones whose point product the degree leaves open
         self.lr_leaves = tuple(

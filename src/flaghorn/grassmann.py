@@ -13,7 +13,8 @@ comes from one walk that adds the rows of the second partition as
 labelled horizontal strips, so every term arrives with its multiplicity
 and no search runs per term; the tests check each against the other.
 Point products of four or more classes expand the two halves of the list
-by that walk and meet in the middle, by duality.
+by that walk and meet in the middle, by duality.  All three keep a memo,
+so route iii and the leaves of the factorization share a point product.
 
 Routes iii and iv of the movability test live here.  The Horn recursion
 is route iv on the Grassmannian's own class table: the tuple walker of
@@ -58,12 +59,14 @@ __all__ = [
 
 
 def check_partition(parts) -> Partition:
-    """Normalize to a weakly decreasing tuple of positive parts."""
+    """Normalize to a weakly decreasing tuple of positive plain ints
+    (bools read as their ints)."""
     p = tuple(parts)
     if any(not isinstance(x, int) or x < 0 for x in p):
         raise ValueError(f"partition parts must be nonnegative integers: {p!r}")
     if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
         raise ValueError(f"partition parts must weakly decrease: {p!r}")
+    p = tuple(map(int, p))
     while p and p[-1] == 0:
         p = p[:-1]
     return p
@@ -88,8 +91,10 @@ def parse_partition(text: str) -> Partition:
 
 
 def format_partition(p: Partition) -> str:
-    """Inverse of parse_partition; the empty partition prints as '0'."""
-    return ",".join(str(x) for x in p) if p else "0"
+    """Inverse of parse_partition; the empty partition prints as '0'.
+    ValueError if p is not a partition (check_partition)."""
+    p = check_partition(p)
+    return ",".join(map(str, p)) if p else "0"
 
 
 def fits_rectangle(p: Partition, rows: int, cols: int) -> bool:
@@ -106,6 +111,8 @@ def partitions_in_rectangle(rows: int, cols: int, size: int | None = None) -> li
     [(2, 1, 1), (2, 2), (3, 1)]
     """
     rows, cols = _integer(rows, "rows"), _integer(cols, "cols")
+    if rows < 0 or cols < 0:
+        raise ValueError(f"need a rectangle of nonnegative sides, got {rows} x {cols}")
     if size is None:
         return sorted(
             p for k in range(rows * cols + 1) for p in _partitions_of_size(k, rows, cols)
@@ -376,9 +383,11 @@ def product_to_point(partitions: tuple[Partition, ...], r: int, n: int) -> int:
     return _product_to_point(parts, r, n)
 
 
+@lru_cache(maxsize=None)
 def _product_to_point(parts: tuple[Partition, ...], r: int, n: int) -> int:
     """product_to_point on partitions already normalized and inside the
-    r x (n - r) rectangle.
+    r x (n - r) rectangle: the one place a point product is made, once
+    per process.
 
     The degree decides first (_degree_verdict).  Otherwise the product
     is finished by duality: the point coefficient of sigma_nu * sigma_p
@@ -404,6 +413,10 @@ def _product_to_point(parts: tuple[Partition, ...], r: int, n: int) -> int:
     half = len(parts) // 2
     left, right = _expand(parts[:half], r, cols), _expand(parts[half:], r, cols)
     return sum(c * right.get(_complement(nu, r, cols), 0) for nu, c in left.items())
+
+
+product_to_point.cache_info = _product_to_point.cache_info
+product_to_point.cache_clear = _product_to_point.cache_clear
 
 
 def _degree_verdict(degree: int, r: int, n: int) -> int | None:
@@ -487,10 +500,7 @@ def condition_iii_failure(classes: tuple[Perm, ...], flag: FlagType) -> str | No
 
 
 def _condition_iii(
-    entries: tuple[ClassEntry, ...],
-    table: FlagTable,
-    graded: bool = False,
-    products: dict[int, int] | None = None,
+    entries: tuple[ClassEntry, ...], table: FlagTable, graded: bool = False
 ) -> str | None:
     """condition_iii_failure on the checked entries of an exact-degree
     tuple, read from the pair partitions of the table.
@@ -502,9 +512,7 @@ def _condition_iii(
     degree (the walk of routes iii and iv lists only those), can fail
     only at the pairs of FlagTable.lr_pairs, and only those are visited.
     The witness names the pair Grassmannian as its flag type prints,
-    b_i/(b_i + b_j), without building one.  A products dict, when given,
-    receives the point product of each pair whose partitions were read,
-    by its position in FlagTable.pairs."""
+    b_i/(b_i + b_j), without building one."""
     if graded:
         pairs, totals = table.lr_pairs, table.pair_target
     else:
@@ -517,8 +525,6 @@ def _condition_iii(
             verdict = _product_to_point(
                 tuple([e.pair_partitions[k] for e in entries]), bi, bi + bj
             )
-            if products is not None:
-                products[k] = verdict
         if not verdict:
             i, j = table.pairs[k]
             return (

@@ -23,7 +23,8 @@ against a vector target (exact_degree_tuples is its one-coordinate
 case), and the coefficient of
 a movable tuple is the product of its Littlewood-Richardson leaves, one
 point coefficient on the Grassmannian of each step; cross_check also
-runs the oracle and requires the two to agree.
+runs the oracle and requires the two to agree.  The last leaf and route
+iii's last pair share one point product (grassmann._product_to_point).
 
 The deformed product keeps a classical structure constant exactly when
 the associated triple is Levi-movable and zeroes it otherwise.
@@ -41,7 +42,7 @@ from .flags import (
     _walk,
     flag_table,
 )
-from .grassmann import _condition_iii, _condition_iv, _degree_verdict, _product_to_point
+from .grassmann import _condition_iii, _condition_iv, _product_to_point
 from .oracle import _exceeds_degree, _intersection_number, _vanishes, structure_constants_pair
 from .perm import Perm, _integer
 
@@ -160,7 +161,6 @@ def _evaluate(
     table: FlagTable,
     method: str,
     graded: bool = False,
-    products: dict[int, int] | None = None,
 ) -> tuple[bool | None, bool | None, bool | None, int | None, str | None]:
     """The routes the method asks for on the checked entries of an
     exact-degree tuple: (condition i, condition iii, condition iv,
@@ -173,8 +173,7 @@ def _evaluate(
     Route i runs first, testing the grading (unless graded) before the
     oracle, so the oracle runs only on a graded tuple.  Then iii and iv
     run, and the witness is the first failure met.  The verdicts are not
-    compared here; see _cross_check.  products goes to route iii
-    (_condition_iii), which fills it with the pair products it makes."""
+    compared here; see _cross_check."""
     ok_i = ok_iii = ok_iv = coefficient = witness = None
     if method in ("via_i", "cross_check"):
         witness = None if graded else _grading_failure(entries, table.flag)
@@ -183,7 +182,7 @@ def _evaluate(
             witness = None if coefficient else "intersection number is zero"
         ok_i = witness is None
     if method in ("via_iii", "cross_check"):
-        failure = _condition_iii(entries, table, graded, products)
+        failure = _condition_iii(entries, table, graded)
         ok_iii, witness = failure is None, witness or failure
     if method in ("via_iv", "cross_check"):
         failure = _condition_iv(entries, table)
@@ -256,51 +255,25 @@ def exact_degree_tuples(flag: FlagType, s: int) -> tuple[tuple[Perm, ...], ...]:
     return tuple(_walk(table, s, [()] * len(table.reps), ()))
 
 
-def _leaf(
-    entries: tuple[ClassEntry, ...],
-    table: FlagTable,
-    k: int,
-    totals: tuple[int, ...],
-    products: dict[int, int] | None = None,
-) -> int:
+def _leaf(entries: tuple[ClassEntry, ...], table: FlagTable, k: int) -> int:
     """The point coefficient of leaf k of the tuple, on the Grassmannian
-    FlagTable.leaf_spaces[k], given the summed pair codimensions of the
-    tuple: the one place a leaf coefficient is made.  A leaf's
-    codimension is the sum of those of its pairs (FlagTable.leaf_pairs),
-    so a leaf that its degree decides (_degree_verdict) reads no
-    partition.  Leaf r, the last, is the Grassmannian of pair (r, r+1),
-    the last of FlagTable.pairs, and reads the same partitions: when
-    products, the pair products route iii has made (_condition_iii), hold
-    that pair's, the leaf takes it instead of making it again."""
+    FlagTable.leaf_spaces[k].  Leaf r, the last, is the Grassmannian of
+    pair (r, r+1) and reads the same partitions, so it finds the product
+    that route iii has made."""
     r, m = table.leaf_spaces[k]
-    verdict = _degree_verdict(sum(map(totals.__getitem__, table.leaf_pairs[k])), r, m)
-    if verdict is None and products and k == len(table.leaf_spaces) - 1:
-        verdict = products.get(len(table.pairs) - 1)
-    if verdict is None:
-        verdict = _product_to_point(tuple([e.leaf_partitions[k] for e in entries]), r, m)
-    return verdict
+    return _product_to_point(tuple([e.leaf_partitions[k] for e in entries]), r, m)
 
 
-def _leaf_product(
-    entries: tuple[ClassEntry, ...],
-    table: FlagTable,
-    graded: bool = False,
-    products: dict[int, int] | None = None,
-) -> int:
-    """The product of the Littlewood-Richardson leaves of the tuple (_leaf),
-    one point coefficient on the Grassmannian of each step; 0 at the first
-    leaf that vanishes.  For a movable tuple this is its intersection
-    number (the factorization of factor_full).  On a tuple known to be
-    graded, every pair of the right degree, so is every leaf, and only
-    the leaves of FlagTable.lr_leaves are visited."""
-    if graded:
-        leaves, totals = table.lr_leaves, table.pair_target
-    else:
-        totals = tuple(map(sum, zip(*[e.pair_codims for e in entries])))
-        leaves = range(len(table.leaf_spaces))
+def _leaf_product(entries: tuple[ClassEntry, ...], table: FlagTable) -> int:
+    """The product of the Littlewood-Richardson leaves of a movable tuple
+    (_leaf), one point coefficient on the Grassmannian of each step; 0 at
+    the first leaf that vanishes.  This is its intersection number (the
+    factorization of factor_full).  A movable tuple is pair-graded, so
+    every leaf has the right degree, and only the leaves whose degree
+    leaves the product open (FlagTable.lr_leaves) are visited."""
     coefficient = 1
-    for k in leaves:
-        coefficient *= _leaf(entries, table, k, totals, products)
+    for k in table.lr_leaves:
+        coefficient *= _leaf(entries, table, k)
         if not coefficient:
             break
     return coefficient
@@ -330,8 +303,8 @@ def enumerate_levi_movable(
     tuple that fails the grading.
 
     A movable tuple's coefficient is the product of its
-    Littlewood-Richardson leaves (_leaf_product), whose last leaf takes
-    the point product that route iii made for pair (r, r+1); via_i and
+    Littlewood-Richardson leaves (_leaf_product), whose last leaf shares
+    the point product of pair (r, r+1) with route iii; via_i and
     cross_check keep the oracle number they decided by, and cross_check
     raises RuntimeError unless the leaf product equals it.
 
@@ -361,15 +334,14 @@ def enumerate_levi_movable(
     out = []
     for classes in candidates:
         entries = tuple(map(table._entry, classes))
-        products: dict[int, int] = {}
-        ok_i, ok_iii, ok_iv, coefficient, _ = _evaluate(entries, table, method, graded, products)
+        ok_i, ok_iii, ok_iv, coefficient, _ = _evaluate(entries, table, method, graded)
         if method == "cross_check":
             _cross_check(entries, table, ok_i, ok_iii, ok_iv, coefficient)
         # one verdict was evaluated, or three that agree
         if not any((ok_i, ok_iii, ok_iv)):
             continue
         if coefficient is None:
-            coefficient = _leaf_product(entries, table, graded, products)
+            coefficient = _leaf_product(entries, table)
             if not coefficient:
                 raise RuntimeError(
                     f"movable tuple {classes!r} over {flag} has a vanishing leaf"

@@ -264,9 +264,9 @@ def parse_permutation(text: str) -> Perm:
 
 
 def format_permutation(w: Perm) -> str:
-    """Inverse of parse_permutation.
+    """Inverse of parse_permutation; ValueError if w is not a permutation.
 
     >>> format_permutation((2, 5, 3, 1, 4))
     '2,5,3,1,4'
     """
-    return ",".join(str(v) for v in w)
+    return ",".join(map(str, check_permutation(w)))

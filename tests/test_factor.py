@@ -1,11 +1,9 @@
 """Factorization of movable coefficients into Littlewood-Richardson leaves."""
 
 import json
-import sys
 
 import pytest
 
-from flaghorn import grassmann
 from flaghorn.factor import (
     FactorizationTree,
     GrassmannianFactor,
@@ -25,8 +23,8 @@ from flaghorn.flags import (
     project_to_step,
     restrict_to_fiber,
 )
-from flaghorn.grassmann import partition_from_perm
-from flaghorn.levi import MovabilityReport, enumerate_levi_movable
+from flaghorn.grassmann import partition_from_perm, product_to_point
+from flaghorn.levi import MovabilityReport, enumerate_levi_movable, is_levi_movable
 from flaghorn.oracle import intersection_number
 
 
@@ -153,26 +151,26 @@ def test_leaf_partitions_are_the_factor_full_leaves():
         ),
     ],
 )
-def test_factor_full_makes_one_point_product_on_a_grassmannian(monkeypatch, flag, classes):
+def test_factor_full_makes_one_point_product_on_a_grassmannian(flag, classes):
     # the guard's decision makes the one pair product of a Grassmannian,
-    # and the one leaf, whose partitions are the pair's, takes it
-    right = grassmann._product_to_point
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return right(*args)
-
-    callers = [
-        module for name, module in list(sys.modules.items())
-        if name.startswith("flaghorn.") and getattr(module, "_product_to_point", None) is right
-    ]
-    assert grassmann in callers
-    for module in callers:
-        monkeypatch.setattr(module, "_product_to_point", counted)
+    # and the one leaf, whose partitions are the pair's, shares it
+    product_to_point.cache_clear()
     tree = factor_full(classes, flag)
-    assert len(calls) == 1
+    assert product_to_point.cache_info().misses == 1
     assert tree.coefficient == intersection_number(classes, flag) == 2
+
+
+def test_a_decision_then_a_factorization_makes_one_point_product():
+    # a caller that decides a tuple and then factors it, as the query
+    # workload's decide requests do, makes the one product once: the
+    # factorization's guard and its leaf find it made
+    flag = grassmannian_flag(3, 8)
+    classes = ((1, 3, 5, 2, 4, 6, 7, 8),) + ((5, 7, 8, 1, 2, 3, 4, 6),) * 3
+    product_to_point.cache_clear()
+    assert is_levi_movable(classes, flag).movable
+    assert factor_full(classes, flag).coefficient == 2
+    info = product_to_point.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_factor_full_rejects_bad_input():

@@ -59,6 +59,11 @@ def test_parse_and_format_partition():
     assert parse_partition("") == ()
     assert format_partition((2, 1)) == "2,1"
     assert format_partition(()) == "0"
+    assert format_partition((2, 1, 0)) == "2,1"
+    assert format_partition((2, True, False)) == "2,1"
+    for bad in ((1, 2), (2.0, 1.0), (-1,)):
+        with pytest.raises(ValueError):
+            format_partition(bad)
     with pytest.raises(ValueError):
         parse_partition("2,x")
     with pytest.raises(ValueError):
@@ -130,6 +135,12 @@ def test_partition_pinned_values():
         lambda: product_to_point(((),), 3, 2),
         lambda: lr_expand((), (), -1, 2),
         lambda: lr_expand((), (), 2, -1),
+        # two negative sides have a positive product, which must not start
+        # the walk
+        lambda: partitions_in_rectangle(-1, -1),
+        lambda: partitions_in_rectangle(-1, -1, 1),
+        lambda: partitions_in_rectangle(-2, -3),
+        lambda: partitions_in_rectangle(-1, 2),
         # a size that is not an integer is a ValueError too, neither a
         # TypeError nor a coefficient of 0
         lambda: perm_from_partition((1,), 2.0, 4),
@@ -138,6 +149,8 @@ def test_partition_pinned_values():
     ],
     ids=[
         "perm_from_partition", "product_to_point", "lr_expand_rows", "lr_expand_cols",
+        "partitions_both_negative", "partitions_both_negative_size",
+        "partitions_both_negative_2x3", "partitions_rows_negative",
         "perm_from_partition_float", "product_to_point_float", "lr_expand_float",
     ],
 )
@@ -283,10 +296,15 @@ def test_lr_expand_matches_the_filling_count(rows, cols):
 
 @pytest.fixture
 def fresh_lr_expand():
-    # expansions made while the walk is patched must not reach a later test
-    lr_expand.cache_clear()
+    # expansions and point products made while the walk is patched must
+    # not reach a later test, nor those made before reach the patched one
+    def clear():
+        lr_expand.cache_clear()
+        product_to_point.cache_clear()
+
+    clear()
     yield
-    lr_expand.cache_clear()
+    clear()
 
 
 def test_the_filling_count_catches_a_walk_without_the_lattice_bound(

@@ -32,6 +32,7 @@ GATED = [
     ("lehmer_code", ((3, 1, 2),), None),
     ("perm_from_lehmer", ((2, 0),), None),
     ("pad", ((2, 1), 4), (1,)),
+    ("format_permutation", ((2, 5, 3, 1, 4),), None),
     ("FlagType", ((1, 3), 4), None),
     ("complete_flag", (3,), None),
     ("grassmannian_flag", (2, 4), None),
@@ -53,6 +54,7 @@ GATED = [
     ("structure_constants_pair", ((2, 1, 3), (1, 3, 2), COMPLETE3), None),
     ("intersection_number", (PAIR, COMPLETE3), None),
     ("partitions_in_rectangle", (2, 2, 2), None),
+    ("format_partition", ((2, 1),), None),
     ("partition_from_perm", ((2, 4, 1, 3), 2, 4), None),
     ("perm_from_partition", ((1,), 2, 4), None),
     ("lr_coefficient", ((1,), (1,), (2,)), None),
@@ -94,8 +96,6 @@ NOT_GATED = {
     "SuiteResult": "a result record, which holds what it is given",
     "SparsePolynomial": "exponents and coefficients are read unchecked",
     "trim": "an unchecked helper on a permutation checked where it entered",
-    "format_permutation": "formats the entries it is given",
-    "format_partition": "formats the parts it is given",
 }
 
 

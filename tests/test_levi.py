@@ -316,13 +316,14 @@ def test_wrong_leaf_partitions_are_caught(monkeypatch):
 @pytest.fixture
 def fresh_flag_tables():
     # tables keep the columns they lifted, entries the fields they read,
-    # and route iv keeps the point-positive tuples that route iii found on
-    # each small Grassmannian: drop all of them before a field is patched,
-    # and again afterwards so that nothing computed from a patched value
-    # reaches a later test
+    # route iv keeps the point-positive tuples that route iii found on
+    # each small Grassmannian, and every point product is kept: drop all
+    # of them before a field is patched, and again afterwards so that
+    # nothing computed from a patched value reaches a later test
     def clear():
         flags._flag_table.cache_clear()
         grassmann._point_positive_tuples.cache_clear()
+        grassmann.product_to_point.cache_clear()
 
     clear()
     yield
@@ -589,7 +590,7 @@ def test_cross_check_runs_the_oracle_on_graded_tuples_only(monkeypatch):
 def test_the_last_leaf_is_the_last_pair(n):
     # leaf r is Gr(b_r, b_r + b_(r+1)), the Grassmannian of pair (r, r+1),
     # the last of FlagTable.pairs, and reads the same partitions on every
-    # class, so enumerate takes its product from route iii
+    # class, so the leaf finds the product route iii made in the memo
     for flag in enumerate_flag_types(n):
         table = flag_table(flag)
         r, m = table.leaf_spaces[-1]
@@ -601,23 +602,15 @@ def test_the_last_leaf_is_the_last_pair(n):
 
 @pytest.mark.parametrize(
     "text, s, movable, products",
-    [("3/6", 3, 46, 84), ("1,3/6", 3, 113, 155), ("3/6", 4, 89, 135)],
+    [("3/6", 3, 46, 84), ("1,3/6", 3, 113, 68), ("3/6", 4, 89, 135)],
 )
-def test_enumerate_makes_the_last_pair_product_once(monkeypatch, text, s, movable, products):
-    # one point product per candidate on a Grassmannian: route iii's, which
-    # the last leaf reuses (before, every movable tuple made it twice)
-    calls = []
-    product_to_point = grassmann._product_to_point
-
-    def counted(*args):
-        calls.append(args)
-        return product_to_point(*args)
-
-    monkeypatch.setattr(grassmann, "_product_to_point", counted)
-    monkeypatch.setattr(levi, "_product_to_point", counted)
+def test_enumerate_makes_the_last_pair_product_once(text, s, movable, products):
+    # each point product is made once: the last leaf shares route iii's
+    # product of pair (r, r+1)
+    grassmann.product_to_point.cache_clear()
     flag = FlagType.parse(text)
     found = enumerate_levi_movable(flag, s)
-    assert (len(found), len(calls)) == (movable, products)
+    assert (len(found), grassmann.product_to_point.cache_info().misses) == (movable, products)
     assert found == enumerate_levi_movable(flag, s, "via_iv")
 
 

@@ -195,3 +195,8 @@ def test_parse_and_format():
         parse_permutation("2,x,1")
     with pytest.raises(ValueError):
         parse_permutation("2,2,1")
+    # formatting reads its argument through the same check
+    assert format_permutation((2.0, 1.0)) == format_permutation((2, True)) == "2,1"
+    for bad in ((1, 1), (0, 1), ("1",)):
+        with pytest.raises(ValueError):
+            format_permutation(bad)
