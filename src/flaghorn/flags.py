@@ -17,8 +17,8 @@ a_1-planes, together with a class of the fiber flag (steps a_2 - a_1, ...,
 a_r - a_1 in n - a_1) relabelled onto the values the block leaves; its
 codimension is the sum of the two.  flag_table(flag) keeps the classes
 of a flag type and their per-class data, and builds its class list and
-codimensions this way from the fiber's table, and the pair, leaf and
-projected data of each class from those of its fiber class; _walk, the
+codimensions this way from the fiber's table, and every per-class field
+(pair and leaf partitions, projected data) from its fiber class; _walk, the
 one tuple walker of levi and grassmann, lists the tuples of its classes
 whose codimensions and per-class vectors sum to a target.
 """
@@ -34,6 +34,7 @@ from operator import add, itemgetter, le, lshift
 from .perm import (
     Perm,
     _integer,
+    _sequence,
     _standardize,
     check_permutation,
     length,
@@ -433,7 +434,8 @@ class ClassEntry:
     listed table reads its field from the table's column (FlagTable.column),
     which lifts the fiber table's column for every class at once; any other
     entry lifts the field of u's entry by the same rule.  Either way the
-    fields of u are shared, and only what the head adds is counted.
+    fields of u are shared, and only what the head adds is counted.  A pair
+    or a leaf is kept only as its partition, which every route reads.
     """
 
     def __init__(
@@ -459,19 +461,10 @@ class ClassEntry:
         return self._lifted("projected_codims")
 
     @cached_property
-    def flats(self) -> tuple[Perm, ...]:
-        """The pair flattening for every pair of blocks i < j; only route
-        iv reads these."""
-        w, b = self.w, self.table.flag.bounds
-        return tuple(
-            _standardize(w[b[i - 1] : b[i]] + w[b[j - 1] : b[j]])
-            for i, j in self.table.pairs
-        )
-
-    @cached_property
     def pair_partitions(self) -> tuple[tuple[int, ...], ...]:
-        """Partition of each pair flattening on its pair Grassmannian.  The
-        part of a position p of block i is the number of q in block j with
+        """Partition of each pair flattening on its pair Grassmannian, the
+        one form of the flattening that routes iii and iv read.  The part
+        of a position p of block i is the number of q in block j with
         w(q) > w(p); the parts weakly decrease along block i, and the zero
         parts are left out."""
         return self._lifted("pair_partitions")
@@ -722,11 +715,7 @@ class FlagTable:
     def class_tuple(self, classes) -> tuple[ClassEntry, ...]:
         """Entries of a tuple of class indices whose codimensions sum to
         the dimension of the manifold; ValueError otherwise."""
-        try:
-            indices = iter(classes)
-        except TypeError:
-            raise ValueError(f"not a sequence of class indices: {classes!r}") from None
-        entries = tuple(map(self.entry, indices))
+        entries = tuple(map(self.entry, _sequence(classes, "the class indices")))
         total = sum(e.codim for e in entries)
         if total != self.dimension:
             raise ValueError(

@@ -16,10 +16,10 @@ Point products of four or more classes expand the two halves of the list
 by that walk and meet in the middle, by duality.  All three keep a memo,
 so route iii and the leaves of the factorization share a point product.
 
-Routes iii and iv of the movability test live here.  The Horn recursion
-is route iv on the Grassmannian's own class table: the tuple walker of
-flags lists the tuples indexing its inequalities, and route iii, or route
-iv again on smaller Grassmannians, decides which are point-positive.
+Routes iii and iv of the movability test live here, on the class table's
+pair partitions.  The Horn recursion is route iv on the Grassmannian's
+own class table: the tuple walker of flags lists the tuples indexing its
+inequalities, and route iii or route iv again decides which are positive.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .flags import (
     flag_table,
     grassmannian_flag,
 )
-from .perm import Perm, _integer
+from .perm import Perm, _integer, _sequence
 
 Partition = tuple[int, ...]
 
@@ -61,7 +61,7 @@ __all__ = [
 def check_partition(parts) -> Partition:
     """Normalize to a weakly decreasing tuple of positive plain ints
     (bools read as their ints)."""
-    p = tuple(parts)
+    p = _sequence(parts, "a partition")
     if any(not isinstance(x, int) or x < 0 for x in p):
         raise ValueError(f"partition parts must be nonnegative integers: {p!r}")
     if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
@@ -376,7 +376,7 @@ def product_to_point(partitions: tuple[Partition, ...], r: int, n: int) -> int:
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
     cols = n - r
-    parts = tuple(check_partition(p) for p in partitions)
+    parts = tuple(map(check_partition, _sequence(partitions, "the partitions")))
     for p in parts:
         if not fits_rectangle(p, r, cols):
             raise ValueError(f"{p!r} does not fit inside {r} x {cols}")
@@ -455,11 +455,7 @@ def _expand(parts: tuple[Partition, ...], rows: int, cols: int) -> dict[Partitio
 
 
 def horn_inequality_holds(
-    tuple_w: tuple[Perm, ...],
-    tuple_u: tuple[Perm, ...],
-    d: int,
-    b_i: int,
-    b_j: int,
+    tuple_w: tuple[Perm, ...], tuple_u: tuple[Perm, ...], d: int, b_i: int, b_j: int
 ) -> bool:
     """The inequality pairing classes w^k on the Grassmannian of
     b_i-planes in C^(b_i + b_j) with classes u^k on the Grassmannian of
@@ -467,26 +463,30 @@ def horn_inequality_holds(
 
         sum over k, l <= d of (b_j + u^k(l) - w^k(u^k(l)))  <=  d * b_j
 
+    Part p of the partition of w^k, read from its table entry, is
+    b_j + p - w^k(p), so the left side sums its parts at u^k(1..d).
+
     >>> horn_inequality_holds((), (), 1, 2, 2)
     True
     """
+    d, b_i, b_j = _integer(d, "d"), _integer(b_i, "b_i"), _integer(b_j, "b_j")
+    tuple_w, tuple_u = _sequence(tuple_w, "tuple_w"), _sequence(tuple_u, "tuple_u")
     if len(tuple_w) != len(tuple_u):
         raise ValueError("class tuples must have the same length")
     if not 1 <= d < b_i:
         raise ValueError(f"need 1 <= d < {b_i}, got {d}")
+    if b_j < 1:
+        raise ValueError(f"need b_j >= 1, got {b_j}")
     big = flag_table(grassmannian_flag(b_i, b_i + b_j))
     small = flag_table(grassmannian_flag(d, b_i))
-    pairs = [(big.entry(w).w, small.entry(u).w) for w, u in zip(tuple_w, tuple_u)]
-    return _horn_holds([w for w, _ in pairs], [u for _, u in pairs], d, b_j)
+    partitions = [big.entry(w).pair_partitions[0] + (0,) * b_i for w in tuple_w]
+    return _horn_holds(partitions, [small.entry(u).w for u in tuple_u], d, b_j)
 
 
-def _horn_holds(
-    tuple_w: tuple[Perm, ...], tuple_u: tuple[Perm, ...], d: int, b_j: int
-) -> bool:
-    """horn_inequality_holds on class indices already checked."""
-    lhs = sum(
-        b_j + u[l] - w[u[l] - 1] for w, u in zip(tuple_w, tuple_u) for l in range(d)
-    )
+def _horn_holds(partitions, tuple_u: tuple[Perm, ...], d: int, b_j: int) -> bool:
+    """horn_inequality_holds on the partitions of the classes w^k, padded
+    with zeros to at least b_i parts, and checked indices u^k."""
+    lhs = sum(lam[p - 1] for lam, u in zip(partitions, tuple_u) for p in u[:d])
     return lhs <= d * b_j
 
 
@@ -601,18 +601,18 @@ def _condition_iv(
     entries: tuple[ClassEntry, ...], table: FlagTable, nonzero_via: str = "lr"
 ) -> str | None:
     """condition_iv_failure on the checked entries of an exact-degree
-    tuple, read from the pair flattenings of the table.
+    tuple, read from the pair partitions of the table in the partition
+    form of horn_inequality_holds.
 
     A position whose flattening has codimension 0 is the fundamental
-    class, with w(p) = b_j + p for p <= b_i, so it adds
-    b_j + u(l) - w(u(l)) = 0 to every inequality whatever u is.  Each
-    pair finds once the positions of positive codimension and sums the
-    inequalities over those alone: at most b_i * b_j positions count,
-    however large s is.  A failure
-    still names the whole u-tuple.
+    class, whose partition is empty, so it adds 0 to every inequality
+    whatever u is.  Each pair finds once the positions of positive
+    codimension and sums the inequalities over those alone: at most
+    b_i * b_j positions count, however large s is.  A failure still names
+    the whole u-tuple.
 
     A pair with b_i = 1 has no inequality, since no d satisfies
-    1 <= d < b_i: after its degree test it reads no flattening."""
+    1 <= d < b_i: after its degree test it reads no partition."""
     s = len(entries)
     for k, (bi, bj) in enumerate(table.pair_sizes):
         i, j = table.pairs[k]
@@ -625,10 +625,10 @@ def _condition_iv(
         if bi == 1:
             continue
         moving = [t for t, e in enumerate(entries) if e.pair_codims[k]]
-        flats = tuple(entries[t].flats[k] for t in moving)
+        partitions = tuple(entries[t].pair_partitions[k] + (0,) * bi for t in moving)
         for d in range(1, bi):
             for combo in _point_positive_tuples(d, bi, s, nonzero_via):
-                if not _horn_holds(flats, tuple(combo[t] for t in moving), d, bj):
+                if not _horn_holds(partitions, tuple(combo[t] for t in moving), d, bj):
                     return (
                         f"blocks ({i},{j}), d={d}: inequality fails for "
                         f"u-tuple {combo!r}"

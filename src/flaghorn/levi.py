@@ -20,14 +20,15 @@ tuple.
 enumerate_levi_movable lists the movable tuples of a flag type.  The
 tuple walker of flags (_walk) builds the candidate tuples of each route
 against a vector target (exact_degree_tuples is its one-coordinate
-case), and the coefficient of
-a movable tuple is the product of its Littlewood-Richardson leaves, one
-point coefficient on the Grassmannian of each step; cross_check also
-runs the oracle and requires the two to agree.  The last leaf and route
+case), and the coefficient of a movable tuple is the product of its
+Littlewood-Richardson leaves, one point coefficient on the Grassmannian
+of each step; cross_check also runs the oracle and requires the two to
+agree.  The last leaf and route
 iii's last pair share one point product (grassmann._product_to_point).
 
 The deformed product keeps a classical structure constant exactly when
-the associated triple is Levi-movable and zeroes it otherwise.
+the associated triple is Levi-movable (route iii) and zeroes it otherwise;
+a kept coefficient is the triple's leaf product, with no oracle run.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .flags import (
     flag_table,
 )
 from .grassmann import _condition_iii, _condition_iv, _product_to_point
-from .oracle import _exceeds_degree, _intersection_number, _vanishes, structure_constants_pair
+from .oracle import _exceeds_degree, _intersection_number, _vanishes
 from .perm import Perm, _integer
 
 __all__ = [
@@ -204,16 +205,12 @@ def _cross_check(
     on a movable tuple, the product of its Littlewood-Richardson leaves
     equals its oracle number."""
     classes, flag = tuple(e.w for e in entries), table.flag
-    if coefficient and _exceeds_degree(classes, flag):
-        raise RuntimeError(
-            f"the projected degree bound finds {classes!r} zero over {flag}, "
-            f"the oracle {coefficient}"
-        )
-    if coefficient and _vanishes(classes, flag):
-        raise RuntimeError(
-            f"the pairwise Bruhat test finds {classes!r} zero over {flag}, "
-            f"the oracle {coefficient}"
-        )
+    for name, test in (("projected degree bound", _exceeds_degree),
+                       ("pairwise Bruhat test", _vanishes)):
+        if coefficient and test(classes, flag):
+            raise RuntimeError(
+                f"the {name} finds {classes!r} zero over {flag}, the oracle {coefficient}"
+            )
     if not ok_i == ok_iii == ok_iv:
         raise RuntimeError(
             f"movability conditions disagree on {classes!r} over {flag}: "
@@ -279,6 +276,15 @@ def _leaf_product(entries: tuple[ClassEntry, ...], table: FlagTable) -> int:
     return coefficient
 
 
+def _movable_coefficient(entries: tuple[ClassEntry, ...], table: FlagTable) -> int:
+    """The leaf product of a movable tuple; RuntimeError if a leaf vanishes."""
+    coefficient = _leaf_product(entries, table)
+    if not coefficient:
+        classes = tuple(e.w for e in entries)
+        raise RuntimeError(f"movable tuple {classes!r} over {table.flag} has a vanishing leaf")
+    return coefficient
+
+
 def enumerate_levi_movable(
     flag: FlagType, s: int, method: str = "via_iii"
 ) -> list[tuple[tuple[Perm, ...], int]]:
@@ -296,17 +302,15 @@ def enumerate_levi_movable(
     vectors are columns of the flag table, lifted from the fiber's
     (FlagTable.column), and a candidate of either walk is not tested
     against its target again (graded).  cross_check walks every
-    exact-degree tuple.  Every candidate is then decided from
-    the entries of the flag table by _evaluate, the evaluator of
-    is_levi_movable, and cross_check raises RuntimeError unless its three
-    verdicts agree (_cross_check).  Unlike a report, no oracle runs on a
-    tuple that fails the grading.
+    exact-degree tuple.  Every candidate is then decided from the entries
+    of the flag table by _evaluate, the evaluator of is_levi_movable, and
+    cross_check raises RuntimeError unless its three verdicts agree
+    (_cross_check).  Unlike a report, no oracle runs on a tuple that
+    fails the grading.
 
-    A movable tuple's coefficient is the product of its
-    Littlewood-Richardson leaves (_leaf_product), whose last leaf shares
-    the point product of pair (r, r+1) with route iii; via_i and
-    cross_check keep the oracle number they decided by, and cross_check
-    raises RuntimeError unless the leaf product equals it.
+    A movable tuple's coefficient is its leaf product
+    (_movable_coefficient); via_i and cross_check keep the oracle number
+    they decided by, and cross_check requires the two to be equal.
 
     >>> from .flags import FlagType
     >>> [(t, c) for t, c in enumerate_levi_movable(FlagType((1,), 2), 2)]
@@ -341,11 +345,7 @@ def enumerate_levi_movable(
         if not any((ok_i, ok_iii, ok_iv)):
             continue
         if coefficient is None:
-            coefficient = _leaf_product(entries, table)
-            if not coefficient:
-                raise RuntimeError(
-                    f"movable tuple {classes!r} over {flag} has a vanishing leaf"
-                )
+            coefficient = _movable_coefficient(entries, table)
         out.append((classes, coefficient))
     return out
 
@@ -361,19 +361,22 @@ def bk_structure_constant(w: Perm, u: Perm, v: Perm, flag: FlagType) -> int:
     0
     """
     table = flag_table(flag)
-    first, second, third = table.entry(w), table.entry(u), table.entry(v)
-    if first.codim + second.codim != third.codim:
-        return 0
+    return _bk_coefficient(table.entry(w), table.entry(u), table.entry(v), table)
+
+
+def _bk_coefficient(first: ClassEntry, second: ClassEntry, third: ClassEntry, table) -> int:
+    """bk_structure_constant on checked entries: route iii decides the triple
+    (w, u, dual of v), and a movable one's coefficient is its leaf product."""
     triple = (first, second, table._entry(third.dual))
-    classical = _intersection_number(tuple(e.w for e in triple), flag)
-    if classical == 0 or _condition_iii(triple, table) is not None:
+    if first.codim + second.codim != third.codim or _condition_iii(triple, table):
         return 0
-    return classical
+    return _movable_coefficient(triple, table)
 
 
 def bk_product(w: Perm, u: Perm, flag: FlagType) -> dict[Perm, int]:
-    """Deformed product of two classes: the classical expansion with
-    every coefficient of a non-movable triple dropped.
+    """Deformed product of two classes: each class v of codimension
+    codim(w) + codim(u) with its nonzero coefficient (bk_structure_constant),
+    in lexicographic order of v.
 
     >>> from .flags import FlagType
     >>> bk_product((2, 3, 1), (3, 1, 2), FlagType((1, 2), 3))
@@ -381,8 +384,7 @@ def bk_product(w: Perm, u: Perm, flag: FlagType) -> dict[Perm, int]:
     """
     table = flag_table(flag)
     first, second = table.entry(w), table.entry(u)
-    out = {}
-    for v, c in structure_constants_pair(first.w, second.w, flag).items():
-        if _condition_iii((first, second, table._entry(table._entry(v).dual)), table) is None:
-            out[v] = c
-    return out
+    target = first.codim + second.codim
+    terms = {v: _bk_coefficient(first, second, table._entry(v), table)
+             for v, c in zip(table.reps, table.codims) if c == target}
+    return {v: c for v, c in terms.items() if c}

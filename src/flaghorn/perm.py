@@ -72,6 +72,14 @@ def _integer(value, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _sequence(value, name: str) -> tuple:
+    """value as a tuple; ValueError, not TypeError, if not iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence, got {value!r}") from None
+
+
 def identity(n: int) -> Perm:
     """The identity permutation of [n].
 

@@ -80,6 +80,7 @@ class SparsePolynomial:
     @classmethod
     def variable(cls, i: int) -> "SparsePolynomial":
         """The variable x_i (1-based)."""
+        i = _integer(i, "the variable index")
         if i < 1:
             raise ValueError("variables are numbered from 1")
         return cls({(0,) * (i - 1) + (1,): 1})

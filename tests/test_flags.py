@@ -424,7 +424,6 @@ def test_flag_table_matches_the_public_functions(n):
                 gr = pair_grassmannian(flag, i, j)
                 flat = flatten_pair(w, flag, i, j)
                 partition = partition_from_perm(flat, gr.steps[0], gr.n)
-                assert entry.flats[k] == flat
                 assert entry.pair_partitions[k] == partition
                 assert entry.pair_codims[k] == gr.dimension - length(flat)
             # leaf k reads the class left after k - 1 fiber restrictions,

@@ -16,13 +16,13 @@ from flaghorn.flags import (
     enumerate_flag_types,
     enumerate_minimal_reps,
     flag_table,
+    flatten_pair,
     grassmannian_flag,
 )
 from flaghorn.grassmann import (
     _condition_iii,
     _condition_iv,
     _degree_verdict,
-    _horn_holds,
     _point_positive_tuples,
     _product_to_point,
     check_condition_iii,
@@ -350,9 +350,11 @@ def test_product_to_point_pinned():
     assert product_to_point(((1,), (1,)), 2, 4) == 0  # degree mismatch
     # a skew shape of 1,196 cells, deeper than the default recursion limit
     assert product_to_point(((598, 598), ()), 2, 600) == 1
-    for bad in ((3,), (1, 2), (-1,)):
+    for bad in ((3,), (1, 2), (-1,), 5):
         with pytest.raises(ValueError):
             product_to_point((bad, (1,)), 2, 4)
+    with pytest.raises(ValueError, match="the partitions must be a sequence"):
+        product_to_point(5, 1, 2)
 
 
 def _exact_degree_partition_tuples(r, cols, s, size):
@@ -467,6 +469,12 @@ def test_horn_inequality_validation():
         horn_inequality_holds((), (), 2, 2, 2)
     with pytest.raises(ValueError):
         horn_inequality_holds(((2, 1, 3, 4),), ((1, 2),), 1, 2, 2)
+    with pytest.raises(ValueError, match="tuple_w must be a sequence"):
+        horn_inequality_holds(5, (), 1, 2, 2)
+    with pytest.raises(ValueError, match="need b_j >= 1, got -1"):
+        horn_inequality_holds((), (), 1, 2, -1)
+    with pytest.raises(ValueError, match="d must be an integer"):
+        horn_inequality_holds((), (), 1.5, 2, 2)
 
 
 def test_conditions_pinned_examples():
@@ -547,22 +555,36 @@ def test_condition_iv_answers_at_large_s():
     assert len(via_iv) == 7
 
 
-def _condition_iv_every_position(entries, table, nonzero_via):
-    # route iv summing each inequality over every position of the tuple,
-    # fundamental ones included
-    s = len(entries)
+def _horn_by_permutation(tuple_w, tuple_u, d, b_j):
+    # the inequality in its permutation form, read off the class indices
+    lhs = sum(b_j + u[l] - w[u[l] - 1] for w, u in zip(tuple_w, tuple_u) for l in range(d))
+    return lhs <= d * b_j
+
+
+@lru_cache(maxsize=None)
+def _flattenings(w, flag):
+    # each pair flattening of w as a permutation, by the public flatten_pair
+    return tuple(flatten_pair(w, flag, i, j) for i, j in flag_table(flag).pairs)
+
+
+def _condition_iv_every_position(classes, flag, nonzero_via):
+    # route iv summing each inequality in its permutation form over every
+    # position of the tuple, fundamental ones included, on flattenings and
+    # codimensions counted apart from the class table's partitions
+    s = len(classes)
+    table = flag_table(flag)
     for k, (bi, bj) in enumerate(table.pair_sizes):
         i, j = table.pairs[k]
-        total = sum(e.pair_codims[k] for e in entries)
+        flats = tuple(_flattenings(w, flag)[k] for w in classes)
+        total = sum(bi * bj - length(f) for f in flats)
         if total != bi * bj:
             return (
                 f"blocks ({i},{j}): flattened codimensions sum to {total}, "
                 f"expected {bi * bj}"
             )
-        flats = tuple(e.flats[k] for e in entries)
         for d in range(1, bi):
             for combo in _point_positive_tuples(d, bi, s, nonzero_via):
-                if not _horn_holds(flats, combo, d, bj):
+                if not _horn_by_permutation(flats, combo, d, bj):
                     return (
                         f"blocks ({i},{j}), d={d}: inequality fails for "
                         f"u-tuple {combo!r}"
@@ -571,8 +593,9 @@ def _condition_iv_every_position(entries, table, nonzero_via):
 
 
 def test_condition_iv_skips_only_positions_that_add_nothing():
-    # dropping the fundamental positions changes no verdict and no
-    # witness on any exact-degree tuple of any flag type with n <= 5
+    # reading the pair partitions at the moving positions alone changes no
+    # verdict and no witness of the permutation form over every position,
+    # on any exact-degree tuple of any flag type with n <= 5
     failures = 0
     for n in range(2, 6):
         for flag in enumerate_flag_types(n):
@@ -583,26 +606,48 @@ def test_condition_iv_skips_only_positions_that_add_nothing():
                     for via in ("lr", "horn"):
                         got = _condition_iv(entries, table, via)
                         assert got == _condition_iv_every_position(
-                            entries, table, via
+                            classes, flag, via
                         ), (flag, classes, via)
                         failures += got is not None
     assert failures  # the witnesses compared include failing ones
 
 
-def _refuse_flattenings(entry):
-    raise RuntimeError("the flattenings were read")
+def test_horn_inequality_holds_matches_the_permutation_form():
+    # every pair of tuples of one or two classes on small Grassmannians:
+    # the partition form read from the table against the permutation form
+    answers = []
+    for b_i in range(2, 6):
+        for b_j in range(1, 7 - b_i):
+            big = enumerate_minimal_reps(grassmannian_flag(b_i, b_i + b_j))
+            for d in range(1, b_i):
+                small = enumerate_minimal_reps(grassmannian_flag(d, b_i))
+                for s in (1, 2):
+                    for tuple_w in product(big, repeat=s):
+                        for tuple_u in product(small, repeat=s):
+                            got = horn_inequality_holds(tuple_w, tuple_u, d, b_i, b_j)
+                            assert got == _horn_by_permutation(tuple_w, tuple_u, d, b_j), (
+                                tuple_w, tuple_u, d, b_i, b_j,
+                            )
+                            answers.append(got)
+    assert (len(answers), sum(answers)) == (37500, 23790)
+
+
+def _refuse_partitions(entry):
+    raise RuntimeError("the pair partitions were read")
 
 
 def test_condition_iv_reads_no_flattening_of_a_projective_pair(monkeypatch):
     # every block of a complete flag has size 1, so no pair has an
     # inequality (no d with 1 <= d < b_i): route iv decides on the degrees
-    # alone, and still exactly as route iii does.  A property on the class
-    # also hides flattenings already cached.
+    # alone, and still exactly as route iii does, reading no pair
+    # partition.  A property on the class also hides partitions already
+    # cached.
     flag = complete_flag(4)
     table = flag_table(flag)
-    monkeypatch.setattr(ClassEntry, "flats", property(_refuse_flattenings))
+    tuples = exact_degree_tuples(flag, 3)
+    monkeypatch.setattr(ClassEntry, "pair_partitions", property(_refuse_partitions))
     verdicts = []
-    for classes in exact_degree_tuples(flag, 3):
+    for classes in tuples:
         entries = tuple(map(table._entry, classes))
         verdict = _condition_iv(entries, table) is None
         assert verdict == (_condition_iii(entries, table) is None), classes
@@ -612,7 +657,7 @@ def test_condition_iv_reads_no_flattening_of_a_projective_pair(monkeypatch):
 
 def test_condition_iv_reads_the_flattenings_of_a_larger_pair(monkeypatch):
     # on 2,4/6 every pair has b_i = 2, so the d = 1 inequalities run on
-    # the flattenings, and a failing one names its u-tuple
+    # the pair partitions, and a failing one names its u-tuple
     flag = FlagType((2, 4), 6)
     table = flag_table(flag)
     classes = ((1, 4, 2, 3, 5, 6), (4, 5, 3, 6, 1, 2), (5, 6, 3, 4, 1, 2))
@@ -620,6 +665,6 @@ def test_condition_iv_reads_the_flattenings_of_a_larger_pair(monkeypatch):
     assert _condition_iv(entries, table) == (
         "blocks (1,2), d=1: inequality fails for u-tuple ((1, 2), (2, 1), (2, 1))"
     )
-    monkeypatch.setattr(ClassEntry, "flats", property(_refuse_flattenings))
-    with pytest.raises(RuntimeError, match="flattenings were read"):
+    monkeypatch.setattr(ClassEntry, "pair_partitions", property(_refuse_partitions))
+    with pytest.raises(RuntimeError, match="pair partitions were read"):
         _condition_iv(entries, table)

@@ -370,21 +370,21 @@ def test_wrongly_lifted_pair_codimensions_are_caught(fresh_flag_tables, monkeypa
         is_levi_movable((w, dual(w, flag)), flag, "cross_check")
 
 
-def test_routes_i_and_iii_never_build_the_flattenings(monkeypatch):
+def test_route_i_reads_no_pair_partition(monkeypatch):
     flag = FlagType((1, 2, 4), 6)
     expected = {s: enumerate_levi_movable(flag, s, "via_iv") for s in (2, 3)}
 
     def refuse(entry):
-        raise RuntimeError("the flattenings were read")
+        raise RuntimeError("the pair partitions were read")
 
-    # a property on the class also hides flattenings already cached
-    monkeypatch.setattr(ClassEntry, "flats", property(refuse))
+    # a property on the class also hides pair partitions already cached
+    monkeypatch.setattr(ClassEntry, "pair_partitions", property(refuse))
     for s in (2, 3):
-        for method in ("via_i", "via_iii"):
-            assert enumerate_levi_movable(flag, s, method) == expected[s], (s, method)
-    # route iv is the one that reads them
-    with pytest.raises(RuntimeError, match="flattenings"):
-        enumerate_levi_movable(flag, 2, "via_iv")
+        assert enumerate_levi_movable(flag, s, "via_i") == expected[s], s
+    # routes iii and iv are the ones that read them
+    for method in ("via_iii", "via_iv"):
+        with pytest.raises(RuntimeError, match="pair partitions"):
+            enumerate_levi_movable(flag, 2, method)
 
 
 def test_enumerate_frozen_complete_three():
@@ -494,6 +494,39 @@ def test_bk_product_is_classical_subset():
             for v, c in filtered.items():
                 assert classical[v] == c
             assert set(filtered) <= set(classical)
+
+
+def test_bk_product_is_the_classical_product_filtered_by_route_iii():
+    # every unordered pair of every flag type with n <= 5: the deformed
+    # product, read off the leaves, against the oracle's expansion in the
+    # Schubert basis restricted to the v whose triple (w, u, dual of v)
+    # route iii passes
+    pairs = terms = 0
+    for n in range(2, 6):
+        for flag in enumerate_flag_types(n):
+            for w, u in combinations_with_replacement(enumerate_minimal_reps(flag), 2):
+                got = bk_product(w, u, flag)
+                assert got == {
+                    v: c
+                    for v, c in structure_constants_pair(w, u, flag).items()
+                    if condition_iii_failure((w, u, dual(v, flag)), flag) is None
+                }, (flag, w, u)
+                assert list(got) == sorted(got), (flag, w, u)
+                for v, c in got.items():
+                    assert bk_structure_constant(w, u, v, flag) == c, (flag, w, u, v)
+                pairs += 1
+                terms += len(got)
+    assert (pairs, terms) == (17356, 1880)
+
+
+def test_a_vanishing_leaf_in_the_deformed_product_raises(monkeypatch):
+    # the triple (fundamental class, u, dual of u) is movable, so a leaf
+    # product of 0 breaks an invariant
+    monkeypatch.setattr(levi, "_leaf_product", lambda entries, table: 0)
+    with pytest.raises(RuntimeError, match="vanishing leaf"):
+        bk_product((3, 2, 1), (2, 1, 3), F3)
+    with pytest.raises(RuntimeError, match="vanishing leaf"):
+        bk_structure_constant((3, 2, 1), (2, 1, 3), (2, 1, 3), F3)
 
 
 def test_bk_product_validates_input():

@@ -29,6 +29,8 @@ def test_classmethods():
     assert SparsePolynomial.monomial((2, 1), 4).coefficient((2, 1)) == 4
     with pytest.raises(ValueError):
         SparsePolynomial.variable(0)
+    with pytest.raises(ValueError, match="the variable index must be an integer"):
+        SparsePolynomial.variable(1.0)
 
 
 def test_equality_and_bool():
