@@ -20,9 +20,10 @@ its permutation string for CSV and text) and joins those texts for every
 tuple; its JSON is byte-identical to ``json.dumps(doc, indent=2)``.
 
 Exit codes: 0 for success or a positive verdict, 1 for a well-formed
-negative verdict, 2 for usage and domain errors.  When the reader closes
-the output pipe early (as ``| head`` does), the rest of the output is
-dropped without a message and the exit code is still the command's own.
+negative verdict, 2 for usage and domain errors and for a command that
+runs out of memory.  When the reader closes the output pipe early (as
+``| head`` does), the rest of the output is dropped without a message
+and the exit code is still the command's own.
 """
 
 from __future__ import annotations
@@ -336,6 +337,9 @@ def main(argv: list[str] | None = None) -> int:
         code, text = args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: out of memory running {args.command}", file=sys.stderr)
         return 2
     try:
         sys.stdout.write(text)

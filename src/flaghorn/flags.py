@@ -413,11 +413,9 @@ def fiber_reduction(w: Perm, flag: FlagType) -> tuple[Perm, Perm, FlagType]:
     >>> fiber_reduction((2, 3, 1), FlagType((1, 2), 3))
     ((2, 1, 3), (2, 1), FlagType(steps=(1,), n=2))
     """
-    return (
-        project_to_step(w, flag, 1),
-        restrict_to_fiber(w, flag),
-        fiber_flag(flag),
-    )
+    # the fiber first: on a point it raises the message fiber_flag gives
+    fiber = restrict_to_fiber(w, flag)
+    return project_to_step(w, flag, 1), fiber, fiber_flag(flag)
 
 
 class ClassEntry:

@@ -148,13 +148,7 @@ def partition_from_perm(w: Perm, r: int, n: int) -> Partition:
     >>> partition_from_perm((2, 4, 1, 3), 2, 4)
     (1,)
     """
-    return _grassmannian_partition(flag_table(grassmannian_flag(r, n)).entry(w).w, r, n)
-
-
-def _grassmannian_partition(w: Perm, r: int, n: int) -> Partition:
-    """partition_from_perm with w unchecked: the parts n - r + j - w(j)
-    for j = 1 .. r, which weakly decrease, with the zero parts dropped."""
-    return tuple(p for p in (n - r + j - w[j - 1] for j in range(1, r + 1)) if p)
+    return flag_table(grassmannian_flag(r, n)).entry(w).leaf_partitions[0]
 
 
 def perm_from_partition(p: Partition, r: int, n: int) -> Perm:

@@ -156,6 +156,7 @@ class SparsePolynomial:
 
     def swap_variables(self, i: int, j: int) -> "SparsePolynomial":
         """Exchange x_i and x_j (1-based) in every term."""
+        i, j = _integer(i, "the variable index"), _integer(j, "the variable index")
         if i < 1 or j < 1:
             raise ValueError("variables are numbered from 1")
         if i == j:

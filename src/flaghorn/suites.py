@@ -3,8 +3,9 @@
 Each suite sweeps a bounded family of flag types and checks one exact
 identity on every instance, with zero tolerance:
 
-  thm1      the three movability conditions agree on every tuple with
-            exact codimension sum;
+  thm1      the cross-check of levi on every tuple with exact
+            codimension sum: the three movability conditions agree,
+            and a movable tuple's leaf product is its oracle number;
   cor13     on complete flag manifolds every movable tuple has
             intersection number exactly 1, read off the route-i walk
             of the graded tuples;
@@ -35,18 +36,16 @@ from .flags import (
     enumerate_flag_types,
     enumerate_minimal_reps,
     fiber_flag,
-    flag_table,
     grassmannian_flag,
 )
 from .grassmann import partition_from_perm, product_to_point
-from .levi import _evaluate, enumerate_levi_movable, exact_degree_tuples, is_levi_movable
+from .levi import enumerate_levi_movable, exact_degree_tuples, is_levi_movable
 from .oracle import _Memo, _intersection_number, intersection_number
 from .perm import Perm, _integer, _standardize, flatten, length
 
 __all__ = [
     "SuiteResult",
     "THM1_FLAGS",
-    "equivalence_rows",
     "movable_rows",
     "run_thm1",
     "run_cor13",
@@ -98,24 +97,6 @@ def _finish(
     return result
 
 
-def equivalence_rows(
-    flag: FlagType, s: int
-) -> tuple[tuple[tuple[Perm, ...], bool, bool, bool, int | None], ...]:
-    """One row per unordered exact-degree s-tuple on the flag manifold:
-    (classes, oracle route verdict, pairwise point-product verdict,
-    inequality-system verdict, intersection number), from the route
-    evaluator of levi (_evaluate) on the unchecked table entries of the
-    walked classes, without its agreement test: disagreements are what
-    the thm1 suite reports.  The number is None exactly on the rows that
-    fail route i's grading (projected codimensions summing to
-    a_i * (n - a_i) at every step), where the oracle need not run."""
-    table = flag_table(flag)
-    return tuple(
-        (classes, *_evaluate(tuple(map(table._entry, classes)), table, "cross_check")[:4])
-        for classes in exact_degree_tuples(flag, s)
-    )
-
-
 def _sweep_flags(max_n: int | None) -> tuple[FlagType, ...]:
     return tuple(f for f in THM1_FLAGS if max_n is None or f.n <= max_n)
 
@@ -136,24 +117,25 @@ def movable_rows(
 
 def run_thm1(max_n: int | None = None) -> SuiteResult:
     """Equivalence of the three movability conditions on every exact
-    degree tuple of the sweep family."""
+    degree tuple of the sweep family, by the cross-check of
+    enumerate_levi_movable: it walks every exact-degree tuple and raises
+    RuntimeError unless routes i, iii and iv agree, neither oracle zero
+    test rejects a nonzero tuple, and each movable tuple's leaf product
+    equals its oracle number.  A case that raises is one failure, its
+    first rejected tuple, and prints no line."""
     result = SuiteResult("thm1", True)
     checked = 0
     for flag in _sweep_flags(max_n):
         for s in SWEEP_SIZES:
-            rows = equivalence_rows(flag, s)
-            checked += len(rows)
-            movable = 0
-            for classes, ok_i, ok_iii, ok_iv, _ in rows:
-                if ok_i == ok_iii == ok_iv:
-                    movable += ok_i
-                else:
-                    result.failures.append(
-                        f"{flag} s={s}: conditions disagree on {classes!r} "
-                        f"(i={ok_i}, iii={ok_iii}, iv={ok_iv})"
-                    )
+            tuples = len(exact_degree_tuples(flag, s))
+            checked += tuples
+            try:
+                movable = len(enumerate_levi_movable(flag, s, "cross_check"))
+            except RuntimeError as exc:
+                result.failures.append(f"{flag} s={s}: {exc}")
+                continue
             result.lines.append(
-                f"{flag} s={s}: {len(rows)} exact-degree tuples, "
+                f"{flag} s={s}: {tuples} exact-degree tuples, "
                 f"{movable} movable, conditions agree"
             )
     return _finish(result, checked, "exact-degree tuples", max_n)

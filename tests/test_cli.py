@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from flaghorn import cli
 from flaghorn.cli import (
     _cmd_check,
     _cmd_coeff,
@@ -114,12 +115,11 @@ def test_check_cross_check_json_round_trip(capsys):
 
 
 def test_check_malformed_tuple_exit_two(capsys):
-    code, out, err = run_cli(
-        capsys, "check", "--flag", "1,2/3", "--tuple", "2,1;2,3,1"
-    )
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:")
+    for text in ("2,1;2,3,1", ";"):
+        code, out, err = run_cli(capsys, "check", "--flag", "1,2/3", "--tuple", text)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
 
 def test_check_degree_mismatch_exit_two(capsys):
@@ -436,6 +436,24 @@ def test_huge_tuple_size_exits_two(capsys):
     )
     assert (code, out) == (2, "")
     assert err.startswith("error: tuple size s=99999999999999999999 exceeds")
+
+
+@pytest.mark.parametrize(
+    "name,argv",
+    [
+        ("enumerate_levi_movable", ["enumerate", "--flag", "1/2", "--s", "2"]),
+        ("run_all", ["verify", "--suite", "all"]),
+    ],
+)
+def test_out_of_memory_exits_two(monkeypatch, capsys, name, argv):
+    # a command that runs out of memory ends in one error line, not a
+    # traceback; the memory is never really exhausted here
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, name, exhausted)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: out of memory running {argv[0]}\n")
 
 
 def test_plain_argv_does_not_import_argparse():

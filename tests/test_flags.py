@@ -34,7 +34,7 @@ from flaghorn.flags import (
     projected_codim,
     restrict_to_fiber,
 )
-from flaghorn.grassmann import _grassmannian_partition, partition_from_perm
+from flaghorn.grassmann import partition_from_perm
 from flaghorn.levi import is_levi_movable
 from flaghorn.oracle import intersection_number
 from flaghorn.perm import _standardize, compose, identity, length, longest_element
@@ -435,6 +435,13 @@ def test_flag_table_matches_the_public_functions(n):
                 assert entry.leaf_partitions[k] == partition_from_perm(projected, r, m)
                 sub, subflag = restrict_to_fiber(sub, subflag), fiber_flag(subflag)
         assert table.entries == tuple(map(table.entry, table.reps))
+
+
+def _grassmannian_partition(w, r, n):
+    """The partition of the class w on the Grassmannian of r-planes in
+    C^n, in closed form: the parts n - r + j - w(j) for j = 1 .. r, which
+    weakly decrease, with the zero parts dropped."""
+    return tuple(p for p in (n - r + j - w[j - 1] for j in range(1, r + 1)) if p)
 
 
 @pytest.mark.parametrize(

@@ -101,7 +101,9 @@ def test_partitions_in_rectangle_by_size_matches_the_filter(rows):
 
 
 def test_partition_perm_roundtrip():
-    for r, n in [(1, 3), (2, 4), (2, 5), (3, 5)]:
+    # every class of every Gr(r, n) with n <= 7: partition_from_perm reads
+    # the class table, perm_from_partition the closed form
+    for r, n in [(r, n) for n in range(2, 8) for r in range(1, n)]:
         for p in partitions_in_rectangle(r, n - r):
             w = perm_from_partition(p, r, n)
             assert partition_from_perm(w, r, n) == p

@@ -134,3 +134,33 @@ def test_float_spelling_is_refused_or_read_as_ints(name, plain, spelled):
         return
     # repr tells 2.0 from 2, inside tuples, dicts and records alike
     assert repr(got) == repr(want)
+
+
+POINT = FlagType((), 3)
+
+# (function, arguments of the right type but outside their domain, the
+# start of the ValueError message)
+OUT_OF_DOMAIN = [
+    (flaghorn.identity, (-1,), "size must be nonnegative"),
+    (flaghorn.longest_element, (-1,), "size must be nonnegative"),
+    (flaghorn.compose, ((2, 1), (1, 3, 2)), "cannot compose permutations of different sizes"),
+    (flaghorn.perm_from_lehmer, ((1, -1),), "code entries must be nonnegative"),
+    (flaghorn.projected_codim, ((2, 3, 1), COMPLETE3, 0), "step index 0 outside 1..2"),
+    (flaghorn.projected_codim, ((2, 3, 1), COMPLETE3, 3), "step index 3 outside 1..2"),
+    (flaghorn.restrict_to_fiber, ((1, 2, 3), POINT), "a point has no fiber reduction"),
+    (flaghorn.fiber_reduction, ((1, 2, 3), POINT), "a point has no fiber reduction"),
+    (flaghorn.monk_expansion, ((2, 1), 0), "the column index r must be at least 1"),
+    (flaghorn.enumerate_levi_movable, (COMPLETE3, 2, "bogus"), "unknown method 'bogus'"),
+    (SparsePolynomial, ({(-1,): 1},), "negative exponent"),
+    (SparsePolynomial.variable, (0,), "variables are numbered from 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "function, args, message",
+    OUT_OF_DOMAIN,
+    ids=[f"{function.__name__}-{k}" for k, (function, _, _) in enumerate(OUT_OF_DOMAIN)],
+)
+def test_a_value_outside_its_domain_is_refused(function, args, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        function(*args)

@@ -73,6 +73,9 @@ def test_swap_variables():
     assert p.swap_variables(1, 2) == x2 * x2 * x1 + x3
     assert p.swap_variables(2, 3) == x1 * x1 * x3 + x2
     assert p.swap_variables(1, 2).swap_variables(1, 2) == p
+    for bad in (1.0, "a"):
+        with pytest.raises(ValueError, match="the variable index must be an integer"):
+            p.swap_variables(bad, 2)
 
 
 def test_leading_term_uses_rightmost_position_order():

@@ -5,13 +5,12 @@ import pytest
 
 from flaghorn import factor, levi, suites
 from flaghorn.factor import factor_full
-from flaghorn.flags import FlagType, projected_codim
-from flaghorn.levi import MovabilityReport
+from flaghorn.flags import FlagType
+from flaghorn.levi import MovabilityReport, exact_degree_tuples, is_levi_movable
 from flaghorn.suites import (
     SUITES,
     THM1_FLAGS,
     SuiteResult,
-    equivalence_rows,
     movable_rows,
     run_all,
     run_cor13,
@@ -72,36 +71,21 @@ def test_thm1_flag_list_is_frozen():
     )
 
 
-def test_equivalence_rows_structure():
-    rows = equivalence_rows(FlagType((1, 2), 3), 2)
-    assert len(rows) == 5
-    movable = [row for row in rows if row[1]]
-    assert len(movable) == 3
-    for classes, ok_i, ok_iii, ok_iv, coefficient in rows:
-        assert ok_i == ok_iii == ok_iv
-        if ok_i:
-            assert coefficient >= 1
-
-
 def test_movable_rows_reduced():
     rows = movable_rows(3)
     assert all(flag.n <= 3 for flag, _, _ in rows)
     assert len(rows) == 6  # three pairs and three triples on the one flag with n = 3
-    # movable_rows reads the route-i walk, so it must list exactly the rows
-    # of the equivalence sweep on which route i holds, numbers included; a
-    # row carries no number exactly where route i's grading fails
+    # movable_rows reads the route-i walk, so it must list exactly the
+    # exact-degree tuples of the sweep that route i's report accepts,
+    # numbers included
     for max_n in (3, 4, None):
         swept = []
         for flag in [f for f in THM1_FLAGS if max_n is None or f.n <= max_n]:
             for s in suites.SWEEP_SIZES:
-                for classes, ok_i, _, _, coefficient in equivalence_rows(flag, s):
-                    graded = all(
-                        sum(projected_codim(w, flag, i) for w in classes) == a * (flag.n - a)
-                        for i, a in enumerate(flag.steps, start=1)
-                    )
-                    assert (coefficient is None) == (not graded), (flag, classes)
-                    if ok_i:
-                        swept.append((flag, classes, coefficient))
+                for classes in exact_degree_tuples(flag, s):
+                    report = is_levi_movable(classes, flag, "via_i")
+                    if report.movable:
+                        swept.append((flag, classes, report.coefficient))
         assert movable_rows(max_n) == swept, max_n
 
 
@@ -235,12 +219,34 @@ def test_cor13_runs_route_i_alone(monkeypatch):
 
 
 def test_thm1_catches_a_wrong_route(monkeypatch):
-    """The sweep reads the unchecked routes; a pairwise route that passes
-    every tuple must make the conditions disagree."""
+    """The sweep runs the cross-check of enumerate_levi_movable; a
+    pairwise route that passes every tuple must make the conditions
+    disagree, and a case that fails prints no line."""
     monkeypatch.setattr(levi, "_condition_iii", lambda entries, table, *args: None)
     result = run_thm1(3)
     assert not result.passed
-    assert any("(i=False, iii=True, iv=False)" in f for f in result.failures)
+    assert any("i=False, iii=True, iv=False" in f for f in result.failures)
+    assert not any(line.startswith("1,2/3 ") for line in result.lines), result.lines
+
+
+def test_thm1_checks_the_leaf_product(monkeypatch):
+    """The sweep compares each movable tuple's leaf product with its
+    oracle number; a leaf product that is off by one must make it fail."""
+    assert run_thm1(3).lines == [
+        "1,2/3 s=2: 5 exact-degree tuples, 3 movable, conditions agree",
+        "1,2/3 s=3: 9 exact-degree tuples, 3 movable, conditions agree",
+    ]
+    leaf_product = levi._leaf_product
+    monkeypatch.setattr(levi, "_leaf_product", lambda *args: leaf_product(*args) + 1)
+    result = run_thm1(3)
+    assert not result.passed
+    assert result.failures == [
+        f"1,2/3 s={s}: leaf product 2 disagrees with the oracle 1 on "
+        f"{classes} over 1,2/3"
+        for s, classes in [(2, "((1, 2, 3), (3, 2, 1))"),
+                           (3, "((1, 2, 3), (3, 2, 1), (3, 2, 1))")]
+    ]
+    assert result.lines == []
 
 
 def test_thm2_decides_every_fiber_level(monkeypatch):
@@ -329,4 +335,7 @@ def test_suites_reach_the_oracle_core(monkeypatch):
     assert not duality.passed
     assert "1/2: pairing of (1, 2) with (2, 1) gives 2, expected 1" in duality.failures
     assert not thm1.passed
-    assert any("(i=True, iii=False, iv=False)" in f for f in thm1.failures)
+    assert (
+        "1,2/3 s=2: leaf product 1 disagrees with the oracle 2 on "
+        "((1, 2, 3), (3, 2, 1)) over 1,2/3"
+    ) in thm1.failures
