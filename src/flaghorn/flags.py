@@ -113,7 +113,7 @@ class FlagType(_Frozen):
     __match_args__ = ("steps", "n")
 
     def __init__(self, steps: tuple[int, ...], n: int) -> None:
-        steps = tuple(steps)
+        steps = _sequence(steps, "the steps")
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"ambient dimension must be an integer >= 1: {n!r}")
         prev = 0

@@ -12,9 +12,10 @@ reverse reading word is a lattice word.  A whole product (lr_expand)
 comes from one walk that adds the rows of the second partition as
 labelled horizontal strips, so every term arrives with its multiplicity
 and no search runs per term; the tests check each against the other.
-Point products of four or more classes expand the two halves of the list
-by that walk and meet in the middle, by duality.  All three keep a memo,
-so route iii and the leaves of the factorization share a point product.
+A point product of any number of classes expands the two halves of the
+list by that walk and meets them in the middle, by duality; the filling
+search serves only as the tests' reference.  All three keep a memo, so
+route iii and the leaves of the factorization share a point product.
 
 Routes iii and iv of the movability test live here, on the class table's
 pair partitions.  The Horn recursion is route iv on the Grassmannian's
@@ -386,25 +387,18 @@ def _product_to_point(parts: tuple[Partition, ...], r: int, n: int) -> int:
     The degree decides first (_degree_verdict).  Otherwise the product
     is finished by duality: the point coefficient of sigma_nu * sigma_p
     is 1 when p is the complement of nu in the rectangle and 0
-    otherwise.  So two partitions are compared, and with
-    three the point coefficient of sigma_nu * sigma_q * sigma_p is one
-    Littlewood-Richardson coefficient, that of the complement of p in
-    sigma_nu * sigma_q.  With four or more the two halves of the list
-    are expanded apart (_expand) and met in the middle: each term nu of
-    the first half's product adds its multiplicity times that of the
-    complement of nu in the second half's.
+    otherwise.  So the two halves of the list are expanded apart
+    (_expand) and met in the middle: each term nu of the first half's
+    product adds its multiplicity times that of the complement of nu in
+    the second half's.  One class meets the empty first half, two are
+    compared by complement, and three read one term of the expansion of
+    the last two, which the memo of _lr_expand shares among all triples
+    with that pair.
     """
     verdict = _degree_verdict(sum(map(sum, parts)), r, n)
     if verdict is not None:
         return verdict
-    cols = n - r
-    if len(parts) == 1:
-        return 1  # the rectangle itself
-    if len(parts) == 2:
-        return int(parts[0] == _complement(parts[1], r, cols))
-    if len(parts) == 3:
-        return _lr_coefficient(parts[0], parts[1], _complement(parts[2], r, cols))
-    half = len(parts) // 2
+    cols, half = n - r, len(parts) // 2
     left, right = _expand(parts[:half], r, cols), _expand(parts[half:], r, cols)
     return sum(c * right.get(_complement(nu, r, cols), 0) for nu, c in left.items())
 
@@ -436,8 +430,11 @@ def _complement(p: Partition, rows: int, cols: int) -> Partition:
 
 
 def _expand(parts: tuple[Partition, ...], rows: int, cols: int) -> dict[Partition, int]:
-    """The product of the classes of two or more partitions inside the
-    rectangle, one _lr_expand per term and factor."""
+    """The product of the classes of the partitions inside the rectangle,
+    one _lr_expand per term and factor past the first; the empty product
+    is the class of the empty partition."""
+    if len(parts) < 2:
+        return {parts[0]: 1} if parts else {(): 1}
     acc = _lr_expand(parts[0], parts[1], rows, cols)
     for p in parts[2:]:
         nxt: dict[Partition, int] = {}

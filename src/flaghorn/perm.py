@@ -173,7 +173,7 @@ def flatten(w: Perm, positions: Iterable[int]) -> Perm:
     (2, 1)
     """
     w = check_permutation(w)
-    pos = sorted(_integer(p, "a position") for p in positions)
+    pos = sorted(_integer(p, "a position") for p in _sequence(positions, "the positions"))
     if not pos:
         raise ValueError("cannot flatten on an empty set of positions")
     if len(set(pos)) != len(pos):
@@ -218,7 +218,7 @@ def perm_from_lehmer(code: Sequence[int]) -> Perm:
     >>> perm_from_lehmer((0, 1))
     (1, 3, 2)
     """
-    c = [_integer(x, "a code entry") for x in code]
+    c = [_integer(x, "a code entry") for x in _sequence(code, "the code")]
     while c and c[-1] == 0:
         c.pop()
     if any(x < 0 for x in c):

@@ -97,6 +97,27 @@ def _finish(
     return result
 
 
+# Past these bounds the sweeps over every flag type with n <= max_n run
+# for hours: lengths reads every class, duality every complementary pair.
+_SWEEP_LIMITS = {"lengths": 8, "duality": 7}
+
+
+def _check_sweep_bound(name: str, max_n: int | None) -> None:
+    """ValueError, before any sweep, for a bound past the suite's limit.
+    It names the classes of every flag type with 2 <= n <= max_n: the
+    ordered Bell number of n, less the flag type with no steps, summed up
+    to n = 30 at most."""
+    if max_n is not None and max_n > _SWEEP_LIMITS[name]:
+        fubini = [1]
+        for n in range(1, min(max_n, 30) + 1):
+            fubini.append(sum(math.comb(n, k) * fubini[n - k] for k in range(1, n + 1)))
+        raise ValueError(
+            f"{name}: max_n={max_n} asks for {'more than ' if max_n > 30 else ''}"
+            f"{sum(f - 1 for f in fubini[2:])} classes of every flag type with "
+            f"n <= {max_n}; the largest bound {name} sweeps is {_SWEEP_LIMITS[name]}"
+        )
+
+
 def _sweep_flags(max_n: int | None) -> tuple[FlagType, ...]:
     return tuple(f for f in THM1_FLAGS if max_n is None or f.n <= max_n)
 
@@ -282,6 +303,7 @@ def run_lengths(max_n: int | None = None) -> SuiteResult:
     permutations, which an unbounded cache would keep alive, and a cache
     that outlived the run would answer for a map that has since been
     replaced."""
+    _check_sweep_bound("lengths", max_n)
     bound = 6 if max_n is None else max_n
     result = SuiteResult("lengths", True)
     checked = 0
@@ -393,6 +415,7 @@ def run_duality(max_n: int | None = None) -> SuiteResult:
     from the tuple walker, so their classes are valid by construction and
     go to the oracle unchecked; the dual of each class is read once per
     flag type, not once per pair."""
+    _check_sweep_bound("duality", max_n)
     bound = 5 if max_n is None else max_n
     result = SuiteResult("duality", True)
     checked = 0
@@ -444,6 +467,8 @@ def run_suite(name: str, max_n: int | None = None) -> SuiteResult:
 
 
 def run_all(max_n: int | None = None) -> list[SuiteResult]:
-    """Run every suite in declaration order."""
+    """Run every suite in declaration order, once the bound is checked."""
     max_n = max_n if max_n is None else _integer(max_n, "max_n")
+    for name in _SWEEP_LIMITS:
+        _check_sweep_bound(name, max_n)
     return [runner(max_n) for runner in SUITES.values()]

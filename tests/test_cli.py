@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from flaghorn import cli
+from flaghorn import cli, suites
 from flaghorn.cli import (
     _cmd_check,
     _cmd_coeff,
@@ -265,6 +265,20 @@ def test_verify_fails_a_bound_that_leaves_nothing_to_check(capsys, max_n, empty)
         if r["suite"] in empty:
             [failure] = r["failures"]
             assert failure.startswith(f"bound max_n={max_n} leaves no ")
+
+
+def _no_sweep(n):
+    raise AssertionError(f"a refused bound started a sweep at n={n}")
+
+
+def test_verify_refuses_a_bound_past_the_sweep_limit(capsys, monkeypatch):
+    monkeypatch.setattr(suites, "enumerate_flag_types", _no_sweep)
+    code, out, err = run_cli(capsys, "verify", "--suite", "lengths", "--max-n", "9")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: lengths: max_n=9 asks for 7685696 classes of every flag type "
+        "with n <= 9; the largest bound lengths sweeps is 8\n"
+    )
 
 
 def test_check_huge_grassmannian_does_not_recurse(capsys):

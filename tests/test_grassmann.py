@@ -9,6 +9,7 @@ from math import factorial, prod
 import pytest
 
 from flaghorn import grassmann
+from flaghorn.factor import factor_full
 from flaghorn.flags import (
     ClassEntry,
     FlagType,
@@ -40,7 +41,7 @@ from flaghorn.grassmann import (
     perm_from_partition,
     product_to_point,
 )
-from flaghorn.levi import enumerate_levi_movable, exact_degree_tuples
+from flaghorn.levi import bk_product, enumerate_levi_movable, exact_degree_tuples
 from flaghorn.perm import length
 
 
@@ -433,9 +434,10 @@ def _product_to_point_by_complement(parts, r, cols):
     return _expanded_product(parts[:-1], r, cols).get(complement, 0)
 
 
-def test_product_to_point_finish_by_one_coefficient_matches_the_expansion():
-    # with s >= 3 the last two factors are one LR coefficient against the
-    # complement of the last; every tuple of the right size at s = 3, 4
+def test_product_to_point_matches_the_expansion_of_all_but_the_last_factor():
+    # the point coefficient is the multiplicity of the complement of the
+    # last factor in the product of the others, expanded by filling
+    # counts; every tuple of the right size at s = 3, 4
     checked = nonzero = 0
     for r, n in ((2, 4), (2, 5), (3, 6)):
         for s in (3, 4):
@@ -445,6 +447,24 @@ def test_product_to_point_finish_by_one_coefficient_matches_the_expansion():
                 checked += 1
                 nonzero += expected > 0
     assert (checked, nonzero) == (2986, 1882)
+
+
+def test_no_point_product_runs_the_filling_search():
+    # route iii, the factorization's leaves and the deformed product make
+    # their point products by the strip walk alone, three factors too;
+    # the filling search of lr_coefficient is only the tests' reference
+    lr_coefficient.cache_clear()
+    product_to_point.cache_clear()
+    flag = FlagType.parse("3,6/9")
+    rows = enumerate_levi_movable(flag, 3)
+    classes, coefficient = max(rows, key=lambda row: row[1])
+    product_to_point.cache_clear()
+    assert factor_full(classes, flag).coefficient == coefficient
+    product_to_point.cache_clear()
+    w = (3, 6, 2, 5, 1, 4)
+    assert len(bk_product(w, w, FlagType.parse("2,4/6"))) == 6
+    assert len(rows) == 19071
+    assert lr_coefficient.cache_info().misses == 0
 
 
 def test_horn_inequality_fixture():

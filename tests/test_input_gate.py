@@ -164,3 +164,22 @@ OUT_OF_DOMAIN = [
 def test_a_value_outside_its_domain_is_refused(function, args, message):
     with pytest.raises(ValueError, match=f"^{message}"):
         function(*args)
+
+
+# (function, arguments with one that is not iterable where a sequence
+# belongs, the start of the ValueError message).  length, descent_set,
+# lehmer_code and pad's permutation are unchecked helpers on a permutation
+# checked where it entered, as trim is, and are not listed.
+NOT_ITERABLE = [
+    (flaghorn.FlagType, (None, 3), "the steps must be a sequence"),
+    (flaghorn.flatten, ((2, 1, 3), None), "the positions must be a sequence"),
+    (flaghorn.perm_from_lehmer, (None,), "the code must be a sequence"),
+]
+
+
+@pytest.mark.parametrize(
+    "function, args, message", NOT_ITERABLE, ids=[f.__name__ for f, _, _ in NOT_ITERABLE]
+)
+def test_a_non_iterable_sequence_argument_is_refused(function, args, message):
+    with pytest.raises(ValueError, match=f"^{message}, got None$"):
+        function(*args)

@@ -51,6 +51,44 @@ def test_run_suite_rejects_unknown_name():
         run_suite("thm3")
 
 
+def _no_sweep(n):
+    raise AssertionError(f"a refused bound started a sweep at n={n}")
+
+
+@pytest.mark.parametrize(
+    "name, max_n, classes",
+    [("lengths", 9, 7685696), ("duality", 8, 598436), ("duality", 9, 7685696)],
+)
+def test_a_bound_past_the_sweep_limit_is_refused_before_any_sweep(
+    monkeypatch, name, max_n, classes
+):
+    monkeypatch.setattr(suites, "enumerate_flag_types", _no_sweep)
+    message = f"^{name}: max_n={max_n} asks for {classes} classes of every flag type"
+    with pytest.raises(ValueError, match=message):
+        run_suite(name, max_n)
+    # run_all refuses before its first suite runs
+    monkeypatch.setitem(suites.SUITES, "thm1", _no_sweep)
+    with pytest.raises(ValueError, match=f"^(lengths|duality): max_n={max_n} "):
+        run_all(max_n)
+
+
+@pytest.mark.parametrize(
+    "max_n, asks", [(2, "2"), (6, "5310"), (7, "52602"), (10**10, r"more than \d+")]
+)
+def test_the_classes_asked_for_follow_the_ordered_bell_numbers(monkeypatch, max_n, asks):
+    # under a limit of 1: n <= 6 and n <= 7 give the counts lengths
+    # prints, and a bound past n = 30 is answered at once, as a lower bound
+    monkeypatch.setitem(suites._SWEEP_LIMITS, "lengths", 1)
+    with pytest.raises(ValueError, match=f"^lengths: max_n={max_n} asks for {asks} classes "):
+        suites._check_sweep_bound("lengths", max_n)
+
+
+def test_the_bounds_at_the_limits_are_let_through():
+    for name, limit in suites._SWEEP_LIMITS.items():
+        suites._check_sweep_bound(name, limit)
+        suites._check_sweep_bound(name, None)
+
+
 def test_run_all_order():
     results = run_all(4)
     assert [r.name for r in results] == list(SUITES)
