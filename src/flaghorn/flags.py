@@ -17,10 +17,11 @@ a_1-planes, together with a class of the fiber flag (steps a_2 - a_1, ...,
 a_r - a_1 in n - a_1) relabelled onto the values the block leaves; its
 codimension is the sum of the two.  flag_table(flag) keeps the classes
 of a flag type and their per-class data, and builds its class list and
-codimensions this way from the fiber's table, and every per-class field
-(pair and leaf partitions, projected data) from its fiber class; _walk, the
-one tuple walker of levi and grassmann, lists the tuples of its classes
-whose codimensions and per-class vectors sum to a target.
+codimensions this way from the fiber's table, and the pair and leaf data
+of each class from its fiber class; the projected codimensions are a
+closed form of the class itself (_projected_codims).  _walk, the one tuple
+walker of levi and grassmann, lists the tuples of its classes whose
+codimensions and per-class vectors sum to a target.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations, pairwise
-from operator import add, itemgetter, le, lshift
+from operator import itemgetter, le, lshift
 
 from .perm import (
     Perm,
@@ -427,8 +428,8 @@ class ClassEntry:
     them and kept.  The pair fields follow the order of FlagTable.pairs.
 
     A class is its first block, the head, with a class u of the fiber flag
-    (see _lift_classes), and its projected, pair and leaf data are those
-    of u lifted by the head, one rule per field (_LIFTS).  An entry of a
+    (see _lift_classes), and its pair and leaf data are those of u lifted
+    by the head, one rule per field (_LIFTS).  An entry of a
     listed table reads its field from the table's column (FlagTable.column),
     which lifts the fiber table's column for every class at once; any other
     entry lifts the field of u's entry by the same rule.  Either way the
@@ -454,9 +455,9 @@ class ClassEntry:
 
     @cached_property
     def projected_codims(self) -> tuple[int, ...]:
-        """Codimension of the projection to each step a_1, ..., a_r: for the
-        step a, the number of pairs p <= a < q with w(p) < w(q)."""
-        return self._lifted("projected_codims")
+        """Codimension of the projection to each step a_1, ..., a_r, read
+        off w alone (_projected_codims)."""
+        return _projected_codims(self.w, self.table.flag.steps)
 
     @cached_property
     def pair_partitions(self) -> tuple[tuple[int, ...], ...]:
@@ -568,6 +569,14 @@ class FlagTable:
         self._entries: dict[Perm, ClassEntry] = {}
         self._columns: dict[str, tuple] = {}
 
+    @cached_property
+    def step_dimensions(self) -> tuple[int, ...]:
+        """a_i (n - a_i), the dimension of the Grassmannian of each step:
+        the sum that route i requires of the projected codimensions of a
+        tuple, and that the projected degree bound caps them at."""
+        n = self.flag.n
+        return tuple([a * (n - a) for a in self.flag.steps])
+
     # The pair data take time quadratic in the number of steps, so they
     # are built on first use: a one-off entry makes a table for every flag
     # of its fiber chain, and reads the pairs of the first alone.
@@ -646,16 +655,21 @@ class FlagTable:
         return {w: p for p, w in enumerate(self.reps)}
 
     def column(self, field: str) -> tuple:
-        """A lifted field of ClassEntry (projected_codims, pair_codims,
-        pair_partitions or leaf_partitions) for every class of ``reps``,
-        in table order.
+        """A per-class field of ClassEntry (one of _COLUMNS) for every class
+        of ``reps``, in table order; ValueError for any other name.
 
-        Built the first time it is asked for, along the chain of fiber
-        tables (_chain): the point's one class has no step, pair or leaf,
-        and each table's column is lifted from the one below it
-        (_lift_column) and kept, innermost first."""
+        Built the first time it is asked for and kept.  The projected
+        codimensions are read off each class (_projected_codims).  A lifted
+        field is built along the chain of fiber tables (_chain): the point's
+        one class has no pair or leaf, and each table's column is lifted
+        from the one below it (_lift_column) and kept, innermost first."""
+        if field not in _COLUMNS:  # a tuple: an unhashable name is not hashed
+            raise ValueError(f"unknown column {field!r}, expected one of {_COLUMNS}")
         column = self._columns.get(field)
-        if column is None:
+        if column is None and field == "projected_codims":
+            steps = self.flag.steps
+            column = self._columns[field] = tuple([_projected_codims(w, steps) for w in self.reps])
+        elif column is None:
             chain = self._chain(lambda table: field in table._columns)
             column = chain.pop()._columns.setdefault(field, ((),))
             for table in reversed(chain):
@@ -757,15 +771,25 @@ def _lift_classes(
     return tuple(reps), tuple(codims)
 
 
-# The lifts: each rule takes a table, a sequence of heads and a sequence
-# of fiber classes u with the field of each, and returns the field of every
-# class head + u (as _lift_classes relabels it), each head with every u in
-# turn.  With t_p = head_p - p, the number of values that the head leaves
-# below head_p, the value rest[x] of w stands above head_p exactly when
-# x > t_p, so every count below is read on u and t alone.  A listed table
-# runs a rule once, on all its heads and its whole fiber column
-# (FlagTable._lift_column), and a one-off entry on its own head and fiber
-# class (ClassEntry._lifted).
+def _projected_codims(w: Perm, steps: tuple[int, ...]) -> tuple[int, ...]:
+    """pc_i(w), the codimension of the projection of the class w to the
+    Grassmannian of each step a_i, in closed form: (n - a + 1) + ... + n
+    - (w(1) + ... + w(a)) at the step a.  It counts the pairs p <= a < q
+    with w(p) < w(q): the prefix values, sorted x_1 < ... < x_a, have
+    n - x_j - (a - j) values above x_j past the step."""
+    n, sums = len(w), (0, *accumulate(w))
+    return tuple([a * (2 * n + 1 - a) // 2 - sums[a] for a in steps])
+
+
+# The lifts of the pair and leaf fields: each rule takes a table, a
+# sequence of heads and a sequence of fiber classes u with the field of
+# each, and returns the field of every class head + u (as _lift_classes
+# relabels it), each head with every u in turn.  With t_p = head_p - p,
+# the number of values that the head leaves below head_p, the value
+# rest[x] of w stands above head_p exactly when x > t_p, so every count
+# below is read on u and t alone.  A listed table runs a rule once, on
+# all its heads and its whole fiber column (FlagTable._lift_column), and
+# a one-off entry on its own head and fiber class (ClassEntry._lifted).
 
 
 def _gaps(head: Perm) -> tuple[int, ...]:
@@ -824,21 +848,6 @@ def _lift_pair_codims(table: FlagTable, heads, us, below) -> list:
     return out
 
 
-def _lift_projected_codims(table: FlagTable, heads, us, below) -> list:
-    """Step 1 is the codimension of the head on Gr(a_1, n), the sum of its
-    pairs (1, j).  Step i >= 2 is u's step i - 1 plus, for each t_p, the
-    values of u past that step above t_p: the head's pairs (1, j) with
-    j > i."""
-    aboves, out = _above_blocks(table, us), []
-    for head in heads:
-        t = _gaps(head)
-        for blocks, f in zip(aboves, below):
-            # tail[k]: the head's pairs with the last k + 1 blocks
-            tail = list(accumulate([sum(map(above, t)) for above in reversed(blocks)]))
-            out.append((tail[-1], *map(add, reversed(tail[:-1]), f)))
-    return out
-
-
 def _lift_leaf_partitions(table: FlagTable, heads, us, below) -> list:
     """Leaf 1, on Gr(a_1, n), depends on the head alone: part p is the
     number of values past a_1 above head_p, (n - a_1) - t_p, zero parts
@@ -851,11 +860,13 @@ def _lift_leaf_partitions(table: FlagTable, heads, us, below) -> list:
 
 
 _LIFTS = {
-    "projected_codims": _lift_projected_codims,
     "pair_codims": _lift_pair_codims,
     "pair_partitions": _lift_pair_partitions,
     "leaf_partitions": _lift_leaf_partitions,
 }
+
+# the names FlagTable.column accepts
+_COLUMNS = ("projected_codims", *_LIFTS)
 
 
 _flag_table = lru_cache(maxsize=None)(FlagTable)

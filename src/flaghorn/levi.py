@@ -100,11 +100,10 @@ def condition_i_detail(
     return report.condition_i, report.coefficient, report.failing_witness
 
 
-def _grading_failure(entries: tuple[ClassEntry, ...], flag: FlagType) -> str | None:
+def _grading_failure(entries: tuple[ClassEntry, ...], table: FlagTable) -> str | None:
     """The first step a_i whose projected codimensions do not sum to
-    a_i * (n - a_i), or None."""
-    for i, a in enumerate(flag.steps, start=1):
-        expected = a * (flag.n - a)
+    a_i * (n - a_i) (FlagTable.step_dimensions), or None."""
+    for i, expected in enumerate(table.step_dimensions, start=1):
         total = sum(e.projected_codims[i - 1] for e in entries)
         if total != expected:
             return (
@@ -177,7 +176,7 @@ def _evaluate(
     compared here; see _cross_check."""
     ok_i = ok_iii = ok_iv = coefficient = witness = None
     if method in ("via_i", "cross_check"):
-        witness = None if graded else _grading_failure(entries, table.flag)
+        witness = None if graded else _grading_failure(entries, table)
         if witness is None:
             coefficient = _intersection_number(tuple(e.w for e in entries), table.flag)
             witness = None if coefficient else "intersection number is zero"
@@ -205,12 +204,13 @@ def _cross_check(
     on a movable tuple, the product of its Littlewood-Richardson leaves
     equals its oracle number."""
     classes, flag = tuple(e.w for e in entries), table.flag
-    for name, test in (("projected degree bound", _exceeds_degree),
-                       ("pairwise Bruhat test", _vanishes)):
-        if coefficient and test(classes, flag):
-            raise RuntimeError(
-                f"the {name} finds {classes!r} zero over {flag}, the oracle {coefficient}"
-            )
+    if coefficient:
+        for name, rejected in (("projected degree bound", _exceeds_degree(entries, table)),
+                               ("pairwise Bruhat test", _vanishes(classes, flag))):
+            if rejected:
+                raise RuntimeError(
+                    f"the {name} finds {classes!r} zero over {flag}, the oracle {coefficient}"
+                )
     if not ok_i == ok_iii == ok_iv:
         raise RuntimeError(
             f"movability conditions disagree on {classes!r} over {flag}: "
@@ -299,8 +299,9 @@ def enumerate_levi_movable(
     pair Grassmannian, which is part of condition (iv) and the degree of
     each pair product of condition (iii).  via_i walks the projected
     codimensions against (a_i * (n - a_i)), its own grading test.  Both
-    vectors are columns of the flag table, lifted from the fiber's
-    (FlagTable.column), and a candidate of either walk is not tested
+    vectors are columns of the flag table (FlagTable.column), the pair
+    codimensions lifted from the fiber's and the projected codimensions
+    read off each class, and a candidate of either walk is not tested
     against its target again (graded).  cross_check walks every
     exact-degree tuple.  Every candidate is then decided from the entries
     of the flag table by _evaluate, the evaluator of is_levi_movable, and
@@ -326,7 +327,7 @@ def enumerate_levi_movable(
         candidates = _walk(
             table, s,
             table.column("projected_codims"),
-            tuple(a * (flag.n - a) for a in flag.steps),
+            table.step_dimensions,
         )
     else:
         candidates = _walk(

@@ -65,9 +65,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
-from operator import lshift
+from operator import gt, lshift
 
 from .flags import (
+    ClassEntry,
+    FlagTable,
     FlagType,
     _dual,
     flag_table,
@@ -334,25 +336,11 @@ class _Layout:
     staircase.  ``weights`` maps a full-degree monomial m of the carried
     product to the sum over ``twisted`` of sgn(tau) * signs[m + tau * delta].
 
-    The record of a class w is (w, codim, degree, upper, lower), built
-    once per class by _record from its table entry, which checks w the
-    first time any route meets it (FlagTable.entry).  ``records`` is keyed
-    by w as the table holds it, a tuple of plain ints: its callers pass
-    classes read from table entries (FlagTable.class_tuple), never the
-    caller's object.
-    The fundamental class, the unit, is the one class of codimension 0.
-
-    ``degree`` packs the projected degree bound (_exceeds_degree): pc_i(w),
-    the codimension of its projection to Gr(a_i, n), in field i of
-    ``degree_width`` = dim.bit_length() + 1 bits (``degree_fields`` holds
-    the lowest bit of each field, and ``degree_base`` the part of pc_i that
-    w does not change).  ``degree_cap`` holds a_i(n - a_i) in field i with
-    the field's top bit, its guard bit, set (``degree_guard`` holds them
-    all).  pc_i(w) is at most the codimension of w, so over a tuple of
-    classes whose codimensions sum to dim no field sum exceeds dim, and the
-    cap minus the sum clears a guard bit exactly when some step's sum
-    exceeds a_i(n - a_i), without a borrow between fields.  The unit's
-    degree is 0.
+    The record of a class w is (upper, lower), built once per class by
+    _record from its table entry, which checks w the first time any route
+    meets it (FlagTable.entry).  ``records`` is keyed by w as the table
+    holds it, a tuple of plain ints: its callers pass classes read from
+    table entries (FlagTable.class_tuple), never the caller's object.
 
     ``upper`` and ``lower`` pack the pairwise vanishing test (_vanishes):
     the entries of sorted(w[:a]) for every step a, one field of ``width``
@@ -398,17 +386,6 @@ class _Layout:
         self.start = start
         self.twisted = tuple(twisted)
         self.order = len(twisted)
-        self.degree_width = dim_width = flag.dimension.bit_length() + 1
-        dim_top, dim_fields = 1 << (dim_width - 1), range(0, flag.r * dim_width, dim_width)
-        self.degree_guard = sum(dim_top << f for f in dim_fields)
-        self.degree_cap = self.degree_guard + sum(
-            (a * (n - a)) << f for a, f in zip(flag.steps, dim_fields)
-        )
-        self.degree_fields = dim_fields
-        # a_i(n - a_i) + a_i(a_i + 1)/2 in field i, the first two terms of pc_i
-        self.degree_base = sum(
-            (a * (n - a) + a * (a + 1) // 2) << f for a, f in zip(flag.steps, dim_fields)
-        )
         self.bruhat_fields = fields = range(0, sum(flag.steps) * width, width)
         self.bruhat_guard = sum(top << f for f in fields)
         self.bruhat_top = sum((n + 1) << f for f in fields)
@@ -434,36 +411,26 @@ class _Layout:
                 )
         return tuple(terms.items())
 
-    def _record(self, w: Perm) -> tuple[Perm, int, int, int, int]:
-        """(w, codim, degree, upper, lower) of the class indexed by w,
-        read from its table entry, which validates w once (ValueError
-        unless w indexes a class).
+    def _record(self, w: Perm) -> tuple[int, int]:
+        """(upper, lower) of the class indexed by w, read from its table
+        entry, which validates w once (ValueError unless w indexes a
+        class).
 
-        One sort of the prefix w(1..a) at each step a gives the rest.
-        * Its sum gives pc_i(w) = a_i(n - a_i) + a_i(a_i + 1)/2 -
-          (w(1) + ... + w(a_i)): the pairs p <= a_i < q with w(p) > w(q)
-          number w(1) + ... + w(a_i) - a_i(a_i + 1)/2, and pc_i counts the
-          other pairs across the step.
-        * Its entries, in order, are the fields of upper.
-        * The fields of lower follow with no lookup of dual(w): the block
-          reversal w_P fixes every step, so dual(w)(1..a) =
-          n + 1 - w(w_P(1..a)) takes the values n + 1 - x over the x of the
-          prefix, and sorted, they are n + 1 minus its sorted entries in
-          reverse order.
+        One sort of the prefix w(1..a) at each step a gives both.  Its
+        entries, in order, are the fields of upper.  The fields of lower
+        follow with no lookup of dual(w): the block reversal w_P fixes
+        every step, so dual(w)(1..a) = n + 1 - w(w_P(1..a)) takes the
+        values n + 1 - x over the x of the prefix, and sorted, they are
+        n + 1 minus its sorted entries in reverse order.
         """
-        entry = self.table.entry(w)
-        w = entry.w
-        entries, duals, sums = [], [], []
+        w = self.table.entry(w).w
+        entries, duals = [], []
         for a in self.flag.steps:
             prefix = sorted(w[:a])
             entries += prefix
             duals += prefix[::-1]
-            sums.append(sum(prefix))
         fields = self.bruhat_fields
         return (
-            w,
-            entry.codim,
-            self.degree_base - sum(map(lshift, sums, self.degree_fields)),
             self.bruhat_guard + sum(map(lshift, entries, fields)),
             self.bruhat_top - sum(map(lshift, duals, fields)),
         )
@@ -617,18 +584,19 @@ def intersection_number(classes: tuple[Perm, ...], flag: FlagType) -> int:
     checks the class the first time any route meets it, and the
     codimensions are summed from the entries.  The fundamental class, the
     one class of codimension 0 and the unit of the ring, is dropped, and
-    two tests run in this order, the cheaper first, each reading the
-    class's record (_Layout.records), built once per class; either
-    answers 0 with no representative built.
+    two tests run in this order, the cheaper first; either answers 0 with
+    no representative built.
     * The projected degree bound (_exceeds_degree): the projected
       codimensions of the classes sum to at most a_i(n - a_i) at every
       step a_i, else the product is zero (the projected Schubert
       varieties of Gr(a_i, n) would meet in negative dimension; Kleiman,
-      Compositio Math. 1974).  One addition per class.
+      Compositio Math. 1974).  It sums the entries' projected
+      codimensions (ClassEntry.projected_codims) at each step.
     * The pairwise test (_vanishes): the product of w and v is zero
       unless dual(v) <= w in Bruhat order, the nonemptiness of their
       Richardson variety (Richardson 1992; Brion, Lectures on the
-      geometry of flag varieties).  One subtraction per pair.
+      geometry of flag varieties).  One subtraction per pair, read off
+      the classes' records (_Layout.records), built once per class.
     Both decide only zeros: a tuple that passes both, zero or not, is
     decided by the polynomial product above.
 
@@ -640,17 +608,18 @@ def intersection_number(classes: tuple[Perm, ...], flag: FlagType) -> int:
     """
     # ValueError unless a flag type, a sequence of class indices and a
     # codimension sum equal to the dimension; each class is read once
-    entries = flag_table(flag).class_tuple(classes)
-    classes = tuple([entry.w for entry in entries if entry.codim])
-    if _exceeds_degree(classes, flag) or _vanishes(classes, flag):
+    table = flag_table(flag)
+    entries = tuple([entry for entry in table.class_tuple(classes) if entry.codim])
+    classes = tuple([entry.w for entry in entries])
+    if _exceeds_degree(entries, table) or _vanishes(classes, flag):
         return 0
     return _intersection_number(classes, flag)
 
 
-def _exceeds_degree(classes: tuple[Perm, ...], flag: FlagType) -> bool:
-    """Whether the projected codimensions of the checked classes sum past
-    dim Gr(a_i, n) = a_i(n - a_i) at some step a_i, which proves their
-    product zero.
+def _exceeds_degree(entries: tuple[ClassEntry, ...], table: FlagTable) -> bool:
+    """Whether the projected codimensions of the entries' classes sum past
+    dim Gr(a_i, n) = a_i(n - a_i) (FlagTable.step_dimensions) at some step
+    a_i, which proves their product zero.
 
     Generic translates of the Schubert varieties that meet project to
     generic translates of the projected Schubert varieties of Gr(a_i, n),
@@ -658,13 +627,10 @@ def _exceeds_degree(classes: tuple[Perm, ...], flag: FlagType) -> bool:
     transversality of a general translate, Compositio Math. 1974) these
     meet in dimension a_i(n - a_i) minus the sum of their codimensions,
     so a nonzero product needs that sum at most a_i(n - a_i) at every
-    step.  A tuple costs one addition per class and one mask of the
-    packed degrees (_Layout.records).  False says nothing: the product
-    may still vanish.
+    step.  False says nothing: the product may still vanish.
     """
-    layout = _layout(flag)
-    records, guard = layout.records, layout.degree_guard
-    return (layout.degree_cap - sum([records[w][2] for w in classes])) & guard != guard
+    totals = map(sum, zip(*[entry.projected_codims for entry in entries]))
+    return any(map(gt, totals, table.step_dimensions))
 
 
 def _vanishes(classes: tuple[Perm, ...], flag: FlagType) -> bool:
@@ -684,7 +650,7 @@ def _vanishes(classes: tuple[Perm, ...], flag: FlagType) -> bool:
     records, guard = layout.records, layout.bruhat_guard
     lowers: list[int] = []
     for w in classes:
-        _, _, _, upper, lower = records[w]
+        upper, lower = records[w]
         for earlier in lowers:
             if (upper - earlier) & guard != guard:
                 return True

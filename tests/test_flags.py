@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import re
 from bisect import bisect_left
 from itertools import pairwise, permutations
 
@@ -476,9 +477,9 @@ LIFTED = ("projected_codims", "pair_codims", "pair_partitions", "leaf_partitions
 
 
 def _counted_fields(w, flag):
-    """Every lifted field of the class, counted on w itself: the per-class
-    definitions that the lifts from the fiber replace, kept as the
-    reference.
+    """Every per-class field of the class, counted on w itself: the
+    definitions that the lifts from the fiber and the closed form of the
+    projected codimensions replace, kept as the reference.
 
     Both blocks of a pair ascend, so the flattening sends a position p of
     block i to p plus the number of q in block j with w(q) < w(p), and
@@ -558,6 +559,50 @@ def test_lifted_fields_match_the_counted_reference(n, fresh_flag_tables):
             assert entry.index is None
             assert {f: getattr(entry, f) for f in LIFTED} == fields, (str(flag), w)
         assert all("_classes" not in vars(t) and not t._columns for t in _chain(table)), str(flag)
+
+
+# the classes of every flag type on C^n, n = 2 .. 7: 52,602 in all
+CLASS_COUNTS = {2: 2, 3: 12, 4: 74, 5: 540, 6: 4682, 7: 47292}
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_projected_codimensions_sum_the_lifted_pair_codimensions(n):
+    # the closed form of pc_i and the lift of the pair codimensions share no
+    # code: the pairs p <= a_i < q with w(p) < w(q) are those of the pairs
+    # of blocks k <= i < l, on every class with n <= 7; and pc_i is 0 at
+    # every step exactly on the unit
+    classes = 0
+    for flag in enumerate_flag_types(n):
+        table = flag_table(flag)
+        across = [
+            [k for k, (i, j) in enumerate(table.pairs) if i <= step < j]
+            for step in range(1, flag.r + 1)
+        ]
+        unit = dual(identity(n), flag)
+        columns = zip(table.reps, table.column("projected_codims"), table.column("pair_codims"))
+        for w, projected, pairs in columns:
+            assert projected == tuple(sum(pairs[k] for k in ks) for ks in across), (str(flag), w)
+            assert (not any(projected)) == (w == unit), (str(flag), w)
+            classes += 1
+    assert classes == CLASS_COUNTS[n]
+
+
+@pytest.mark.parametrize("field", ["bogus", ["x"], None, "fiber"], ids=["bogus", "list", "None", "fiber"])
+def test_an_unknown_column_is_a_value_error_that_builds_nothing(field, fresh_flag_tables):
+    # the name is checked before the chain of fiber tables is walked: no
+    # table of the chain gains a column, and a table not yet listed builds
+    # no fiber table
+    accepted = re.escape(str(flags._COLUMNS))
+    table = flag_table(FlagType((1, 3), 5))
+    message = f"unknown column {re.escape(repr(field))}, expected one of {accepted}"
+    with pytest.raises(ValueError, match=message):
+        table.column(field)
+    assert "fiber" not in vars(table) and not table._columns
+    assert len(table.reps) == 30 and len(_chain(table)) == 3
+    with pytest.raises(ValueError, match="unknown column"):
+        table.column(field)
+    assert _lifted_data(table) == []
+    assert table.column("pair_codims")[0] == table.entries[0].pair_codims
 
 
 def test_a_one_off_entry_lists_no_table(fresh_flag_tables):

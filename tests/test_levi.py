@@ -286,7 +286,7 @@ def test_cross_check_compares_the_projected_degree_bound(monkeypatch):
     # a bound that finds zero where the oracle does not raises with its own
     # message, on a movable tuple and on the blocked triple; a zero tuple
     # proves nothing wrong
-    monkeypatch.setattr(levi, "_exceeds_degree", lambda classes, flag: True)
+    monkeypatch.setattr(levi, "_exceeds_degree", lambda entries, table: True)
     for classes in (MOVABLE_PAIR, BLOCKED_TRIPLE):
         with pytest.raises(RuntimeError, match="projected degree bound finds"):
             is_levi_movable(classes, F3, "cross_check")
@@ -368,6 +368,33 @@ def test_wrongly_lifted_pair_codimensions_are_caught(fresh_flag_tables, monkeypa
     w = (2, 3, 5, 1, 4)
     with pytest.raises(RuntimeError, match="disagree"):
         is_levi_movable((w, dual(w, flag)), flag, "cross_check")
+
+
+def test_route_i_and_the_oracle_run_no_lift(fresh_flag_tables, monkeypatch):
+    # route i reads the projected codimensions, a closed form of each class,
+    # and the oracle's two zero tests read them and the sorted prefixes:
+    # on cold tables, with every lift refused, both still answer
+    flags_and_expected = [
+        (flag, enumerate_levi_movable(flag, 3, "via_i"))
+        for flag in map(FlagType.parse, ("1,3/5", "2,4/6", "1,2,3/4"))
+    ]
+    assert all(expected for _, expected in flags_and_expected)
+
+    def refuse(*args):
+        raise AssertionError("a lift ran")
+
+    for field in flags._LIFTS:
+        monkeypatch.setitem(flags._LIFTS, field, refuse)
+    flags._flag_table.cache_clear()
+    for flag, expected in flags_and_expected:
+        assert enumerate_levi_movable(flag, 3, "via_i") == expected, str(flag)
+    # sigma_1^4 = 2 on Gr(2,4), a product the two zero tests pass, and a
+    # tuple that the degree bound rejects
+    assert intersection_number(((2, 4, 1, 3),) * 4, grassmannian_flag(2, 4)) == 2
+    assert intersection_number(((2, 3, 1),) * 3, F3) == 0
+    # a route that reads the pair data does lift
+    with pytest.raises(AssertionError, match="a lift ran"):
+        enumerate_levi_movable(FlagType.parse("1,3/5"), 3, "via_iii")
 
 
 def test_route_i_reads_no_pair_partition(monkeypatch):

@@ -15,7 +15,6 @@ from flaghorn.flags import (
     FlagType,
     _dual,
     check_class_tuple,
-    codim,
     complete_flag,
     dual,
     enumerate_flag_types,
@@ -24,7 +23,7 @@ from flaghorn.flags import (
     grassmannian_flag,
     parabolic_longest,
 )
-from flaghorn import oracle
+from flaghorn import flags, oracle
 from flaghorn.levi import exact_degree_tuples
 from flaghorn.oracle import (
     expand_in_schubert_basis,
@@ -192,7 +191,9 @@ def test_intersection_number_checks_then_calls_its_core(monkeypatch):
     f3 = complete_flag(3)
     bounded, tested = [], []
     exceeds, vanishes = oracle._exceeds_degree, oracle._vanishes
-    monkeypatch.setattr(oracle, "_exceeds_degree", lambda c, f: bounded.append(c) or exceeds(c, f))
+    monkeypatch.setattr(
+        oracle, "_exceeds_degree", lambda e, t: bounded.append(tuple(x.w for x in e)) or exceeds(e, t)
+    )
     monkeypatch.setattr(oracle, "_vanishes", lambda c, f: tested.append(c) or vanishes(c, f))
     with pytest.raises(ValueError, match="does not index a Schubert class"):
         intersection_number(((3, 2, 1), (3, 2, 1)), FlagType((1,), 3))
@@ -221,10 +222,11 @@ def test_intersection_number_checks_then_calls_its_core(monkeypatch):
 
 
 def _plain_keys(layout):
-    # every key of the records memo is its record's class index, a tuple of
-    # plain ints
+    # every key of the records memo is a class index, a tuple of plain ints,
+    # whose record is that of its table entry's class
     return all(
-        type(w) is tuple and all(type(x) is int for x in w) and record[0] == w
+        type(w) is tuple and all(type(x) is int for x in w) and layout.table.entry(w).w == w
+        and record == layout._record(w)
         for w, record in layout.records.items()
     )
 
@@ -277,14 +279,21 @@ def test_the_unit_is_dropped_before_the_tests_and_the_product(monkeypatch):
     # multiplied, so the pairwise test no longer grows with the padding
     flag = FlagType((2,), 4)
     unit = dual((1, 2, 3, 4), flag)
-    # its record: codimension 0, and no projected degree at any step
-    assert oracle._layout(flag).records[unit][:3] == ((3, 4, 1, 2), 0, 0)
+    # its entry: codimension 0, and no projected codimension at any step
+    entry = flag_table(flag).entry(unit)
+    assert (entry.w, entry.codim, entry.projected_codims) == ((3, 4, 1, 2), 0, (0,))
     divisor = (2, 4, 1, 3)
     reached = []
+
+    def classes_of(c):
+        # _exceeds_degree takes table entries, the others class indices
+        return tuple(x if type(x) is tuple else x.w for x in c)
+
     for name in ("_exceeds_degree", "_vanishes", "_intersection_number"):
         real = getattr(oracle, name)
         monkeypatch.setattr(
-            oracle, name, lambda c, f, name=name, real=real: reached.append((name, c)) or real(c, f)
+            oracle, name,
+            lambda c, f, name=name, real=real: reached.append((name, classes_of(c))) or real(c, f),
         )
     for k in (1, 3, 40_000):
         reached.clear()
@@ -295,16 +304,6 @@ def test_the_unit_is_dropped_before_the_tests_and_the_product(monkeypatch):
             ("_vanishes", (divisor,) * 4),
             ("_intersection_number", (divisor,) * 4),
         ]
-
-
-def _reference_degree(layout, w):
-    # pc_i(w) = a_i(n - a_i) + a_i(a_i + 1)/2 - (w(1) + ... + w(a_i)) for
-    # every step a_i, packed in fields of degree_width bits
-    n, width = layout.flag.n, layout.degree_width
-    return sum(
-        (a * (n - a) + a * (a + 1) // 2 - sum(w[:a])) << (i * width)
-        for i, a in enumerate(layout.flag.steps)
-    )
 
 
 def _reference_bruhat(layout, w):
@@ -324,35 +323,14 @@ CLASS_COUNTS = {2: 2, 3: 12, 4: 74, 5: 540, 6: 4682, 7: 47292}
 
 
 @pytest.mark.parametrize("n", range(2, 8))
-def test_the_packed_degrees_are_the_projected_codimensions(n):
-    # pc_i(w) read from the sorted prefixes of w, a computation of its own,
-    # is the field that flags lifts from the fiber, on every class with
-    # n <= 7, and it packs to 0 exactly on the unit
-    classes = 0
-    for flag in enumerate_flag_types(n):
-        layout, table = oracle._layout(flag), flag_table(flag)
-        mask = (1 << layout.degree_width) - 1
-        unit = dual(identity(n), flag)
-        for w, codims in zip(table.reps, table.column("projected_codims")):
-            packed = layout.records[w][2]
-            fields = tuple(packed >> (i * layout.degree_width) & mask for i in range(flag.r))
-            assert (fields, packed >> (flag.r * layout.degree_width)) == (codims, 0), (str(flag), w)
-            assert (packed == 0) == (w == unit), (str(flag), w)
-            classes += 1
-    assert classes == CLASS_COUNTS[n]
-
-
-@pytest.mark.parametrize("n", range(2, 8))
 def test_every_record_matches_the_reference_definitions(n):
     # the record of each class, built from one sort of each prefix, against
-    # the codimension of its table entry, the prefix sums of w, and the
-    # sorted prefixes of w and of dual(w), on every class with n <= 7
+    # the sorted prefixes of w and of dual(w), on every class with n <= 7
     classes = 0
     for flag in enumerate_flag_types(n):
         layout = oracle._layout(flag)
         for w in flag_table(flag).reps:
-            expected = (w, codim(w, flag), _reference_degree(layout, w), *_reference_bruhat(layout, w))
-            assert layout.records[w] == expected, (str(flag), w)
+            assert layout.records[w] == _reference_bruhat(layout, w), (str(flag), w)
             classes += 1
     assert classes == CLASS_COUNTS[n]
 
@@ -369,11 +347,12 @@ def _vanishing_sweep(sweep):
     tuples = pairwise = degree = either = wrong = 0
     for n, sizes in sweep:
         for flag in enumerate_flag_types(n):
+            table = flag_table(flag)
             for s in sizes:
                 for classes in exact_degree_tuples(flag, s):
                     tuples += 1
                     vanishes = oracle._vanishes(classes, flag)
-                    exceeds = oracle._exceeds_degree(classes, flag)
+                    exceeds = oracle._exceeds_degree(tuple(map(table.entry, classes)), table)
                     pairwise += vanishes
                     degree += exceeds
                     if vanishes or exceeds:
@@ -407,8 +386,8 @@ def test_the_pairwise_test_accepts_exactly_the_dual_pairs(n):
 
 
 def _patch_records(monkeypatch, change):
-    # every record built from here on has its fields (w, codim, degree,
-    # upper, lower) passed through change, with the layout
+    # every record built from here on has its fields (upper, lower) passed
+    # through change, with the layout
     record = oracle._Layout._record
     monkeypatch.setattr(
         oracle._Layout, "_record", lambda layout, w: change(layout, *record(layout, w))
@@ -416,17 +395,17 @@ def _patch_records(monkeypatch, change):
 
 
 def test_a_pairwise_test_that_reads_w_for_its_dual_is_caught(fresh_packed_reps, monkeypatch):
-    def undualized(layout, w, codim, degree, upper, lower):
-        return w, codim, degree, upper, upper - layout.bruhat_guard
+    def undualized(layout, upper, lower):
+        return upper, upper - layout.bruhat_guard
 
     _patch_records(monkeypatch, undualized)
     assert _vanishing_sweep(((3, (2, 3)), (4, (2,))))[4] > 0
 
 
 def test_a_pairwise_test_that_drops_a_step_is_caught(fresh_packed_reps, monkeypatch):
-    def first_step_dropped(layout, w, codim, degree, upper, lower):
+    def first_step_dropped(layout, upper, lower):
         low = layout.flag.steps[0] * layout.width
-        return w, codim, degree, upper, lower >> low << low
+        return upper, lower >> low << low
 
     _patch_records(monkeypatch, first_step_dropped)
     assert _misjudged_pairs(4) != []
@@ -435,38 +414,40 @@ def test_a_pairwise_test_that_drops_a_step_is_caught(fresh_packed_reps, monkeypa
 def test_dual_prefixes_left_unreversed_are_caught(fresh_packed_reps, monkeypatch):
     # n + 1 minus the sorted prefix of w, in its own order: the prefix of
     # dual(w) sorted the wrong way round
-    def unreversed(layout, w, codim, degree, upper, lower):
+    def unreversed(layout, upper, lower):
         mask, top = (1 << layout.width) - 1, layout.flag.n + 1
         entries = [(upper - layout.bruhat_guard) >> f & mask for f in layout.bruhat_fields]
         lower = sum((top - x) << f for x, f in zip(entries, layout.bruhat_fields))
-        return w, codim, degree, upper, lower
+        return upper, lower
 
     _patch_records(monkeypatch, unreversed)
     assert _vanishing_sweep(((3, (2, 3)), (4, (2,))))[4] > 0
     assert _misjudged_pairs(4) != []
 
 
-def test_a_degree_bound_one_below_the_grassmannian_is_caught(fresh_packed_reps, monkeypatch):
-    init = oracle._Layout.__init__
+@pytest.fixture
+def fresh_flag_tables():
+    # entries keep their projected codimensions: drop every table before
+    # the closed form is patched, and again afterwards so that no patched
+    # value reaches a later test
+    flags._flag_table.cache_clear()
+    yield
+    flags._flag_table.cache_clear()
 
-    def cap_lowered(layout, flag):
-        init(layout, flag)
-        layout.degree_cap -= sum(1 << (i * layout.degree_width) for i in range(flag.r))
 
-    monkeypatch.setattr(oracle._Layout, "__init__", cap_lowered)
+def test_a_degree_bound_one_below_the_grassmannian_is_caught(monkeypatch):
+    # a property on the class also hides the dimensions cached on the tables
+    lowered = property(lambda table: tuple(a * (table.flag.n - a) - 1 for a in table.flag.steps))
+    monkeypatch.setattr(flags.FlagTable, "step_dimensions", lowered)
     assert _vanishing_sweep(((3, (2, 3)), (4, (2,))))[4] > 0
 
 
-def test_a_degree_bound_that_sums_the_suffix_is_caught(fresh_packed_reps, monkeypatch):
-    def suffix_summed(layout, w, codim, degree, upper, lower):
-        n, width = layout.flag.n, layout.degree_width
-        degree = sum(
-            (a * (n - a) + a * (a + 1) // 2 - sum(w[a:])) << (i * width)
-            for i, a in enumerate(layout.flag.steps)
-        )
-        return w, codim, degree, upper, lower
+def test_a_degree_bound_that_sums_the_suffix_is_caught(fresh_flag_tables, monkeypatch):
+    def suffix_summed(w, steps):
+        n = len(w)
+        return tuple(a * (n - a) + a * (a + 1) // 2 - sum(w[a:]) for a in steps)
 
-    _patch_records(monkeypatch, suffix_summed)
+    monkeypatch.setattr(flags, "_projected_codims", suffix_summed)
     assert _vanishing_sweep(((3, (2, 3)), (4, (2,))))[4] > 0
 
 
